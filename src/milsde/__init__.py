@@ -18,10 +18,13 @@ The pieces, bottom up:
 """
 
 from .adaptive import (
+    FixedBatch,
     SolutionPath,
     StrategyConfig,
     integrate_adaptive,
     integrate_fixed,
+    integrate_fixed_batch,
+    mesh_integrals,
     propose_step,
 )
 from .errors import ExperimentError, ResourceError, StepOverflow, UsageError
@@ -116,6 +119,9 @@ __all__ = [
     "integrals_over",
     "integrate_adaptive",
     "integrate_fixed",
+    "integrate_fixed_batch",
+    "FixedBatch",
+    "mesh_integrals",
     "make_builtin",
     "milstein_step",
     "moment_check",

@@ -21,6 +21,11 @@ sizes sum to the horizon exactly; the experiment bookkeeping relies on
 this. The final step is clamped to land on the horizon; a clamped step
 may be shorter than h_min, runs the plain scheme map, and is never
 flagged as a backstop.
+
+Fixed-step solves advance a batch of P paths together through one
+step map per window (:func:`integrate_fixed_batch`); the one-path
+:func:`integrate_fixed` is its P = 1 call. Adaptive solves run one path
+at a time, since each path takes its own mesh.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from .errors import UsageError
 from .problems import SdeProblem
 from .steppers import FIXED_SCHEMES, advance_state
-from .wiener import WienerPath, integrals_over, uniform_integrals
+from .wiener import IteratedIntegrals, WienerPath, integrals_over, uniform_integrals
 
 __all__ = [
     "StrategyConfig",
@@ -41,6 +46,9 @@ __all__ = [
     "propose_step",
     "integrate_adaptive",
     "integrate_fixed",
+    "integrate_fixed_batch",
+    "FixedBatch",
+    "mesh_integrals",
 ]
 
 
@@ -83,15 +91,14 @@ def propose_step(config: StrategyConfig, state: np.ndarray) -> tuple[float, bool
 
     The raw proposal is scale / ||state|| (+inf at the origin), clamped
     to [h_min, h_max]; the flag is set exactly when the raw proposal is
-    at or below the floor. The norm is evaluated overflow-safely: a
-    finite state too large for ||state||**2 still pins rather than
-    erroring out.
+    at or below the floor. A finite state whose norm overflows to inf
+    proposes a raw step of 0, so it pins rather than erroring out.
     """
-    try:
-        norm = math.hypot(*np.asarray(state, dtype=float))
-    except OverflowError:
-        return config.h_min, True
+    state = np.asarray(state, dtype=float)
+    norm = math.hypot(*state)
     if not math.isfinite(norm):
+        if np.isfinite(state).all():
+            return config.h_min, True
         raise UsageError("cannot propose a step for a non-finite state")
     raw = math.inf if norm == 0.0 else config.scale / norm
     h_min = config.h_min
@@ -151,25 +158,24 @@ class SolutionPath:
             stream.write(",".join(vals) + "\n")
 
 
-def _nonfinite(y: np.ndarray) -> bool:
-    # Cheap inner-loop check: any nan/inf component makes the sum non-finite.
-    s = float(np.sum(y))
-    return s - s != 0.0
-
-
 def _floor_units(value: float, unit: float) -> int:
-    u = value / unit
-    k = int(u)
-    if u - k >= 1.0 - 1e-9:
+    # Largest k with k * unit <= value, compared exactly as the step
+    # k * unit the integrator will take.
+    k = math.floor(value / unit)
+    while k * unit > value:
+        k -= 1
+    while (k + 1) * unit <= value:
         k += 1
     return k
 
 
 def _ceil_units(value: float, unit: float) -> int:
-    u = value / unit
-    k = math.ceil(u)
-    if k - u >= 1.0 - 1e-9:
+    # Smallest k with k * unit >= value, compared the same way.
+    k = math.ceil(value / unit)
+    while k > 0 and (k - 1) * unit >= value:
         k -= 1
+    while k * unit < value:
+        k += 1
     return k
 
 
@@ -246,7 +252,7 @@ def integrate_adaptive(
             y = advance_state(
                 problem, "tamed" if use_backstop else scheme, y, ii.h, ii.dW, ii.I
             )
-            if _nonfinite(y):
+            if not np.isfinite(y).all():
                 divergent = True
                 break
             pos += k
@@ -263,6 +269,161 @@ def integrate_adaptive(
     )
 
 
+@dataclass(frozen=True)
+class FixedBatch:
+    """Result of :func:`integrate_fixed_batch` for P paths.
+
+    ``final_states`` (P, d) holds each row's last finite state and
+    ``num_steps`` (P,) the steps it completed; a row that went
+    non-finite is flagged in ``divergent`` (P,) and stopped there.
+    ``states`` (nodes, P, d) holds the node states when recorded, up to
+    the last step any row completed; a stopped row repeats its last
+    finite state.
+    """
+
+    final_states: np.ndarray
+    num_steps: np.ndarray
+    divergent: np.ndarray
+    states: np.ndarray | None = None
+
+
+def mesh_integrals(
+    path: WienerPath, substeps: int, zero_area: bool = False
+) -> tuple[float, np.ndarray, np.ndarray, IteratedIntegrals | None]:
+    """Window integrals of a fixed mesh of ``substeps``-sized windows.
+
+    Returns (h, dW, I, tail): the ``n = num_steps // substeps`` uniform
+    windows as ``dW`` (n, m) and ``I`` (n, m, m), and the shorter window
+    that finishes on the horizon (None when the mesh fits exactly).
+    """
+    count, h, dw_all, ii_all = uniform_integrals(path, substeps, zero_area=zero_area)
+    start = count * substeps
+    tail = None
+    if start < path.num_steps:
+        tail = integrals_over(path, start, path.num_steps)
+        if zero_area:
+            tail = tail.without_area()
+    return h, dw_all, ii_all, tail
+
+
+_BATCH_CONTRACT = (
+    "coefficients must act on the last axis: on a (P, d) batch of states "
+    "the drift and each diffusion column return (P, d) arrays and each "
+    "Jacobian (d, d) or (P, d, d), whose row p equals the call on row p "
+    "alone (index states as x[..., k], not x[k])"
+)
+
+
+def _check_rowwise(problem: SdeProblem, count: int) -> None:
+    """UsageError unless the coefficients on a batch of ``count`` distinct
+    states near the initial state equal the same callables evaluated
+    row by row. With more rows than components, a callable that indexes
+    x[k] (picking rows of the batch) cannot pass by accident."""
+    d = problem.dim_state
+    spread = np.arange(count)[:, None] / count
+    calls = [(problem.drift, (), (d,))]
+    for i in range(problem.dim_noise):
+        calls.append((problem.diffusion_column, (i,), (d,)))
+        if problem.structure != "additive":
+            calls.append((problem.diffusion_jacobian, (i,), (d, d)))
+    with np.errstate(all="ignore"):
+        rows = problem.initial_state * (1.0 + spread) + spread
+        for fn, args, shape in calls:
+            try:
+                batched = np.broadcast_to(fn(rows, *args), (len(rows),) + shape)
+                single = np.stack([np.broadcast_to(fn(r, *args), shape) for r in rows])
+            except (IndexError, ValueError, TypeError) as exc:
+                raise UsageError(
+                    f"problem {problem.name!r}: {_BATCH_CONTRACT} ({exc})"
+                ) from exc
+            if not np.array_equal(batched, single, equal_nan=True):
+                raise UsageError(f"problem {problem.name!r}: {_BATCH_CONTRACT}")
+
+
+def integrate_fixed_batch(
+    problem: SdeProblem,
+    scheme: str,
+    h: float,
+    dW: np.ndarray,
+    I: np.ndarray,
+    tail: tuple[float, np.ndarray, np.ndarray] | None = None,
+    record: bool = False,
+) -> FixedBatch:
+    """Fixed-step integration of P paths together, one step map per window.
+
+    ``dW`` (n, P, m) and ``I`` (n, P, m, m) stack the integrals of the n
+    uniform windows of length ``h`` of each path; ``tail`` = (h_tail,
+    dW (P, m), I (P, m, m)) is an optional shorter last window, the same
+    window of every path. Every row starts at the problem's initial
+    state. Rows never mix, so row p equals the P = 1 solve of path p bit
+    for bit; a row that goes non-finite keeps its last finite state and
+    is flagged divergent without touching the others. Before the first
+    step the coefficients are checked on a batch of distinct states
+    against row-by-row calls, so coefficients written only for (d,)
+    states raise UsageError instead of mixing rows. ``record`` keeps
+    every node state (memory n * P * d floats).
+    """
+    if scheme not in FIXED_SCHEMES:
+        raise UsageError(f"unknown scheme {scheme!r}; expected one of {FIXED_SCHEMES}")
+    n, P, m = dW.shape
+    if m != problem.dim_noise or I.shape != (n, P, m, m):
+        raise UsageError(
+            f"integrals of shape {dW.shape} and {I.shape} do not fit "
+            f"(n, P, {problem.dim_noise}) and (n, P, {problem.dim_noise}, "
+            f"{problem.dim_noise})"
+        )
+    if tail is not None and (tail[1].shape != (P, m) or tail[2].shape != (P, m, m)):
+        raise UsageError("tail integrals must have shapes (P, m) and (P, m, m)")
+    _check_rowwise(problem, max(P, problem.dim_state + 1))
+
+    total = n + (tail is not None)
+    y = np.tile(problem.initial_state, (P, 1))
+    stop = np.full(P, total)
+    dead = None  # rows stopped so far; None while every row runs
+    states = [y] if record else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(total):
+            if s < n:
+                nxt = advance_state(problem, scheme, y, h, dW[s], I[s])
+            else:
+                nxt = advance_state(problem, scheme, y, *tail)
+            if dead is None and np.isfinite(nxt).all():
+                y = nxt
+            else:
+                finite = np.isfinite(nxt).all(axis=-1)
+                new = ~finite if dead is None else ~finite & ~dead
+                stop[new] = s
+                dead = new if dead is None else dead | new
+                if dead.all():
+                    break
+                y = np.where(dead[:, None], y, nxt)
+            if record:
+                states.append(y)
+    return FixedBatch(
+        final_states=y,
+        num_steps=stop,
+        divergent=np.zeros(P, dtype=bool) if dead is None else dead,
+        states=np.array(states) if record else None,
+    )
+
+
+def fixed_substeps(step_size: float, resolution: float, num_steps: int) -> int:
+    """A fixed step as a whole number of fine steps, capped at the
+    ``num_steps`` fine steps of the path.
+
+    Raises:
+        UsageError: the step is not a whole multiple of the resolution.
+    """
+    u = step_size / resolution
+    k = int(round(u))
+    if k < 1 or abs(u - k) > 1e-9 * max(u, 1.0):
+        raise UsageError(
+            f"step size {step_size:g} is not a whole multiple of the "
+            f"path resolution {resolution:g}"
+        )
+    return min(k, num_steps)
+
+
 def integrate_fixed(
     problem: SdeProblem,
     scheme: str,
@@ -272,54 +433,29 @@ def integrate_fixed(
 ) -> SolutionPath:
     """Fixed-step integration at a step that is a whole multiple of the
     path resolution; if the horizon is not a multiple of the step, the
-    run finishes with one shorter step onto the horizon.
+    run finishes with one shorter step onto the horizon. This is the
+    one-path call of :func:`integrate_fixed_batch`.
     """
     if scheme not in FIXED_SCHEMES:
         raise UsageError(f"unknown scheme {scheme!r}; expected one of {FIXED_SCHEMES}")
     _check_compatible(problem, path)
-    h_ref = path.resolution
-    u = step_size / h_ref
-    k = int(round(u))
-    if k < 1 or abs(u - k) > 1e-9 * max(u, 1.0):
-        raise UsageError(
-            f"step size {step_size:g} is not a whole multiple of the "
-            f"path resolution {h_ref:g}"
-        )
-    n_total = path.num_steps
-    k = min(k, n_total)
-    count = n_total // k
+    k = fixed_substeps(step_size, path.resolution, path.num_steps)
     strip_area = zero_levy_area and problem.dim_noise > 1
-    _, h, dw_all, ii_all = uniform_integrals(path, k, zero_area=strip_area)
-
-    y = np.array(problem.initial_state, dtype=float)
-    positions = [0]
-    states = [y]
-    divergent = False
-    pos = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(count):
-            y = advance_state(problem, scheme, y, h, dw_all[s], ii_all[s])
-            if _nonfinite(y):
-                divergent = True
-                break
-            pos += k
-            positions.append(pos)
-            states.append(y)
-        if not divergent and pos < n_total:
-            ii = integrals_over(path, pos, n_total)
-            if strip_area:
-                ii = ii.without_area()
-            y = advance_state(problem, scheme, y, ii.h, ii.dW, ii.I)
-            if _nonfinite(y):
-                divergent = True
-            else:
-                positions.append(n_total)
-                states.append(y)
-
-    times = np.array(positions, dtype=float) * h_ref
+    h, dw_all, ii_all, tail = mesh_integrals(path, k, zero_area=strip_area)
+    batch = integrate_fixed_batch(
+        problem,
+        scheme,
+        h,
+        dw_all[:, None],
+        ii_all[:, None],
+        None if tail is None else (tail.h, tail.dW[None], tail.I[None]),
+        record=True,
+    )
+    steps = int(batch.num_steps[0])
+    positions = np.minimum(np.arange(steps + 1) * k, path.num_steps)
     return SolutionPath(
-        times=times,
-        states=np.array(states),
-        backstop_flags=np.zeros(len(positions) - 1, dtype=bool),
-        divergent=divergent,
+        times=positions.astype(float) * path.resolution,
+        states=batch.states[: steps + 1, 0],
+        backstop_flags=np.zeros(steps, dtype=bool),
+        divergent=bool(batch.divergent[0]),
     )

@@ -317,6 +317,7 @@ def _run_table_command(command: str, values: dict, out_dir: Path) -> int:
         for scheme, slope in table.slopes().items():
             print(f"  {scheme}: fitted slope {slope:.3f}")
     print(f"  reference integration: {table.reference_seconds:.2f} s (not in rows)")
+    print(f"  path generation: {table.generation_seconds:.2f} s (not in rows)")
     return 0
 
 

@@ -16,10 +16,21 @@ Fixed-step comparators run at the adaptive scheme's realized mean step
 effective resolution; their rows record that matched step in both the
 h_max and h_mean columns.
 
-``cpu_seconds`` per row is path generation plus integration for that
-row's runs (reference integration is excluded and reported separately
-on the table). Timings are wall-clock sums over paths, accumulated
-across worker processes when ``workers > 1``.
+Paths are processed in contiguous blocks of seeds, one block per task
+when ``workers > 1``. Within a block each driving path is generated
+once per pass, one at a time: pass 1 keeps its reference-mesh
+integrals and runs the adaptive solves, then one batched tamed
+reference advances every path of the block together; pass 2
+regenerates each path, keeps its integrals on each matched comparator
+mesh, and runs one batched solve per (scheme, matched step). Rows never
+mix inside a batched solve, so results do not depend on the split.
+
+``cpu_seconds`` per row is the CPU time (``time.process_time``, taken
+in the process that did the work and summed over workers) of that
+row's own solves: its adaptive runs, or its batched fixed-step solve
+plus the extraction of its mesh integrals. Path generation is charged
+once, to ``ErrorTable.generation_seconds``, and the reference to
+``ErrorTable.reference_seconds``; neither is in any row.
 
 Seeds: path k uses ``base_seed ^ k``, so every experiment, pass, and
 rho value sees the same driving paths and results are reproducible
@@ -35,7 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import StrategyConfig, integrate_adaptive, integrate_fixed
+from .adaptive import (
+    StrategyConfig,
+    fixed_substeps,
+    integrate_adaptive,
+    integrate_fixed_batch,
+    mesh_integrals,
+)
 from .errors import ExperimentError, UsageError
 from .problems import SdeProblem, make_builtin
 from .wiener import generate_path
@@ -176,8 +193,13 @@ class ErrorRow:
 
 @dataclass(frozen=True)
 class ErrorTable:
+    """Table rows plus the CPU seconds charged to no row: the coupled
+    reference (its mesh integrals and batched solve) and the generation
+    of the driving paths, summed over both passes."""
+
     rows: tuple[ErrorRow, ...]
     reference_seconds: float = 0.0
+    generation_seconds: float = 0.0
 
     def rows_for(self, scheme: str) -> tuple[ErrorRow, ...]:
         return tuple(r for r in self.rows if r.scheme == scheme)
@@ -241,64 +263,184 @@ def _map_tasks(fn, tasks, workers: int):
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-def _pass_adaptive(task):
-    """Per-seed work: generate path, tamed reference, one adaptive run
-    per h_max. Returns timings, the reference endpoint, and per-h_max
-    records (err_sq, mean step, steps, flagged steps, seconds); nan
-    err_sq marks a divergent run.
-    """
-    problem, seed, fine_exp, ref_step, h_values, rho, delta = task
-    t0 = time.perf_counter()
-    path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
-    gen_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ref = integrate_fixed(problem, "tamed", ref_step, path)
-    ref_s = time.perf_counter() - t0
-    if ref.divergent:
-        raise ExperimentError(f"reference solution diverged for seed {seed}")
-    ref_final = ref.final_state
-    recs = []
+#: Cap on the window integrals one block of paths holds for its batched
+#: fixed-step solves; blocks are cut smaller than this.
+_BLOCK_BYTES = 32 << 20
+
+
+def _seed_blocks(seeds, workers: int, windows_per_path: int, m: int) -> list[tuple]:
+    """Contiguous blocks of seeds: at least one per worker, and small
+    enough that a block's stored integrals stay under _BLOCK_BYTES."""
+    per_path = max(1, windows_per_path) * (m + m * m) * 8
+    size = max(1, _BLOCK_BYTES // per_path)
+    count = max(workers, -(-len(seeds) // size))
+    count = min(count, len(seeds))
+    bounds = [len(seeds) * b // count for b in range(count + 1)]
+    return [tuple(seeds[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+class _Meshes:
+    """Stacked fixed-mesh integrals of a block of paths, filled path by path."""
+
+    def __init__(self, paths: int, m: int, n_total: int, substeps: int):
+        self.substeps = substeps
+        n = n_total // substeps
+        self.dW = np.empty((n, paths, m))
+        self.I = np.empty((n, paths, m, m))
+        self.tail = None
+        if n * substeps < n_total:
+            self.tail = [0.0, np.empty((paths, m)), np.empty((paths, m, m))]
+
+    def fill(self, p: int, path) -> None:
+        h, dw_all, ii_all, tail = mesh_integrals(path, self.substeps)
+        self.h = h
+        self.dW[:, p] = dw_all
+        self.I[:, p] = ii_all
+        if tail is not None:
+            self.tail[0] = tail.h
+            self.tail[1][p] = tail.dW
+            self.tail[2][p] = tail.I
+
+    def solve(self, problem: SdeProblem, scheme: str):
+        tail = None if self.tail is None else tuple(self.tail)
+        return integrate_fixed_batch(problem, scheme, self.h, self.dW, self.I, tail)
+
+
+def _err_sq(ref_final: np.ndarray, final: np.ndarray) -> float:
+    diff = ref_final - final
+    return float(diff @ diff)
+
+
+def _adaptive_runs(problem, path, h_values, rho, delta) -> list[tuple]:
+    """One adaptive solve per h_max on ``path``: a list of (run, CPU s),
+    where run is (final state, mean step, steps, flagged steps), or None
+    if the solve diverged. Only this summary is kept, not the solution."""
+    out = []
     for h_max in h_values:
         cfg = StrategyConfig(h_max=h_max, rho=rho, delta=delta)
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         sol = integrate_adaptive(problem, cfg, path)
-        run_s = time.perf_counter() - t0
+        run_s = time.process_time() - t0
         if sol.divergent:
-            recs.append((math.nan, math.nan, 0, 0, run_s))
+            out.append((None, run_s))
         else:
-            diff = ref_final - sol.final_state
-            recs.append(
-                (
-                    float(diff @ diff),
-                    sol.mean_step,
-                    sol.num_steps,
-                    int(sol.backstop_flags.sum()),
-                    run_s,
-                )
-            )
-    return gen_s, ref_s, ref_final, recs
+            flagged = int(sol.backstop_flags.sum())
+            # a copy, since a view would keep the whole trajectory alive
+            run = (sol.final_state.copy(), sol.mean_step, sol.num_steps, flagged)
+            out.append((run, run_s))
+    return out
 
 
-def _pass_fixed(task):
-    """Per-seed comparator work at the matched steps from the adaptive
-    pass; the driving path is regenerated (cheaper than shipping it
-    between processes) and the reference endpoint is reused.
+def _block_reference(task):
+    """Pass 1 for a contiguous block of seeds: per path, generate it, keep
+    its reference-mesh integrals and run one adaptive solve per h_max;
+    then one batched tamed reference for the block.
+
+    Returns (generation CPU s, reference CPU s, reference endpoints
+    (P, d), per-path adaptive records). A record per h_max is (err_sq,
+    mean step, steps, flagged steps, CPU s); nan err_sq marks a
+    divergent run.
     """
-    problem, seed, fine_exp, jobs, ref_final = task
-    t0 = time.perf_counter()
-    path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
-    gen_s = time.perf_counter() - t0
+    problem, seeds, fine_exp, ref_units, h_values, rho, delta = task
+    clock = time.process_time
+    gen_s = ref_s = 0.0
+    meshes = _Meshes(len(seeds), problem.dim_noise, 1 << fine_exp, ref_units)
+    runs = []
+    for p, seed in enumerate(seeds):
+        t0 = clock()
+        path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
+        t1 = clock()
+        meshes.fill(p, path)
+        t2 = clock()
+        gen_s += t1 - t0
+        ref_s += t2 - t1
+        runs.append(_adaptive_runs(problem, path, h_values, rho, delta))
+        del path  # free it before the next path is generated
+    t0 = clock()
+    ref = meshes.solve(problem, "tamed")
+    ref_s += clock() - t0
+    if ref.divergent.any():
+        seed = seeds[int(np.argmax(ref.divergent))]
+        raise ExperimentError(f"reference solution diverged for seed {seed}")
     recs = []
-    for scheme, step in jobs:
-        t0 = time.perf_counter()
-        sol = integrate_fixed(problem, scheme, step, path)
-        run_s = time.perf_counter() - t0
-        if sol.divergent:
-            recs.append((math.nan, run_s))
-        else:
-            diff = ref_final - sol.final_state
-            recs.append((float(diff @ diff), run_s))
-    return gen_s, recs
+    for p, per_h in enumerate(runs):
+        rec = []
+        for run, run_s in per_h:
+            if run is None:
+                rec.append((math.nan, math.nan, 0, 0, run_s))
+            else:
+                final, mean_step, steps, flagged = run
+                err = _err_sq(ref.final_states[p], final)
+                rec.append((err, mean_step, steps, flagged, run_s))
+        recs.append(rec)
+    return gen_s, ref_s, ref.final_states, recs
+
+
+def _block_fixed(task):
+    """Pass 2 for a contiguous block of seeds: per path, regenerate it
+    (cheaper than shipping it between processes) and keep its integrals
+    on each matched mesh; then one batched solve per (scheme, substeps)
+    job against the reference endpoints of pass 1.
+
+    Returns (generation CPU s, per-job (err_sq list, CPU s)); the CPU
+    time of a job is its batched solve plus the extraction of its mesh
+    integrals.
+    """
+    problem, seeds, fine_exp, jobs, ref_final = task
+    clock = time.process_time
+    n_total = 1 << fine_exp
+    meshes = {
+        k: _Meshes(len(seeds), problem.dim_noise, n_total, k)
+        for k in dict.fromkeys(k for _, k in jobs)
+    }
+    mesh_s = dict.fromkeys(meshes, 0.0)
+    gen_s = 0.0
+    for p, seed in enumerate(seeds):
+        t0 = clock()
+        path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
+        gen_s += clock() - t0
+        for k, mesh in meshes.items():
+            t0 = clock()
+            mesh.fill(p, path)
+            mesh_s[k] += clock() - t0
+        del path  # free it before the next path is generated
+    out = []
+    for scheme, k in jobs:
+        t0 = clock()
+        sol = meshes[k].solve(problem, scheme)
+        err = [
+            math.nan if sol.divergent[p] else _err_sq(ref_final[p], sol.final_states[p])
+            for p in range(len(seeds))
+        ]
+        out.append((err, mesh_s[k] + clock() - t0))
+    return gen_s, out
+
+
+def _run_reference(problem, seeds, fine_exp, ref_units, h_values, rho, delta, workers):
+    """Pass 1 over every seed, in contiguous blocks."""
+    blocks = _seed_blocks(
+        seeds, workers, (1 << fine_exp) // ref_units, problem.dim_noise
+    )
+    tasks = [
+        (problem, block, fine_exp, ref_units, h_values, rho, delta) for block in blocks
+    ]
+    return blocks, _map_tasks(_block_reference, tasks, workers)
+
+
+def _run_fixed(problem, blocks, results, fine_exp, jobs, workers):
+    """Pass 2: the (scheme, substeps) jobs over the pass-1 blocks'
+    reference endpoints. Returns (generation s, per-job (err_sq over
+    all seeds in order, CPU s))."""
+    tasks = [
+        (problem, block, fine_exp, tuple(jobs), r[2])
+        for block, r in zip(blocks, results)
+    ]
+    out = _map_tasks(_block_fixed, tasks, workers)
+    per_job = [
+        ([e for r in out for e in r[1][j][0]], sum(r[1][j][1] for r in out))
+        for j in range(len(jobs))
+    ]
+    return sum(r[0] for r in out), per_job
 
 
 def convergence_table(config: ExperimentConfig) -> ErrorTable:
@@ -309,42 +451,39 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
     the requested schemes.
     """
     problem = config.problem
-    n_h = len(config.h_max_values)
-    tasks = [
-        (
-            problem,
-            seed,
-            config.fine_exponent,
-            config.reference_step,
-            config.h_max_values,
-            config.rho,
-            config.delta,
-        )
-        for seed in config.seeds
-    ]
-    results = _map_tasks(_pass_adaptive, tasks, config.workers)
-
+    fine_exp = config.fine_exponent
+    ref_units = 1 << (fine_exp - config.reference_exponent)
+    blocks, results = _run_reference(
+        problem,
+        config.seeds,
+        fine_exp,
+        ref_units,
+        config.h_max_values,
+        config.rho,
+        config.delta,
+        config.workers,
+    )
     gen_total = sum(r[0] for r in results)
     ref_total = sum(r[1] for r in results)
+    recs = [rec for r in results for rec in r[3]]
     rows: list[ErrorRow] = []
     adaptive_rows: dict[float, ErrorRow] = {}
     matched_step: dict[float, float] = {}
-    h_ref = problem.horizon * 2.0 ** -config.fine_exponent
+    h_ref = problem.horizon * 2.0 ** -fine_exp
     for j, h_max in enumerate(config.h_max_values):
-        err_sq = [r[3][j][0] for r in results]
+        err_sq = [r[j][0] for r in recs]
         rms, se, bad = _rms_stats(err_sq)
-        means = [r[3][j][1] for r in results if not math.isnan(r[3][j][1])]
+        means = [r[j][1] for r in recs if not math.isnan(r[j][1])]
         h_mean = float(np.mean(means)) if means else math.nan
-        steps = sum(r[3][j][2] for r in results)
-        flagged = sum(r[3][j][3] for r in results)
-        run_total = sum(r[3][j][4] for r in results)
+        steps = sum(r[j][2] for r in recs)
+        flagged = sum(r[j][3] for r in recs)
         adaptive_rows[h_max] = ErrorRow(
             scheme="adaptive",
             h_max=h_max,
             rms_error=rms,
             rms_std_error=se,
             h_mean=h_mean,
-            cpu_seconds=gen_total + run_total,
+            cpu_seconds=sum(r[j][4] for r in recs),
             backstop_rate=flagged / steps if steps else math.nan,
             divergent_count=bad,
         )
@@ -366,23 +505,24 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
                         f"diverged at h_max {h_max:g}"
                     )
                 jobs.append((scheme, step))
-        tasks_b = [
-            (problem, seed, config.fine_exponent, tuple(jobs), results[k][2])
-            for k, seed in enumerate(config.seeds)
-        ]
-        results_b = _map_tasks(_pass_fixed, tasks_b, config.workers)
-        gen_b = sum(r[0] for r in results_b)
-        for idx, (scheme, step) in enumerate(jobs):
-            err_sq = [r[1][idx][0] for r in results_b]
+        gen_b, per_job = _run_fixed(
+            problem,
+            blocks,
+            results,
+            fine_exp,
+            [(scheme, round(step / h_ref)) for scheme, step in jobs],
+            config.workers,
+        )
+        gen_total += gen_b
+        for (scheme, step), (err_sq, run_total) in zip(jobs, per_job):
             rms, se, bad = _rms_stats(err_sq)
-            run_total = sum(r[1][idx][1] for r in results_b)
             fixed_rows[(scheme, step)] = ErrorRow(
                 scheme=scheme,
                 h_max=step,
                 rms_error=rms,
                 rms_std_error=se,
                 h_mean=step,
-                cpu_seconds=gen_b + run_total,
+                cpu_seconds=run_total,
                 backstop_rate=0.0,
                 divergent_count=bad,
             )
@@ -393,7 +533,9 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
                 rows.append(adaptive_rows[h_max])
             else:
                 rows.append(fixed_rows[(scheme, matched_step[h_max])])
-    return ErrorTable(rows=tuple(rows), reference_seconds=ref_total)
+    return ErrorTable(
+        rows=tuple(rows), reference_seconds=ref_total, generation_seconds=gen_total
+    )
 
 
 def efficiency_table(config: ExperimentConfig) -> ErrorTable:
@@ -411,23 +553,6 @@ class RmsResult:
     backstop_rate: float
     divergent_count: int
     cpu_seconds: float
-
-
-def _single_fixed(task):
-    problem, seed, fine_exp, ref_step, scheme, step = task
-    t0 = time.perf_counter()
-    path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
-    gen_s = time.perf_counter() - t0
-    ref = integrate_fixed(problem, "tamed", ref_step, path)
-    if ref.divergent:
-        raise ExperimentError(f"reference solution diverged for seed {seed}")
-    t0 = time.perf_counter()
-    sol = integrate_fixed(problem, scheme, step, path)
-    run_s = time.perf_counter() - t0
-    if sol.divergent:
-        return gen_s, run_s, math.nan, math.nan
-    diff = ref.final_state - sol.final_state
-    return gen_s, run_s, float(diff @ diff), sol.mean_step
 
 
 def rms_error(
@@ -476,21 +601,34 @@ def rms_error(
             cpu_seconds=r.cpu_seconds,
         )
     _check_scheme_name(scheme)
-    step = h_max if fixed_step is None else fixed_step
-    tasks = [
-        (prob, seed, config.fine_exponent, config.reference_step, scheme, step)
-        for seed in config.seeds
-    ]
-    results = _map_tasks(_single_fixed, tasks, config.workers)
-    rms, se, bad = _rms_stats([r[2] for r in results])
-    means = [r[3] for r in results if not math.isnan(r[3])]
+    fine_exp = config.fine_exponent
+    n_total = 1 << fine_exp
+    h_ref = prob.horizon * 2.0**-fine_exp
+    k = fixed_substeps(h_max if fixed_step is None else fixed_step, h_ref, n_total)
+    blocks, results = _run_reference(
+        prob,
+        config.seeds,
+        fine_exp,
+        1 << (fine_exp - config.reference_exponent),
+        (),
+        rho,
+        delta,
+        config.workers,
+    )
+    _, [(err_sq, cpu)] = _run_fixed(
+        prob, blocks, results, fine_exp, [(scheme, k)], config.workers
+    )
+    rms, se, bad = _rms_stats(err_sq)
+    # Every path that completes takes the same mesh.
+    positions = np.minimum(np.arange(-(-n_total // k) + 1) * k, n_total)
+    mean_step = float(np.diff(positions * h_ref).mean())
     return RmsResult(
         rms_error=rms,
         rms_std_error=se,
-        h_mean=float(np.mean(means)) if means else math.nan,
+        h_mean=mean_step if bad < len(err_sq) else math.nan,
         backstop_rate=0.0,
         divergent_count=bad,
-        cpu_seconds=sum(r[0] + r[1] for r in results),
+        cpu_seconds=cpu,
     )
 
 

@@ -41,12 +41,19 @@ STRUCTURES = ("additive", "diagonal", "commutative", "general")
 class SdeProblem:
     """Immutable description of an autonomous Ito SDE system.
 
+    Coefficients act on the last axis, so one callable serves a single
+    state ``x`` of shape (d,) and a batch of states of shape (..., d)
+    (one row per Monte Carlo path). Rows never mix: row p of a batched
+    result equals the call on row p alone, bit for bit.
+
     Attributes:
         dim_state: state dimension d.
         dim_noise: number of driving Wiener components m.
-        drift: f(x) -> (d,) array.
-        diffusion_column: g(x, i) -> (d,) array, the i-th diffusion column.
-        diffusion_jacobian: jac(x, i) -> (d, d) array, the Jacobian of g_i.
+        drift: f(x) -> (..., d) array.
+        diffusion_column: g(x, i) -> (..., d) array, the i-th diffusion
+            column; a constant column may be returned as a (d,) array.
+        diffusion_jacobian: jac(x, i) -> (d, d) or (..., d, d) array, the
+            Jacobian of g_i.
         structure: one of STRUCTURES; integrators use "additive" to skip
             the identically-zero Milstein correction.
         initial_state: X(0), shape (d,).
@@ -81,16 +88,22 @@ class SdeProblem:
         object.__setattr__(self, "initial_state", state)
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Convenience (d, m) matrix view; columns are g_i(x)."""
-        return np.column_stack(
-            [self.diffusion_column(x, i) for i in range(self.dim_noise)]
+        """Convenience (..., d, m) matrix view; columns are g_i(x)."""
+        shape = np.shape(x)
+        return np.stack(
+            [
+                np.broadcast_to(self.diffusion_column(x, i), shape)
+                for i in range(self.dim_noise)
+            ],
+            axis=-1,
         )
 
 
 # ---------------------------------------------------------------------------
 # Built-in coefficient functions. Module-level so partial() keeps problems
-# picklable. Jacobians of every builtin diffusion are constant matrices,
-# so they are prebuilt once and returned read-only.
+# picklable. Each works on the last axis of x, so it takes one state or a
+# batch. Jacobians of every builtin diffusion are constant matrices, so
+# they are prebuilt once and returned read-only.
 # ---------------------------------------------------------------------------
 
 
@@ -121,8 +134,8 @@ def _const_jacobian(jacobians, x, i):
 
 
 def _twod_diagonal_column(scale, x, i):
-    col = np.zeros(2)
-    col[i] = scale * x[i]
+    col = np.zeros(np.shape(x))
+    col[..., i] = scale * x[..., i]
     return col
 
 
@@ -130,14 +143,16 @@ def _twod_commutative_column(scale, x, i):
     # G(x) = scale * [[x1, x2], [x2, x1]]
     if i == 0:
         return scale * x
-    return scale * x[::-1]
+    return scale * x[..., ::-1]
 
 
-def _twod_general_column(scale, x, i):
-    # G(x) = scale * [[1.5 x1, x2], [x2, 1.5 x1]]
+def _twod_general_column(weights, x, i):
+    # G(x) = scale * [[1.5 x1, x2], [x2, 1.5 x1]]; weights[i] holds the
+    # factors of column i, so column 0 is (1.5 scale x1, scale x2) and
+    # column 1 is (scale x2, 1.5 scale x1).
     if i == 0:
-        return np.array([1.5 * scale * x[0], scale * x[1]])
-    return np.array([scale * x[1], 1.5 * scale * x[0]])
+        return x * weights[0]
+    return x[..., ::-1] * weights[1]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -237,7 +252,10 @@ def _build_twod_noncommutative(scale: float) -> SdeProblem:
         dim_state=2,
         dim_noise=2,
         drift=_cubic_drift_2d,
-        diffusion_column=partial(_twod_general_column, scale),
+        diffusion_column=partial(
+            _twod_general_column,
+            (_readonly([1.5 * scale, scale]), _readonly([scale, 1.5 * scale])),
+        ),
         diffusion_jacobian=partial(_const_jacobian, jacs),
         structure="general",
         initial_state=np.array([2.0, 3.0]),

@@ -1,6 +1,7 @@
 """Single-step maps: explicit Milstein, tamed Milstein, Euler-Maruyama.
 
-All maps share one assembly (see :func:`advance_state`):
+All maps share one assembly (see :func:`advance_state`), which takes
+one state or a batch of states, one row per path:
 
     y' = y + drift increment
            + sum_i g_i(y) dW_i
@@ -25,7 +26,6 @@ signal, not a crash.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,27 +80,48 @@ def advance_state(
     """Raw one-step map on arrays; no finiteness check, no validation.
 
     Hot path for the integrators: ``kind`` is one of FIXED_SCHEMES. The
-    Milstein correction is skipped entirely for additive problems (it is
-    identically zero there), which also makes Milstein coincide bitwise
-    with Euler-Maruyama on them.
+    map takes one state ``y`` of shape (d,) with ``dW`` (m,) and ``I``
+    (m, m), or a batch of P states (P, d) with ``dW`` (P, m) and ``I``
+    (P, m, m), one row per path. Every sum runs left to right over
+    explicit component indices, so row p of a batched step equals the
+    single step of row p bit for bit. The Milstein correction is
+    skipped entirely for additive problems (it is identically zero
+    there), which also makes Milstein coincide bitwise with
+    Euler-Maruyama on them.
     """
+    d = problem.dim_state
+    m = problem.dim_noise
+    if y.ndim > 1:
+        # Component axes first, so that dW[i], I[j, i] and a[comp[c]]
+        # are (P, 1) columns, as they are scalars for a single state.
+        dW = dW.T[:, :, None]
+        I = I.transpose(1, 2, 0)[:, :, :, None]
+        comp = [(Ellipsis, slice(c, c + 1)) for c in range(d)]
+    else:
+        comp = range(d)
     f = problem.drift(y)
     if kind == "tamed":
-        out = y + (h / (1.0 + h * math.sqrt(float(f @ f)))) * f
+        sq = f * f
+        norm_sq = sq[comp[0]]
+        for c in range(1, d):
+            norm_sq = norm_sq + sq[comp[c]]
+        out = y + (h / (1.0 + h * np.sqrt(norm_sq))) * f
     else:
         out = y + h * f
-    m = problem.dim_noise
     cols = [problem.diffusion_column(y, i) for i in range(m)]
     for i in range(m):
         out = out + cols[i] * dW[i]
     if kind != "euler" and problem.structure != "additive":
-        if m == 1:
-            out = out + problem.diffusion_jacobian(y, 0) @ (cols[0] * I[0, 0])
-        else:
-            # v[:, i] = sum_j g_j I[j, i]; then add Dg_i v_i per column.
-            v = np.column_stack(cols) @ I
-            for i in range(m):
-                out = out + problem.diffusion_jacobian(y, i) @ v[:, i]
+        for i in range(m):
+            # v = sum_j g_j I[j, i]; then add Dg_i v.
+            v = cols[0] * I[0, i]
+            for j in range(1, m):
+                v = v + cols[j] * I[j, i]
+            jac = problem.diffusion_jacobian(y, i)
+            corr = jac[..., 0] * v[comp[0]]
+            for c in range(1, d):
+                corr = corr + jac[..., c] * v[comp[c]]
+            out = out + corr
     return out
 
 

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milsde import (
+    BUILTIN_NAMES,
+    FIXED_SCHEMES,
     SdeProblem,
     SolutionPath,
     StrategyConfig,
@@ -15,7 +17,9 @@ from milsde import (
     generate_path,
     integrate_adaptive,
     integrate_fixed,
+    integrate_fixed_batch,
     make_builtin,
+    mesh_integrals,
     propose_step,
 )
 
@@ -79,6 +83,8 @@ def test_propose_step_extreme_states():
     # Finite states whose squared norm overflows must pin, not raise.
     assert propose_step(CFG, np.array([1e308, 1e308])) == (CFG.h_min, True)
     assert propose_step(CFG, np.array([1e155])) == (CFG.h_min, True)
+    # ...and so must a finite state whose norm itself overflows to inf.
+    assert propose_step(CFG, np.array([1.7e308, 1.7e308])) == (CFG.h_min, True)
     with pytest.raises(UsageError):
         propose_step(CFG, np.array([math.inf]))
     with pytest.raises(UsageError):
@@ -113,6 +119,31 @@ def test_propose_step_properties(xs):
 # ---------------------------------------------------------------------------
 # Adaptive mesh invariants
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    delta_frac=st.floats(min_value=0.1, max_value=1.0),
+    y0=st.floats(min_value=0.05, max_value=8.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+# raw = 100 (1 - 1e-12) fine units: a 1e-9 rounding slack took 100.
+@example(delta_frac=100 * 2.0**-8 * (1.0 - 1e-12), y0=1.0, seed=0)
+def test_steps_never_exceed_the_raw_proposal(delta_frac, y0, seed):
+    # Non-dyadic delta: every non-pinned, non-clamped step is a whole
+    # number of fine steps and at most scale / ||Y_n||, exactly.
+    h_ref = 2.0**-16
+    cfg = StrategyConfig(h_max=H_MAX, rho=16.0, delta=delta_frac * H_MAX)
+    problem = dataclasses.replace(
+        make_builtin("scalar_mult"), initial_state=np.array([y0])
+    )
+    sol = integrate_adaptive(problem, cfg, generate_path(seed, 16, 1))
+    units = sol.step_sizes / h_ref
+    np.testing.assert_array_equal(units, np.floor(units))
+    for n in range(sol.num_steps - 1):
+        if not sol.backstop_flags[n]:
+            raw = cfg.scale / math.hypot(*sol.states[n])
+            assert sol.step_sizes[n] <= raw
 
 
 def test_mesh_invariants():
@@ -223,6 +254,21 @@ def test_fixed_coarse_step_diverges_from_large_state():
     assert np.all(np.isfinite(sol.states))
 
 
+def test_huge_finite_state_is_not_divergent():
+    # [1e308, 1e308] is finite although its sum overflows; a frozen
+    # problem must carry it to the horizon unchanged on both drivers.
+    problem = _constant_problem([1e308, 1e308])
+    path = generate_path(3, 8, 1)
+    sols = [integrate_fixed(problem, s, 2.0**-4, path) for s in FIXED_SCHEMES]
+    sols.append(
+        integrate_adaptive(problem, StrategyConfig(h_max=2.0**-4, rho=4.0), path)
+    )
+    for sol in sols:
+        assert not sol.divergent
+        assert sol.final_time == 1.0
+        np.testing.assert_array_equal(sol.final_state, problem.initial_state)
+
+
 def test_adaptive_completes_from_large_state():
     # Same problem and X0: path-bounded steps plus the tamed backstop
     # bring the state down instead of exploding.
@@ -260,6 +306,91 @@ def test_fixed_step_must_sit_on_the_grid():
         integrate_fixed(problem, "milstein", 0.1, path)
     with pytest.raises(UsageError, match="scheme"):
         integrate_fixed(problem, "rk4", 0.25, path)
+
+
+# ---------------------------------------------------------------------------
+# Batched fixed-step solve
+# ---------------------------------------------------------------------------
+
+
+def _batch_of(problem, seeds, step, level=10):
+    paths = [generate_path(s, level, problem.dim_noise) for s in seeds]
+    meshes = [mesh_integrals(p, round(step * 2**level)) for p in paths]
+    h = meshes[0][0]
+    dW = np.stack([mesh[1] for mesh in meshes], axis=1)
+    I = np.stack([mesh[2] for mesh in meshes], axis=1)
+    tail = None
+    if meshes[0][3] is not None:
+        tails = [mesh[3] for mesh in meshes]
+        tail = (tails[0].h, np.stack([t.dW for t in tails]), np.stack([t.I for t in tails]))
+    return paths, (h, dW, I, tail)
+
+
+def _assert_batch_equals_single(problem, scheme, step, seeds):
+    paths, (h, dW, I, tail) = _batch_of(problem, seeds, step)
+    batch = integrate_fixed_batch(problem, scheme, h, dW, I, tail, record=True)
+    for p, path in enumerate(paths):
+        sol = integrate_fixed(problem, scheme, step, path)
+        assert batch.divergent[p] == sol.divergent
+        assert batch.num_steps[p] == sol.num_steps
+        np.testing.assert_array_equal(batch.final_states[p], sol.final_state)
+        np.testing.assert_array_equal(batch.states[: sol.num_steps + 1, p], sol.states)
+    return batch
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_batched_solve_equals_single_paths_bitwise(name):
+    problem = make_builtin(name)
+    for scheme in FIXED_SCHEMES:
+        # 3 * 2^-6 leaves a shorter last window onto the horizon.
+        for step in (2.0**-6, 3 * 2.0**-6):
+            batch = _assert_batch_equals_single(problem, scheme, step, range(5))
+            assert not batch.divergent.any()
+
+
+def test_batched_solve_isolates_divergent_rows():
+    # From y0 = 4.25 at h = 1/8 the Milstein map blows up on some paths
+    # only; from y0 = 8 on every path.
+    base = make_builtin("scalar_mult")
+    mixed = dataclasses.replace(base, initial_state=np.array([4.25]))
+    batch = _assert_batch_equals_single(mixed, "milstein", 0.125, range(8))
+    assert 0 < batch.divergent.sum() < 8
+    assert np.isfinite(batch.final_states).all()
+    wild = dataclasses.replace(base, initial_state=np.array([8.0]))
+    batch = _assert_batch_equals_single(wild, "milstein", 0.125, range(3))
+    assert batch.divergent.all()
+
+
+def _custom_2d(column):
+    return SdeProblem(
+        dim_state=2,
+        dim_noise=1,
+        drift=lambda x: -x,
+        diffusion_column=column,
+        diffusion_jacobian=lambda x, i: np.eye(2),
+        structure="diagonal",
+        initial_state=np.array([1.0, 2.0]),
+        horizon=1.0,
+    )
+
+
+def test_batched_solve_rejects_single_state_coefficients():
+    # Columns written for (d,) states only: x[0] and x[1] pick rows of a
+    # batch, so they must be refused, not silently mis-broadcast.
+    for column in (
+        lambda x, i: np.array([x[0], x[1]]),
+        lambda x, i: np.array([x[1], x[0]]),
+        lambda x, i: np.array([0.5 * x[0], 0.1 * x[1]]),
+    ):
+        problem = _custom_2d(column)
+        _, (h, dW, I, tail) = _batch_of(problem, range(2), 2.0**-4)
+        with pytest.raises(UsageError, match=r"\(\.\.\., d\)|x\[\.\.\., k\]"):
+            integrate_fixed_batch(problem, "milstein", h, dW, I, tail)
+        with pytest.raises(UsageError, match="last axis"):
+            integrate_fixed(problem, "milstein", 2.0**-4, generate_path(0, 8, 1))
+    # The same columns written on the last axis are accepted.
+    ok = _custom_2d(lambda x, i: np.stack([x[..., 0], x[..., 1]], axis=-1))
+    _assert_batch_equals_single(ok, "milstein", 2.0**-4, range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import milsde.harness
 from milsde import (
     BACKSTOP_CSV_HEADER,
     CSV_HEADER,
@@ -226,6 +227,27 @@ def test_worker_pool_matches_serial():
         assert ra.h_mean == rb.h_mean
         assert ra.backstop_rate == rb.backstop_rate
         assert ra.divergent_count == rb.divergent_count
+
+
+def test_block_split_does_not_change_results(monkeypatch):
+    # Paths are solved in contiguous blocks; one path per block must
+    # give the same table as one block for all paths.
+    whole = convergence_table(_structure_config())
+    monkeypatch.setattr(milsde.harness, "_BLOCK_BYTES", 1)
+    split = convergence_table(_structure_config())
+    for ra, rb in zip(whole.rows, split.rows):
+        assert dataclasses.replace(ra, cpu_seconds=0.0) == dataclasses.replace(
+            rb, cpu_seconds=0.0
+        )
+
+
+def test_shared_costs_are_charged_once():
+    # Path generation and the reference run once per table and are
+    # reported beside the rows, not inside them.
+    table = convergence_table(_structure_config())
+    assert table.generation_seconds > 0.0
+    assert table.reference_seconds > 0.0
+    assert all(r.cpu_seconds > 0.0 for r in table.rows)
 
 
 def test_efficiency_view():

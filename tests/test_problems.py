@@ -125,6 +125,34 @@ def test_diffusion_matrix_stacks_columns():
     np.testing.assert_array_equal(G[:, 1], p.diffusion_column(x, 1))
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_coefficients_act_row_by_row_on_a_batch(name):
+    # One callable serves one state or a (P, d) batch: row p of the
+    # batched call equals the (d,) call on row p, bit for bit.
+    p = make_builtin(name)
+    d = p.dim_state
+    batch = random_points(d, count=7)
+
+    def rows(fn, *args):
+        return np.stack([fn(x, *args) for x in batch])
+
+    np.testing.assert_array_equal(p.drift(batch), rows(p.drift))
+    assert p.drift(batch).shape == (7, d)
+    for i in range(p.dim_noise):
+        np.testing.assert_array_equal(
+            np.broadcast_to(p.diffusion_column(batch, i), (7, d)),
+            rows(p.diffusion_column, i),
+        )
+        np.testing.assert_array_equal(
+            np.broadcast_to(p.diffusion_jacobian(batch, i), (7, d, d)),
+            rows(p.diffusion_jacobian, i),
+        )
+    matrices = p.diffusion_matrix(batch)
+    assert matrices.shape == (7, d, p.dim_noise)
+    for k, x in enumerate(batch):
+        np.testing.assert_array_equal(matrices[k], p.diffusion_matrix(x))
+
+
 def test_jacobian_consistency_all_builtins():
     # All builtin diffusions are affine, so central differences agree to
     # rounding; 1e-6 is the advertised tolerance.

@@ -19,6 +19,7 @@ from milsde import (
     scheme_step,
     tamed_milstein_step,
 )
+from milsde.steppers import advance_state
 
 BUILTINS = (
     "scalar_mult",
@@ -127,6 +128,27 @@ def test_correction_uses_inner_outer_convention():
     )
     assert gap == pytest.approx(2.0 * 0.3 * defect, rel=1e-10)
     assert gap > 1e-3
+
+
+def test_batched_step_equals_single_steps_bitwise():
+    # Rows of one batch: distinct states and distinct windows of the
+    # same length, so one step map call covers every row.
+    rng = np.random.default_rng(11)
+    for name in BUILTINS:
+        p = make_builtin(name)
+        path = generate_path(21, 8, p.dim_noise)
+        starts = rng.integers(0, path.num_steps - 8, size=6)
+        windows = [integrals_over(path, int(a), int(a) + 8) for a in starts]
+        y = rng.uniform(-3.0, 3.0, size=(6, p.dim_state))
+        dW = np.stack([w.dW for w in windows])
+        I = np.stack([w.I for w in windows])
+        h = windows[0].h
+        for kind in FIXED_SCHEMES:
+            batch = advance_state(p, kind, y, h, dW, I)
+            assert batch.shape == y.shape
+            for k, w in enumerate(windows):
+                single = advance_state(p, kind, y[k], h, w.dW, w.I)
+                np.testing.assert_array_equal(batch[k], single)
 
 
 # ---------------------------------------------------------------------------
