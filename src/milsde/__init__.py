@@ -18,10 +18,12 @@ The pieces, bottom up:
 """
 
 from .adaptive import (
+    AdaptiveBatch,
     FixedBatch,
     SolutionPath,
     StrategyConfig,
     integrate_adaptive,
+    integrate_adaptive_batch,
     integrate_fixed,
     integrate_fixed_batch,
     mesh_integrals,
@@ -66,6 +68,7 @@ from .steppers import (
 from .wiener import (
     INCREMENT_GRID,
     IteratedIntegrals,
+    PathPrefixes,
     WienerPath,
     euler_number,
     generate_path,
@@ -81,6 +84,7 @@ from .wiener import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AdaptiveBatch",
     "BACKSTOP_CSV_HEADER",
     "BUILTIN_NAMES",
     "BackstopCurve",
@@ -95,6 +99,7 @@ __all__ = [
     "FIXED_SCHEMES",
     "INCREMENT_GRID",
     "IteratedIntegrals",
+    "PathPrefixes",
     "ResourceError",
     "RmsResult",
     "SdeProblem",
@@ -118,6 +123,7 @@ __all__ = [
     "generate_path",
     "integrals_over",
     "integrate_adaptive",
+    "integrate_adaptive_batch",
     "integrate_fixed",
     "integrate_fixed_batch",
     "FixedBatch",

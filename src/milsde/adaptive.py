@@ -6,26 +6,35 @@ The step controller is a pure function of the current state:
     h   = clamp(raw, [h_min, h_max]),   h_min = h_max / rho
 
 and the backstop is engaged exactly when raw <= h_min, i.e. when the
-controller wanted an even smaller step than the floor allows. On a step
-that is not pinned, h <= raw gives ||Y_n|| h <= delta, hence
-||Y_n|| <= delta / h_min = rho delta / h_max; with the default
-delta = h_max every non-pinned step starts from a state of norm at most
-rho. Pinned steps instead run the tamed Milstein map, whose drift
-increment stays bounded regardless of ||Y_n||.
+controller wanted an even smaller step than the floor allows.
 
-Steps are quantized down to whole multiples of the driving path's
-resolution (never below the floor's multiple, which rounds up). Because
-the path resolution is dyadic and increments are grid-quantized, every
-node time is an exact float multiple of the resolution and the step
-sizes sum to the horizon exactly; the experiment bookkeeping relies on
-this. The final step is clamped to land on the horizon; a clamped step
-may be shorter than h_min, runs the plain scheme map, and is never
-flagged as a backstop.
+Steps are whole multiples of the driving path's resolution: the raw
+proposal rounded down, compared exactly. When h_min is off the grid,
+the floor's multiple k_min h_ref lies above h_min, and a raw proposal
+strictly between the two cannot be rounded down without going below
+the floor; such a step is pinned as well (k_min, tamed map, flagged).
+So every step that is not pinned satisfies h <= raw, i.e.
+||Y_n|| h <= delta, hence ||Y_n|| <= delta / h_min = rho delta / h_max;
+with the default delta = h_max every non-pinned step starts from a
+state of norm at most rho. Pinned steps instead run the tamed Milstein
+map, whose drift increment stays bounded regardless of ||Y_n||.
+
+Because the path resolution is dyadic and increments are
+grid-quantized, every node time is an exact float multiple of the
+resolution and the step sizes sum to the horizon exactly; the
+experiment bookkeeping relies on this. The final step is clamped to
+land on the horizon; a clamped step may be shorter than h_min, runs the
+plain scheme map, and is never flagged as a backstop.
 
 Fixed-step solves advance a batch of P paths together through one
 step map per window (:func:`integrate_fixed_batch`); the one-path
-:func:`integrate_fixed` is its P = 1 call. Adaptive solves run one path
-at a time, since each path takes its own mesh.
+:func:`integrate_fixed` is its P = 1 call. Adaptive solves advance a
+set of lanes together (:func:`integrate_adaptive_batch`), one lane per
+(path, :class:`StrategyConfig`) pair. Each lane keeps its own position,
+state and step count and reads its window integrals in O(1) from the
+prefix arrays of its path (:class:`~milsde.wiener.PathPrefixes`); a
+lane leaves the live set when it reaches the horizon or diverges. The
+one-path :func:`integrate_adaptive` is its one-lane call.
 """
 
 from __future__ import annotations
@@ -38,13 +47,22 @@ import numpy as np
 from .errors import UsageError
 from .problems import SdeProblem
 from .steppers import FIXED_SCHEMES, advance_state
-from .wiener import IteratedIntegrals, WienerPath, integrals_over, uniform_integrals
+from .wiener import (
+    IteratedIntegrals,
+    PathPrefixes,
+    WienerPath,
+    double_integrals,
+    integrals_over,
+    uniform_integrals,
+)
 
 __all__ = [
     "StrategyConfig",
     "SolutionPath",
     "propose_step",
     "integrate_adaptive",
+    "integrate_adaptive_batch",
+    "AdaptiveBatch",
     "integrate_fixed",
     "integrate_fixed_batch",
     "FixedBatch",
@@ -86,25 +104,43 @@ class StrategyConfig:
         return self.h_max if self.delta is None else self.delta
 
 
+def _norms(y: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of y (L, d), by ``math.hypot`` (|y| for
+    d = 1, which is what hypot returns there); a finite row whose norm
+    overflows gives inf."""
+    if y.shape[1] == 1:
+        return np.abs(y[:, 0])
+    return np.array([math.hypot(*row) for row in y.tolist()])
+
+
+def _proposals(norm, scale, h_min, h_max):
+    """The controller on norms: (clamped proposal, pinned), elementwise.
+    The raw proposal scale / norm is +inf at the origin and 0 for an
+    infinite norm, which therefore pins; callers silence the division's
+    warnings."""
+    raw = scale / norm
+    pinned = raw <= h_min
+    return np.where(pinned, h_min, np.minimum(raw, h_max)), pinned
+
+
 def propose_step(config: StrategyConfig, state: np.ndarray) -> tuple[float, bool]:
     """Controller map: returns (step size, backstop flag) for a state.
 
     The raw proposal is scale / ||state|| (+inf at the origin), clamped
     to [h_min, h_max]; the flag is set exactly when the raw proposal is
     at or below the floor. A finite state whose norm overflows to inf
-    proposes a raw step of 0, so it pins rather than erroring out.
+    proposes a raw step of 0, so it pins rather than erroring out. The
+    integrators also pin a proposal that the fine grid cannot round
+    down without going below h_min (see the module docstring).
     """
     state = np.asarray(state, dtype=float)
-    norm = math.hypot(*state)
-    if not math.isfinite(norm):
-        if np.isfinite(state).all():
-            return config.h_min, True
+    if not np.isfinite(state).all():
         raise UsageError("cannot propose a step for a non-finite state")
-    raw = math.inf if norm == 0.0 else config.scale / norm
-    h_min = config.h_min
-    if raw <= h_min:
-        return h_min, True
-    return min(raw, config.h_max), False
+    with np.errstate(divide="ignore", over="ignore"):
+        h, pinned = _proposals(
+            _norms(state.reshape(1, -1)), config.scale, config.h_min, config.h_max
+        )
+    return float(h[0]), bool(pinned[0])
 
 
 @dataclass(frozen=True)
@@ -158,28 +194,25 @@ class SolutionPath:
             stream.write(",".join(vals) + "\n")
 
 
-def _floor_units(value: float, unit: float) -> int:
-    # Largest k with k * unit <= value, compared exactly as the step
-    # k * unit the integrator will take.
-    k = math.floor(value / unit)
-    while k * unit > value:
-        k -= 1
-    while (k + 1) * unit <= value:
-        k += 1
-    return k
+def _floor_units(values: np.ndarray, unit: float) -> np.ndarray:
+    """Largest k with k * unit <= value, elementwise, compared exactly as
+    the step k * unit the integrator takes. Dividing by a power of two
+    is exact; otherwise the quotient's rounding puts its floor at most
+    one away, so one correction each way suffices."""
+    k = np.floor(values / unit)
+    if math.frexp(unit)[0] != 0.5:
+        k -= k * unit > values
+        k += (k + 1.0) * unit <= values
+    return k.astype(np.int64)
 
 
-def _ceil_units(value: float, unit: float) -> int:
-    # Smallest k with k * unit >= value, compared the same way.
-    k = math.ceil(value / unit)
-    while k > 0 and (k - 1) * unit >= value:
-        k -= 1
-    while k * unit < value:
-        k += 1
-    return k
+def _ceil_units(values: np.ndarray, unit: float) -> np.ndarray:
+    """Smallest k with k * unit >= value, compared the same way."""
+    k = _floor_units(values, unit)
+    return k + (k * unit < values)
 
 
-def _check_compatible(problem: SdeProblem, path: WienerPath) -> None:
+def _check_compatible(problem: SdeProblem, path: WienerPath | PathPrefixes) -> None:
     if path.dim_noise != problem.dim_noise:
         raise UsageError(
             f"path has {path.dim_noise} noise components, problem needs {problem.dim_noise}"
@@ -188,6 +221,153 @@ def _check_compatible(problem: SdeProblem, path: WienerPath) -> None:
         raise UsageError(
             f"path horizon {path.horizon} differs from problem horizon {problem.horizon}"
         )
+
+
+@dataclass(frozen=True)
+class AdaptiveBatch:
+    """Result of :func:`integrate_adaptive_batch` for L lanes.
+
+    One record per completed step, in the order the steps were taken:
+    ``lanes`` (N,) the lane that took it, ``positions`` (N,) the lane's
+    fine-grid node after it, ``states`` (N, d) its state there and
+    ``backstop_flags`` (N,) whether the step was pinned. A lane that
+    went non-finite is flagged in ``divergent`` (L,); its records stop
+    at its last finite state.
+    """
+
+    lanes: np.ndarray
+    positions: np.ndarray
+    states: np.ndarray
+    backstop_flags: np.ndarray
+    divergent: np.ndarray
+    initial_state: np.ndarray
+    resolution: float
+
+    @property
+    def num_steps(self) -> np.ndarray:
+        """Completed steps per lane, (L,)."""
+        return np.bincount(self.lanes, minlength=len(self.divergent))
+
+    def solution(self, lane: int) -> SolutionPath:
+        """Lane ``lane`` as the :class:`SolutionPath` of its solve."""
+        mine = self.lanes == lane
+        return SolutionPath(
+            times=np.concatenate(([0], self.positions[mine])) * self.resolution,
+            states=np.concatenate((self.initial_state[None], self.states[mine])),
+            backstop_flags=self.backstop_flags[mine],
+            divergent=bool(self.divergent[lane]),
+        )
+
+
+def _advance_lanes(problem, scheme, y, h, dW, I, pinned):
+    """One step of every lane: the tamed map on pinned lanes, ``scheme``
+    on the others."""
+    if not pinned.any():
+        return advance_state(problem, scheme, y, h, dW, I)
+    if pinned.all():
+        return advance_state(problem, "tamed", y, h, dW, I)
+    out = np.empty_like(y)
+    for kind, lanes in (("tamed", pinned), (scheme, ~pinned)):
+        out[lanes] = advance_state(problem, kind, y[lanes], h[lanes], dW[lanes], I[lanes])
+    return out
+
+
+def integrate_adaptive_batch(
+    problem: SdeProblem,
+    configs,
+    prefixes: PathPrefixes,
+    rows,
+    scheme: str = "milstein",
+    zero_levy_area: bool = False,
+) -> AdaptiveBatch:
+    """Run the adaptive controller on a set of lanes in lockstep.
+
+    Lane l drives the problem with ``configs[l]`` over path ``rows[l]``
+    of ``prefixes``. Every live lane takes one step per round: the
+    controller runs on all of them at once, each reads its window's
+    integrals from the prefix arrays, and pinned lanes run the tamed
+    backstop while the others run ``scheme``. Lanes never mix, so lane
+    l equals the one-lane solve of its path and config bit for bit. A
+    lane leaves the live set when it reaches the horizon or goes
+    non-finite; a divergent lane keeps its last finite state without
+    touching the others. The coefficients are checked on a batch of
+    distinct states against row-by-row calls before the first step.
+    ``zero_levy_area`` replaces every window's Levy areas with zero.
+    """
+    if scheme not in FIXED_SCHEMES:
+        raise UsageError(f"unknown scheme {scheme!r}; expected one of {FIXED_SCHEMES}")
+    _check_compatible(problem, prefixes)
+    rows = np.asarray(rows, dtype=np.intp)
+    if not configs or rows.shape != (len(configs),):
+        raise UsageError("need at least one lane, and one path row per config")
+    h_ref = prefixes.resolution
+    n_total = prefixes.num_steps
+    for config in configs:
+        if config.h_max > problem.horizon:
+            raise UsageError(
+                f"h_max {config.h_max} exceeds the horizon {problem.horizon}"
+            )
+        if config.h_min < h_ref:
+            raise UsageError(
+                f"h_min {config.h_min:g} is below the path resolution {h_ref:g}; "
+                "generate the path with a larger resolution exponent"
+            )
+    scale, h_min, h_max = (
+        np.array([getattr(c, a) for c in configs]) for a in ("scale", "h_min", "h_max")
+    )
+    k_min = _ceil_units(h_min, h_ref)
+    if (k_min > _floor_units(h_max, h_ref)).any():
+        raise UsageError(
+            "the path grid cannot separate h_min from h_max; "
+            "increase the resolution exponent or rho"
+        )
+    _check_rowwise(problem, max(len(rows), problem.dim_state + 1))
+
+    strip_area = zero_levy_area and problem.dim_noise > 1
+    count = len(rows)
+    lanes = np.arange(count)  # the live lanes, and below their parameters
+    at = np.zeros(count, dtype=np.int64)
+    y = np.tile(problem.initial_state, (count, 1))
+    live = (rows, scale, h_min, h_max, k_min)
+    rounds = []  # per round: (live lanes, end positions, states, pinned, finite)
+    # Overflow inside a step is the divergence signal, not a warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while lanes.size:
+            lane_rows, lane_scale, lane_min, lane_max, lane_k_min = live
+            h, pinned = _proposals(_norms(y), lane_scale, lane_min, lane_max)
+            k = _floor_units(h, h_ref)
+            pinned |= k < lane_k_min
+            end = at + np.where(pinned, lane_k_min, k)
+            clamped = end > n_total
+            if clamped.any():
+                end[clamped] = n_total
+                pinned &= ~clamped
+            hw, dW, A = prefixes.windows(lane_rows, at, end, strip_area)
+            hw = hw[:, None]
+            nxt = _advance_lanes(
+                problem, scheme, y, hw, dW, double_integrals(hw, dW, A), pinned
+            )
+            finite = np.isfinite(nxt).all(axis=1)
+            rounds.append((lanes, end, nxt, pinned, finite))
+            going = finite & (end < n_total)
+            if going.all():
+                at, y = end, nxt
+            else:
+                lanes, at, y = lanes[going], end[going], nxt[going]
+                live = tuple(a[going] for a in live)
+    return _collect(rounds, problem.initial_state, count, h_ref)
+
+
+def _collect(rounds, initial_state, count, h_ref) -> AdaptiveBatch:
+    """Join the per-round records of the live lanes, keeping the steps
+    that stayed finite. Empties ``rounds`` once they are joined."""
+    lanes, end, nxt, pinned, finite = (np.concatenate(f) for f in zip(*rounds))
+    rounds.clear()
+    divergent = np.zeros(count, dtype=bool)
+    divergent[lanes[~finite]] = True
+    return AdaptiveBatch(
+        lanes[finite], end[finite], nxt[finite], pinned[finite], divergent, initial_state, h_ref
+    )
 
 
 def integrate_adaptive(
@@ -203,70 +383,13 @@ def integrate_adaptive(
     use the tamed backstop map. ``zero_levy_area`` replaces every
     window's antisymmetric part with zero, the deliberately wrong
     variant used to demonstrate that the area terms matter on
-    non-commutative problems.
+    non-commutative problems. This is the one-lane call of
+    :func:`integrate_adaptive_batch`.
     """
-    if scheme not in FIXED_SCHEMES:
-        raise UsageError(f"unknown scheme {scheme!r}; expected one of {FIXED_SCHEMES}")
-    _check_compatible(problem, path)
-    h_ref = path.resolution
-    n_total = path.num_steps
-    if config.h_max > problem.horizon:
-        raise UsageError(
-            f"h_max {config.h_max} exceeds the horizon {problem.horizon}"
-        )
-    if config.h_min < h_ref:
-        raise UsageError(
-            f"h_min {config.h_min:g} is below the path resolution {h_ref:g}; "
-            "generate the path with a larger resolution exponent"
-        )
-    k_min = _ceil_units(config.h_min, h_ref)
-    k_max = _floor_units(config.h_max, h_ref)
-    if k_min > k_max:
-        raise UsageError(
-            "the path grid cannot separate h_min from h_max; "
-            "increase the resolution exponent or rho"
-        )
-
-    strip_area = zero_levy_area and problem.dim_noise > 1
-    y = np.array(problem.initial_state, dtype=float)
-    pos = 0
-    positions = [0]
-    states = [y]
-    flags: list[bool] = []
-    divergent = False
-    # Overflow inside a step is the divergence signal, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while pos < n_total:
-            h_prop, pinned = propose_step(config, y)
-            if pinned:
-                k = k_min
-            else:
-                k = min(max(_floor_units(h_prop, h_ref), k_min), k_max)
-            clamped = pos + k > n_total
-            if clamped:
-                k = n_total - pos
-            use_backstop = pinned and not clamped
-            ii = integrals_over(path, pos, pos + k)
-            if strip_area:
-                ii = ii.without_area()
-            y = advance_state(
-                problem, "tamed" if use_backstop else scheme, y, ii.h, ii.dW, ii.I
-            )
-            if not np.isfinite(y).all():
-                divergent = True
-                break
-            pos += k
-            positions.append(pos)
-            states.append(y)
-            flags.append(use_backstop)
-
-    times = np.array(positions, dtype=float) * h_ref
-    return SolutionPath(
-        times=times,
-        states=np.array(states),
-        backstop_flags=np.array(flags, dtype=bool),
-        divergent=divergent,
+    batch = integrate_adaptive_batch(
+        problem, [config], path.prefixes(), [0], scheme, zero_levy_area
     )
+    return batch.solution(0)
 
 
 @dataclass(frozen=True)

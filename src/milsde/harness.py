@@ -18,19 +18,29 @@ h_max and h_mean columns.
 
 Paths are processed in contiguous blocks of seeds, one block per task
 when ``workers > 1``. Within a block each driving path is generated
-once per pass, one at a time: pass 1 keeps its reference-mesh
-integrals and runs the adaptive solves, then one batched tamed
-reference advances every path of the block together; pass 2
+once per pass, one at a time. Pass 1 works through the block in
+groups of paths: each path of a group is generated, its
+reference-mesh integrals are kept, its prefix arrays
+(:class:`~milsde.wiener.PathPrefixes`) are written into the group's
+arrays and its raw increments are dropped; then one lockstep adaptive
+solve runs a lane per (path, h_max) of the group. A group holds at
+most 2 MiB of prefix arrays (at least one path), a fixed cap of the
+library, not an option. After the last group, one batched tamed
+reference advances every path of the block together. Pass 2
 regenerates each path, keeps its integrals on each matched comparator
-mesh, and runs one batched solve per (scheme, matched step). Rows never
-mix inside a batched solve, so results do not depend on the split.
+mesh, and runs one batched solve per (scheme, matched step). Rows and
+lanes never mix inside a batched solve, so results do not depend on the
+split into blocks or groups. ``backstop_probability`` runs one task per
+group of paths: a lockstep solve with a lane per (path, rho).
 
 ``cpu_seconds`` per row is the CPU time (``time.process_time``, taken
 in the process that did the work and summed over workers) of that
-row's own solves: its adaptive runs, or its batched fixed-step solve
-plus the extraction of its mesh integrals. Path generation is charged
-once, to ``ErrorTable.generation_seconds``, and the reference to
-``ErrorTable.reference_seconds``; neither is in any row.
+row's own solves. An adaptive row is charged its lanes' share of each
+group's lockstep solve and prefix arrays, split between the lanes in
+proportion to the steps they tried (a failed step included). A fixed row is charged its batched
+solve plus the extraction of its mesh integrals. Path generation is
+charged once, to ``ErrorTable.generation_seconds``, and the reference
+to ``ErrorTable.reference_seconds``; neither is in any row.
 
 Seeds: path k uses ``base_seed ^ k``, so every experiment, pass, and
 rho value sees the same driving paths and results are reproducible
@@ -49,13 +59,13 @@ import numpy as np
 from .adaptive import (
     StrategyConfig,
     fixed_substeps,
-    integrate_adaptive,
+    integrate_adaptive_batch,
     integrate_fixed_batch,
     mesh_integrals,
 )
 from .errors import ExperimentError, UsageError
 from .problems import SdeProblem, make_builtin
-from .wiener import generate_path
+from .wiener import PathPrefixes, generate_path
 
 __all__ = [
     "DEFAULT_BASE_SEED",
@@ -311,30 +321,90 @@ def _err_sq(ref_final: np.ndarray, final: np.ndarray) -> float:
     return float(diff @ diff)
 
 
-def _adaptive_runs(problem, path, h_values, rho, delta) -> list[tuple]:
-    """One adaptive solve per h_max on ``path``: a list of (run, CPU s),
-    where run is (final state, mean step, steps, flagged steps), or None
-    if the solve diverged. Only this summary is kept, not the solution."""
-    out = []
-    for h_max in h_values:
-        cfg = StrategyConfig(h_max=h_max, rho=rho, delta=delta)
-        t0 = time.process_time()
-        sol = integrate_adaptive(problem, cfg, path)
-        run_s = time.process_time() - t0
-        if sol.divergent:
-            out.append((None, run_s))
-        else:
-            flagged = int(sol.backstop_flags.sum())
-            # a copy, since a view would keep the whole trajectory alive
-            run = (sol.final_state.copy(), sol.mean_step, sol.num_steps, flagged)
-            out.append((run, run_s))
-    return out
+def _groups(seeds, dim_noise: int, fine_exp: int) -> list[tuple]:
+    """Contiguous groups of seeds whose prefix arrays fit the group cap."""
+    size = PathPrefixes.group_size(dim_noise, 1 << fine_exp)
+    return [tuple(seeds[a : a + size]) for a in range(0, len(seeds), size)]
+
+
+def _lockstep(problem, group, fine_exp, configs, on_path=None):
+    """Generate the paths of a group, keep their prefix arrays, and run
+    one adaptive lane per (path, config), path-major; with no configs
+    only the paths are generated.
+
+    ``on_path(index, path)`` sees each path before its increments are
+    dropped. Returns (solutions per lane, CPU s of generation, CPU s of
+    the prefix arrays and the solve).
+    """
+    clock = time.process_time
+    gen_s = solve_s = 0.0
+    if configs:
+        prefixes = PathPrefixes.empty(
+            len(group),
+            problem.dim_noise,
+            1 << fine_exp,
+            problem.horizon * 2.0**-fine_exp,
+            problem.horizon,
+        )
+    for q, seed in enumerate(group):
+        t0 = clock()
+        path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
+        gen_s += clock() - t0
+        if on_path is not None:
+            on_path(q, path)
+        t0 = clock()
+        if configs:
+            prefixes.fill(q, path.increments)
+        solve_s += clock() - t0
+        del path  # free it before the next path is generated
+    if not configs:
+        return [], gen_s, solve_s
+    t0 = clock()
+    batch = integrate_adaptive_batch(
+        problem,
+        list(configs) * len(group),
+        prefixes,
+        np.repeat(np.arange(len(group)), len(configs)),
+    )
+    solve_s += clock() - t0
+    sols = [batch.solution(lane) for lane in range(len(batch.divergent))]
+    return sols, gen_s, solve_s
+
+
+def _adaptive_group(problem, group, fine_exp, configs, on_path):
+    """The adaptive solves of a group of paths, summarized.
+
+    Returns (per path, per config: (run, CPU s), where run is (final
+    state, mean step, steps, flagged steps), or None if the lane
+    diverged; CPU s of generation). Only this summary outlives the
+    call, not the trajectories.
+    """
+    sols, gen_s, solve_s = _lockstep(problem, group, fine_exp, configs, on_path)
+    # A lane's share of the solve: the steps it tried, the failed one included.
+    tried = [sol.num_steps + sol.divergent for sol in sols]
+    total = sum(tried)
+    runs = []
+    for q in range(len(group)):
+        per_config = []
+        for lane in range(q * len(configs), (q + 1) * len(configs)):
+            sol = sols[lane]
+            run_s = solve_s * tried[lane] / total
+            if sol.divergent:
+                per_config.append((None, run_s))
+            else:
+                flagged = int(sol.backstop_flags.sum())
+                # a copy, since a view would keep the lane's trajectory alive
+                run = (sol.final_state.copy(), sol.mean_step, sol.num_steps, flagged)
+                per_config.append((run, run_s))
+        runs.append(per_config)
+    return runs, gen_s
 
 
 def _block_reference(task):
-    """Pass 1 for a contiguous block of seeds: per path, generate it, keep
-    its reference-mesh integrals and run one adaptive solve per h_max;
-    then one batched tamed reference for the block.
+    """Pass 1 for a contiguous block of seeds: per group of paths,
+    generate them, keep their reference-mesh integrals and run one
+    lockstep adaptive solve with a lane per (path, h_max); then one
+    batched tamed reference for the block.
 
     Returns (generation CPU s, reference CPU s, reference endpoints
     (P, d), per-path adaptive records). A record per h_max is (err_sq,
@@ -345,17 +415,22 @@ def _block_reference(task):
     clock = time.process_time
     gen_s = ref_s = 0.0
     meshes = _Meshes(len(seeds), problem.dim_noise, 1 << fine_exp, ref_units)
+    configs = [StrategyConfig(h_max=h, rho=rho, delta=delta) for h in h_values]
     runs = []
-    for p, seed in enumerate(seeds):
-        t0 = clock()
-        path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
-        t1 = clock()
-        meshes.fill(p, path)
-        t2 = clock()
-        gen_s += t1 - t0
-        ref_s += t2 - t1
-        runs.append(_adaptive_runs(problem, path, h_values, rho, delta))
-        del path  # free it before the next path is generated
+    for group in _groups(seeds, problem.dim_noise, fine_exp):
+        first = len(runs)
+
+        def keep_mesh(q, path):
+            nonlocal ref_s
+            t0 = clock()
+            meshes.fill(first + q, path)
+            ref_s += clock() - t0
+
+        group_runs, group_gen_s = _adaptive_group(
+            problem, group, fine_exp, configs, keep_mesh
+        )
+        runs.extend(group_runs)
+        gen_s += group_gen_s
     t0 = clock()
     ref = meshes.solve(problem, "tamed")
     ref_s += clock() - t0
@@ -674,18 +749,22 @@ class BackstopCurve:
                 )
 
 
-def _backstop_seed(task):
-    problem, seed, fine_exp, h_max, rhos, delta = task
-    path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
+def _backstop_group(task):
+    """One lockstep solve over a group of seeds, a lane per (seed, rho).
+    Returns per seed, per rho: (backstop engaged, step sizes)."""
+    problem, group, fine_exp, h_max, rhos, delta = task
+    configs = [StrategyConfig(h_max=h_max, rho=rho, delta=delta) for rho in rhos]
+    sols, _, _ = _lockstep(problem, group, fine_exp, configs)
     out = []
-    for rho in rhos:
-        cfg = StrategyConfig(h_max=h_max, rho=rho, delta=delta)
-        sol = integrate_adaptive(problem, cfg, path)
-        if sol.divergent:
-            raise ExperimentError(
-                f"adaptive run diverged for seed {seed} at rho {rho:g}"
-            )
-        out.append((bool(sol.backstop_flags.any()), sol.step_sizes))
+    for q, seed in enumerate(group):
+        per_rho = []
+        for rho, sol in zip(rhos, sols[q * len(rhos) : (q + 1) * len(rhos)]):
+            if sol.divergent:
+                raise ExperimentError(
+                    f"adaptive run diverged for seed {seed} at rho {rho:g}"
+                )
+            per_rho.append((bool(sol.backstop_flags.any()), sol.step_sizes))
+        out.append(per_rho)
     return out
 
 
@@ -722,8 +801,11 @@ def backstop_probability(
             f"fine resolution {h_ref:g}; raise fine_exponent or lower rho"
         )
     seeds = [base_seed ^ k for k in range(num_paths)]
-    tasks = [(problem, seed, fine_exponent, h_max, rhos, delta) for seed in seeds]
-    results = _map_tasks(_backstop_seed, tasks, workers)
+    tasks = [
+        (problem, group, fine_exponent, h_max, rhos, delta)
+        for group in _groups(seeds, problem.dim_noise, fine_exponent)
+    ]
+    results = [r for out in _map_tasks(_backstop_group, tasks, workers) for r in out]
 
     points = []
     profiles = []

@@ -16,10 +16,10 @@ Two deliberate representation choices:
   +-2**-33 perturbation per increment, about 4e-7 of one increment's
   standard deviation at L = 20, far below every tolerance used here.
 
-* Double integrals are never accumulated directly. Per window we
-  accumulate the antisymmetric Levy areas A with a left-point Ito sum
-  (increments taken relative to the window start) and reconstruct the
-  full matrix I from the exact identities
+* Double integrals are never accumulated directly. Per window we take
+  the antisymmetric Levy areas A of the left-point Ito sum (increments
+  taken relative to the window start) and reconstruct the full matrix
+  I from the exact identities
 
       I[i][i] = (dW_i**2 - h) / 2
       I[i][j] = dW_i * dW_j / 2 + A[i][j]        (i != j)
@@ -28,12 +28,28 @@ Two deliberate representation choices:
   the inner integrator and j as the outer one, and
   A[i][j] = (I[i][j] - I[j][i]) / 2.
 
+Window integrals are read in O(1) from prefix arrays (see
+:class:`PathPrefixes`): the running sum W of the increments and, for
+each pair i < j, the cross sum
+
+      C(n) = sum_{k<n} W_i(k) dW_j(k) - W_j(k) dW_i(k),
+
+so that over the window [a, b)
+
+      2 A[i][j] = C(b) - C(a) - (W_i(a) dW_j - W_j(a) dW_i).
+
+C is accumulated exactly, as an integer in 2**-64 units held in two
+int64 limbs, and the area is rounded once, to nearest. A window of
+one fine step therefore has an area of exactly zero, and any window's
+area is its exact left-point sum, correctly rounded.
+
 Moment constants of the Levy area come from the Taylor series of sech
 (Euler numbers), computed in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -46,7 +62,9 @@ from .errors import ResourceError, UsageError
 
 __all__ = [
     "WienerPath",
+    "PathPrefixes",
     "IteratedIntegrals",
+    "double_integrals",
     "generate_path",
     "refine_path",
     "integrals_over",
@@ -62,6 +80,10 @@ __all__ = [
 
 #: Quantization grid for fine increments; see module docstring.
 INCREMENT_GRID = 2.0**-32
+
+#: Cross sums are held as hi * 2**_LIMB_BITS + lo in two int64 limbs.
+_LIMB_BITS = 24
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 #: Refuse to allocate paths above this many bytes of increment storage.
 _MAX_PATH_BYTES = 1 << 33
@@ -95,7 +117,9 @@ class WienerPath:
     resolution_exponent: int
     horizon: float
     seed: int
-    _prefix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _prefixes: "PathPrefixes | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
@@ -113,24 +137,197 @@ class WienerPath:
     def num_steps(self) -> int:
         return self.increments.shape[1]
 
-    def _prefix_sums(self) -> np.ndarray:
-        # (m, n+1) cumulative sums with a leading zero column. Exact for
-        # quantized increments, so window sums are prefix differences.
-        if self._prefix is None:
-            m, n = self.increments.shape
-            pref = np.zeros((m, n + 1))
-            np.cumsum(self.increments, axis=1, out=pref[:, 1:])
-            object.__setattr__(self, "_prefix", pref)
-        return self._prefix
+    def prefixes(self) -> "PathPrefixes":
+        """This path's prefix arrays, built on first use and kept."""
+        if self._prefixes is None:
+            pref = PathPrefixes.of(self.increments, self.resolution, self.horizon)
+            object.__setattr__(self, "_prefixes", pref)
+        return self._prefixes
 
     def increment_sum(self, start: int, end: int) -> np.ndarray:
         """Exact sum of fine increments over [start, end), shape (m,)."""
-        pref = self._prefix_sums()
-        return pref[:, end] - pref[:, start]
+        w = self.prefixes().sums[0, : self.dim_noise]
+        return (w[:, end] - w[:, start]) * INCREMENT_GRID
+
+
+def _exact_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * y of int64 arrays as limbs (hi, lo): x y = hi 2**24 + lo with
+    0 <= lo < 2**24. Exact while |x|, |y| < 2**43."""
+    x1, x0 = x >> _LIMB_BITS, x & _LIMB_MASK
+    y1, y0 = y >> _LIMB_BITS, y & _LIMB_MASK
+    low = x0 * y0
+    hi = ((x1 * y1) << _LIMB_BITS) + x1 * y0 + x0 * y1 + (low >> _LIMB_BITS)
+    return hi, low & _LIMB_MASK
+
+
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays for the pairs i < j of m components (in
+    ``np.triu_indices`` order): (i, j); the column orders (i then j,
+    j then i) that line up W_i with dW_j and W_j with dW_i; the +-1
+    matrix (2P, P) that subtracts the second half of those columns from
+    the first; and the +-1 matrix (P, m*m) that spreads per-pair values
+    into an antisymmetric (m, m) matrix."""
+    i, j = np.triu_indices(m, 1)
+    P = len(i)
+    halves = np.concatenate([np.eye(P, dtype=np.int64), -np.eye(P, dtype=np.int64)])
+    spread = np.zeros((P, m * m))
+    spread[np.arange(P), i * m + j] = 1.0
+    spread[np.arange(P), j * m + i] = -1.0
+    return i, j, np.concatenate([i, j]), np.concatenate([j, i]), halves, spread
+
+
+#: Fine steps converted per pass in :meth:`PathPrefixes.fill`, which
+#: bounds its temporary arrays.
+_FILL_CHUNK = 1 << 12
+
+#: Cap on the prefix arrays one group of paths holds at a time (a group
+#: has at least one path); see :meth:`PathPrefixes.group_size`.
+_GROUP_BYTES = 2 << 20
+
+
+@dataclass(frozen=True)
+class PathPrefixes:
+    """Prefix arrays of a group of paths on one fine grid, from which the
+    integrals of any window of any of them are read in O(1).
+
+    Attributes:
+        sums: (G, m + P, n+1) int64 with P = m(m-1)/2. ``sums[g, i, k]``
+            (i < m) is W_i at fine node k of path g in units of the
+            increment grid; ``sums[g, m + p, k]`` is the high limb of the
+            cross sum C(k) of the module docstring for the p-th pair
+            i < j (in ``np.triu_indices`` order).
+        low: (G, P, n+1) int32, the low limb of C(k), in [0, 2**24):
+            C(k) = sums[g, m + p, k] * 2**24 + low[g, p, k] exactly, in
+            2**-64 units.
+        resolution: fine step h_ref.
+        horizon: T.
+
+    A path takes :meth:`bytes_per_path` bytes here; its raw increments
+    are not kept.
+    """
+
+    sums: np.ndarray
+    low: np.ndarray
+    resolution: float
+    horizon: float
+
+    @staticmethod
+    def bytes_per_path(dim_noise: int, num_steps: int) -> int:
+        pairs = dim_noise * (dim_noise - 1) // 2
+        return (8 * (dim_noise + pairs) + 4 * pairs) * (num_steps + 1)
+
+    @staticmethod
+    def group_size(dim_noise: int, num_steps: int) -> int:
+        """Paths per group under the 2 MiB cap, at least one."""
+        return max(1, _GROUP_BYTES // PathPrefixes.bytes_per_path(dim_noise, num_steps))
+
+    @classmethod
+    def empty(
+        cls, count: int, dim_noise: int, num_steps: int, resolution: float, horizon: float
+    ) -> "PathPrefixes":
+        """Room for ``count`` paths, to be filled with :meth:`fill`."""
+        pairs = dim_noise * (dim_noise - 1) // 2
+        sums = np.empty((count, dim_noise + pairs, num_steps + 1), dtype=np.int64)
+        low = np.empty((count, pairs, num_steps + 1), dtype=np.int32)
+        sums[:, :, 0] = 0
+        low[:, :, 0] = 0
+        return cls(sums, low, resolution, horizon)
+
+    @classmethod
+    def of(cls, increments: np.ndarray, resolution: float, horizon: float) -> "PathPrefixes":
+        """The prefix arrays of one path's (m, n) increments."""
+        m, n = increments.shape
+        prefixes = cls.empty(1, m, n, resolution, horizon)
+        prefixes.fill(0, increments)
+        return prefixes
+
+    @property
+    def dim_noise(self) -> int:
+        return self.sums.shape[1] - self.low.shape[1]
+
+    @property
+    def num_steps(self) -> int:
+        return self.sums.shape[2] - 1
+
+    def fill(self, g: int, increments: np.ndarray) -> None:
+        """Write the prefix arrays of a path with (m, n) ``increments``
+        into row g.
+
+        Raises:
+            UsageError: the increments do not fit the arrays, are off
+                the 2**-32 grid, or (for m > 1) are so large that the
+                exact cross sums could overflow their limbs.
+        """
+        m, n = increments.shape
+        if (m, n) != (self.dim_noise, self.num_steps):
+            raise UsageError("path does not match the prefix arrays' grid")
+        w, c_hi, c_lo = self.sums[g, :m], self.sums[g, m:], self.low[g]
+        for a in range(0, n, _FILL_CHUNK):
+            b = min(n, a + _FILL_CHUNK)
+            scaled = increments[:, a:b] * (1.0 / INCREMENT_GRID)
+            d = scaled.astype(np.int64)
+            if (d != scaled).any():
+                raise UsageError("increments must lie on the 2**-32 grid")
+            np.cumsum(d, axis=1, out=w[:, a + 1 : b + 1])
+            if a:
+                w[:, a + 1 : b + 1] += w[:, a : a + 1]
+            if m == 1:
+                continue
+            left = w[:, a:b]  # W at each step's left point
+            # Bounds that keep every limb below 2**63: |W| < 2**10,
+            # |dW| < 2**5 and n |W| |dW| below 2**84 grid units squared.
+            w_max = float(np.abs(left).max())
+            d_max = float(np.abs(d).max())
+            if not (w_max < 2.0**42 and d_max < 2.0**37 and n * w_max * d_max < 2.0**84):
+                raise UsageError("path too large for exact Levy areas (|W| >= 2**10)")
+            w_hi, w_lo = left >> _LIMB_BITS, left & _LIMB_MASK
+            for p, (i, j) in enumerate(zip(*_pairs(m)[:2])):
+                # W_i dW_j - W_j dW_i = hi 2**24 + lo, split as the limbs;
+                # the low limb's running sum is carried into the high one.
+                lo = w_lo[i] * d[j] - w_lo[j] * d[i]
+                hi = w_hi[i] * d[j] - w_hi[j] * d[i] + (lo >> _LIMB_BITS)
+                lo &= _LIMB_MASK
+                lo[0] += c_lo[p, a]
+                hi[0] += c_hi[p, a]
+                np.cumsum(lo, out=lo)
+                np.cumsum(hi, out=c_hi[p, a + 1 : b + 1])
+                c_hi[p, a + 1 : b + 1] += lo >> _LIMB_BITS
+                c_lo[p, a + 1 : b + 1] = lo & _LIMB_MASK
+
+    def windows(
+        self,
+        rows: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+        zero_area: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Integrals of the windows [start, end) of paths ``rows``, one
+        window per entry: (h (L,), dW (L, m), A (L, m, m)).
+        ``zero_area`` returns A = 0 instead of the Levy areas."""
+        m = self.dim_noise
+        at_start = self.sums[rows, :, start]
+        diff = self.sums[rows, :, end] - at_start
+        dW = diff[:, :m] * INCREMENT_GRID
+        h = (end - start) * self.resolution
+        if m == 1 or zero_area:
+            return h, dW, np.zeros(dW.shape + (m,))
+        _, _, ij, ji, halves, spread = _pairs(m)
+        # W_i(a) dW_j - W_j(a) dW_i as limbs, per pair.
+        prod_hi, prod_lo = _exact_product(at_start[:, ij], diff[:, ji])
+        lo = self.low[rows, :, end] - self.low[rows, :, start] - prod_lo @ halves
+        hi = diff[:, m:] - prod_hi @ halves + (lo >> _LIMB_BITS)
+        # hi and lo are exact floats (|A| < 2**12), so their sum rounds once.
+        area = (hi * float(1 << _LIMB_BITS) + (lo & _LIMB_MASK)) * 2.0**-65
+        return h, dW, (area @ spread).reshape(-1, m, m)
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
-    return np.rint(values * (1.0 / INCREMENT_GRID)) * INCREMENT_GRID
+    """Round ``values`` to the increment grid, in place."""
+    values *= 1.0 / INCREMENT_GRID
+    np.rint(values, out=values)
+    values *= INCREMENT_GRID
+    return values
 
 
 def _component_stream(seed: int, stream: int) -> np.random.Generator:
@@ -177,8 +374,10 @@ def generate_path(
     scale = math.sqrt(h_ref)
     inc = np.empty((dim_noise, n))
     for comp in range(dim_noise):
-        z = _component_stream(seed, comp).standard_normal(n)
-        inc[comp] = _quantize(z * scale)
+        row = inc[comp]
+        _component_stream(seed, comp).standard_normal(out=row)
+        row *= scale
+        _quantize(row)
     return WienerPath(
         increments=inc,
         resolution=h_ref,
@@ -262,9 +461,7 @@ class IteratedIntegrals:
             raise UsageError(f"A has shape {A.shape}, expected ({m}, {m})")
         if not h > 0.0:
             raise UsageError("window length h must be positive")
-        I = 0.5 * np.outer(dW, dW) + A
-        np.fill_diagonal(I, 0.5 * (dW * dW - h))
-        return cls(h=h, dW=dW, A=A, I=I)
+        return cls(h=h, dW=dW, A=A, I=double_integrals(h, dW, A))
 
     def without_area(self) -> "IteratedIntegrals":
         """Same window with the Levy areas zeroed (off-diagonals keep
@@ -274,13 +471,18 @@ class IteratedIntegrals:
         )
 
 
-def _levy_area_from_window(inc: np.ndarray) -> np.ndarray:
-    # Left-point Ito sum over the window, increments relative to the
-    # window start: A = (S - S^T)/2 with S[i, j] = sum_k W_i(k) dW_j(k).
-    # A single-substep window has an empty sum, so A is exactly zero.
-    w_excl = np.cumsum(inc, axis=1) - inc
-    s = w_excl @ inc.T
-    return 0.5 * (s - s.T)
+def double_integrals(h, dW: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """I from the increments and areas of one window (dW (m,), A (m, m))
+    or of a batch (dW (L, m), A (L, m, m), h of shape (L, 1)):
+    ``I[i, j] = dW_i dW_j / 2 + A[i, j]`` off the diagonal and
+    ``(dW_i**2 - h) / 2`` on it."""
+    m = dW.shape[-1]
+    I = 0.5 * (dW[..., :, None] * dW[..., None, :]) + A
+    I.reshape(I.shape[:-2] + (m * m,))[..., :: m + 1] = 0.5 * (dW * dW - h)
+    return I
+
+
+_ROW_0 = np.zeros(1, dtype=np.intp)
 
 
 def integrals_over(path: WienerPath, start: int, end: int) -> IteratedIntegrals:
@@ -297,15 +499,11 @@ def integrals_over(path: WienerPath, start: int, end: int) -> IteratedIntegrals:
         raise UsageError(
             f"window [{start}, {end}) out of range for {path.num_steps} fine steps"
         )
-    k = end - start
-    h = k * path.resolution
-    dW = path.increment_sum(start, end)
-    m = path.dim_noise
-    if m == 1:
-        area = np.zeros((1, 1))
-    else:
-        area = _levy_area_from_window(path.increments[:, start:end])
-    return IteratedIntegrals.from_components(h, dW, area)
+    # The window's own prefix arrays give the same exact integrals as the
+    # whole path's, at a cost of O(end - start).
+    window = PathPrefixes.of(path.increments[:, start:end], path.resolution, path.horizon)
+    h, dW, area = window.windows(_ROW_0, _ROW_0, np.array([end - start]))
+    return IteratedIntegrals.from_components(float(h[0]), dW[0], area[0])
 
 
 def uniform_integrals(
@@ -335,10 +533,7 @@ def uniform_integrals(
         w_excl = np.cumsum(inc3, axis=2) - inc3
         s = np.einsum("isk,jsk->sij", w_excl, inc3)
         area = 0.5 * (s - s.transpose(0, 2, 1))
-    I_all = 0.5 * np.einsum("si,sj->sij", dW_all, dW_all) + area
-    rng = np.arange(m)
-    I_all[:, rng, rng] = 0.5 * (dW_all**2 - h)
-    return count, h, dW_all, I_all
+    return count, h, dW_all, double_integrals(h, dW_all, area)
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +668,18 @@ def moment_check(
     if any(not 1 <= b <= 8 for b in orders):
         raise UsageError("Monte Carlo moment orders must be in [1, 8]")
     samples = np.empty(num_windows)
-    for w in range(num_windows):
-        path = generate_path(
-            (base_seed ^ w) & _SEED_MASK, resolution_exponent, dim_noise=2
-        )
-        samples[w] = integrals_over(path, 0, path.num_steps).A[0, 1]
+    n = 1 << resolution_exponent
+    size = PathPrefixes.group_size(2, n)
+    for first in range(0, num_windows, size):
+        count = min(size, num_windows - first)
+        prefixes = PathPrefixes.empty(count, 2, n, 2.0**-resolution_exponent, 1.0)
+        for q in range(count):
+            seed = (base_seed ^ (first + q)) & _SEED_MASK
+            path = generate_path(seed, resolution_exponent, dim_noise=2)
+            prefixes.fill(q, path.increments)
+        rows = np.arange(count)
+        _, _, area = prefixes.windows(rows, np.zeros_like(rows), np.full_like(rows, n))
+        samples[first : first + count] = area[:, 0, 1]
     rows = []
     for b in orders:
         table = moment_constant(b)

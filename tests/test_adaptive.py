@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from milsde import (
     BUILTIN_NAMES,
     FIXED_SCHEMES,
+    PathPrefixes,
     SdeProblem,
     SolutionPath,
     StrategyConfig,
     UsageError,
     generate_path,
     integrate_adaptive,
+    integrate_adaptive_batch,
     integrate_fixed,
     integrate_fixed_batch,
     make_builtin,
@@ -194,6 +196,22 @@ def test_pinned_step_off_grid_floor_rounds_up():
     assert bool(sol.backstop_flags[0])
     assert sol.times[1] == 171 * 2.0**-16
     assert 171 * 2.0**-16 >= cfg.h_min
+
+
+def test_off_grid_floor_pins_a_proposal_it_cannot_round_down():
+    # rho = 1.5 puts h_min at 170.67 fine units and k_min at 171. From
+    # ||Y|| = 256 / 170.8 the raw proposal is 170.8 units: rounding it
+    # down would go below the floor, so the step is pinned (tamed and
+    # flagged) rather than rounded up past the proposal.
+    problem = _constant_problem([256 / 170.8])
+    cfg = StrategyConfig(h_max=H_MAX, rho=1.5)
+    sol = integrate_adaptive(problem, cfg, generate_path(0, 16, 1))
+    units = np.rint(sol.step_sizes / 2.0**-16).astype(int)
+    assert np.all(units[:-1] == 171)
+    assert sol.backstop_flags[:-1].all()
+    for n in range(sol.num_steps - 1):
+        if not sol.backstop_flags[n]:
+            assert math.hypot(*sol.states[n]) * sol.step_sizes[n] <= cfg.scale
 
 
 def test_zero_state_runs_at_the_ceiling():
@@ -391,6 +409,92 @@ def test_batched_solve_rejects_single_state_coefficients():
     # The same columns written on the last axis are accepted.
     ok = _custom_2d(lambda x, i: np.stack([x[..., 0], x[..., 1]], axis=-1))
     _assert_batch_equals_single(ok, "milstein", 2.0**-4, range(3))
+
+
+# ---------------------------------------------------------------------------
+# Lockstep adaptive solve
+# ---------------------------------------------------------------------------
+
+LANE_CONFIGS = [
+    StrategyConfig(h_max=2.0**-6, rho=4.0),
+    StrategyConfig(h_max=2.0**-5, rho=3.0),
+    StrategyConfig(h_max=2.0**-4, rho=8.0, delta=2.0**-5),
+    StrategyConfig(h_max=2.0**-6, rho=1.5),
+]
+
+
+def _assert_lane_equals_single(sol, one):
+    assert sol.divergent == one.divergent
+    np.testing.assert_array_equal(sol.times, one.times)
+    np.testing.assert_array_equal(sol.states, one.states)
+    np.testing.assert_array_equal(sol.backstop_flags, one.backstop_flags)
+
+
+def _lockstep(problem, configs, seeds, level=12, **kwargs):
+    """Every (seed, config) lane in one lockstep solve, seed-major."""
+    paths = [generate_path(s, level, problem.dim_noise) for s in seeds]
+    pref = PathPrefixes.empty(len(paths), problem.dim_noise, 1 << level, 2.0**-level, 1.0)
+    for g, path in enumerate(paths):
+        pref.fill(g, path.increments)
+    rows = np.repeat(np.arange(len(paths)), len(configs))
+    batch = integrate_adaptive_batch(problem, configs * len(paths), pref, rows, **kwargs)
+    return paths, batch
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_lockstep_lanes_equal_one_lane_solves_bitwise(name):
+    problem = make_builtin(name)
+    for scheme in FIXED_SCHEMES:
+        for zero_area in (False, True):
+            paths, batch = _lockstep(
+                problem, LANE_CONFIGS, range(3), scheme=scheme, zero_levy_area=zero_area
+            )
+            assert not batch.divergent.any()
+            for lane, (path, cfg) in enumerate(
+                (p, c) for p in paths for c in LANE_CONFIGS
+            ):
+                one = integrate_adaptive(
+                    problem, cfg, path, scheme=scheme, zero_levy_area=zero_area
+                )
+                _assert_lane_equals_single(batch.solution(lane), one)
+
+
+def test_lockstep_divergent_lane_leaves_the_others_alone():
+    # A stiff drift that is undefined above 1.25: the coarse lane's plain
+    # steps overshoot into that region and go non-finite, the fine lanes
+    # decay to 1. The lanes beside the divergent one must end exactly
+    # where their one-lane solves do.
+    problem = SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda x: np.where(x > 1.25, np.nan, -40.0 * (x - 1.0)),
+        diffusion_column=lambda x, i: np.zeros(1),
+        diffusion_jacobian=lambda x, i: np.zeros((1, 1)),
+        structure="additive",
+        initial_state=np.array([1.2]),
+        horizon=1.0,
+    )
+    configs = [
+        StrategyConfig(h_max=2.0**-8, rho=4.0),
+        StrategyConfig(h_max=2.0**-2, rho=4.0),
+        StrategyConfig(h_max=2.0**-6, rho=8.0),
+    ]
+    paths, batch = _lockstep(problem, configs, range(2))
+    np.testing.assert_array_equal(batch.divergent, [False, True, False] * 2)
+    for lane, (path, cfg) in enumerate((p, c) for p in paths for c in configs):
+        _assert_lane_equals_single(batch.solution(lane), integrate_adaptive(problem, cfg, path))
+    assert np.isfinite(batch.states).all()
+    assert batch.solution(1).final_time < 1.0
+
+
+def test_lockstep_rejects_mismatched_lanes_and_single_state_coefficients():
+    problem = make_builtin("scalar_mult")
+    path = generate_path(0, 12, 1)
+    with pytest.raises(UsageError, match="row"):
+        integrate_adaptive_batch(problem, LANE_CONFIGS, path.prefixes(), [0])
+    single = _custom_2d(lambda x, i: np.array([x[0], x[1]]))
+    with pytest.raises(UsageError, match="last axis"):
+        integrate_adaptive(single, StrategyConfig(2.0**-4, 4.0), generate_path(0, 8, 1))
 
 
 # ---------------------------------------------------------------------------

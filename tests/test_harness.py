@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import milsde.harness
+import milsde.wiener
 from milsde import (
     BACKSTOP_CSV_HEADER,
     CSV_HEADER,
@@ -239,6 +240,47 @@ def test_block_split_does_not_change_results(monkeypatch):
         assert dataclasses.replace(ra, cpu_seconds=0.0) == dataclasses.replace(
             rb, cpu_seconds=0.0
         )
+
+
+def _curve_text(curve) -> str:
+    buf = io.StringIO()
+    curve.to_csv(buf)
+    curve.profiles_to_csv(buf)
+    return buf.getvalue()
+
+
+def test_group_size_does_not_change_results(monkeypatch):
+    # Adaptive lanes run in groups of paths under a byte cap; one path
+    # per group must give the same tables and curves as the default cap.
+    config = _structure_config(problem="twod_noncommutative")
+    whole = convergence_table(config)
+    curve = _curve_text(
+        backstop_probability(
+            "scalar_probe", (2.0, 3.0, 6.0), h_max=2.0**-8, num_paths=6, fine_exponent=12
+        )
+    )
+    monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1)
+    assert milsde.wiener.PathPrefixes.group_size(2, 1 << 12) == 1
+    split = convergence_table(config)
+    for ra, rb in zip(whole.rows, split.rows):
+        assert dataclasses.replace(ra, cpu_seconds=0.0) == dataclasses.replace(
+            rb, cpu_seconds=0.0
+        )
+    assert (
+        _curve_text(
+            backstop_probability(
+                "scalar_probe", (2.0, 3.0, 6.0), h_max=2.0**-8, num_paths=6, fine_exponent=12
+            )
+        )
+        == curve
+    )
+
+
+def test_backstop_curve_worker_pool_matches_serial():
+    kwargs = dict(h_max=2.0**-8, num_paths=12, fine_exponent=12)
+    serial = backstop_probability("scalar_probe", (2.0, 4.0, 6.0), **kwargs)
+    pooled = backstop_probability("scalar_probe", (2.0, 4.0, 6.0), workers=2, **kwargs)
+    assert _curve_text(serial) == _curve_text(pooled)
 
 
 def test_shared_costs_are_charged_once():

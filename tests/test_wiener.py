@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import milsde.wiener
 from milsde import (
     INCREMENT_GRID,
     IteratedIntegrals,
@@ -91,6 +92,19 @@ def test_window_sums_add_bit_exactly():
         )
 
 
+def test_generation_stream_matches_the_explicit_formula():
+    # Component i of seed s is the Philox stream keyed by (s, i), scaled
+    # by sqrt(h_ref) and rounded to the 2^-32 grid, bit for bit.
+    for level, m in [(20, 1), (14, 2), (12, 2), (16, 3)]:
+        path = generate_path(77, level, m)
+        h_ref = 2.0**-level
+        for i in range(m):
+            key = np.array([77, i], dtype=np.uint64)
+            z = np.random.Generator(np.random.Philox(key=key)).standard_normal(1 << level)
+            expected = np.rint(z * math.sqrt(h_ref) * 2.0**32) * 2.0**-32
+            np.testing.assert_array_equal(path.increments[i], expected)
+
+
 def test_generate_validation():
     with pytest.raises(UsageError):
         generate_path(1, 0, 1)
@@ -125,6 +139,64 @@ def test_single_substep_window_has_zero_area():
     dW = ii.dW
     assert ii.I[0, 0] == 0.5 * (dW[0] * dW[0] - h)
     assert ii.I[0, 1] == 0.5 * (dW[0] * dW[1])
+
+
+def _exact_areas(path, a, b):
+    # Left-point sum of W_i dW_j - W_j dW_i over [a, b) in Python
+    # integers (2^-32 units), W taken relative to the window start, then
+    # rounded once: A[i, j] = sum / 2 in 2^-64 units.
+    units = [[round(v * 2**32) for v in row] for row in path.increments[:, a:b]]
+    m = len(units)
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            wi = wj = total = 0
+            for di, dj in zip(units[i], units[j]):
+                total += wi * dj - wj * di
+                wi += di
+                wj += dj
+            out[i, j] = total / 2**65
+            out[j, i] = -out[i, j]
+    return out
+
+
+def test_areas_equal_the_exact_left_point_sum():
+    # Random windows, one-step windows and whole paths: the O(1) prefix
+    # area is the exact left-point sum, correctly rounded, and reading it
+    # through the whole path's prefix arrays gives the same bits.
+    rng = np.random.default_rng(5)
+    for seed, level, m in [(1, 4, 2), (2, 8, 3), (3, 12, 2), (4, 16, 2), (5, 16, 3)]:
+        path = generate_path(seed, level, m)
+        n = path.num_steps
+        pref = path.prefixes()
+        windows = [(0, n), (n - 1, n)]
+        for _ in range(12):
+            a = int(rng.integers(0, n))
+            windows.append((a, int(rng.integers(a + 1, min(n, a + 600) + 1))))
+        for a, b in windows:
+            exact = _exact_areas(path, a, b)
+            np.testing.assert_array_equal(integrals_over(path, a, b).A, exact)
+            _, _, area = pref.windows(np.zeros(1, dtype=int), np.array([a]), np.array([b]))
+            np.testing.assert_array_equal(area[0], exact)
+
+
+def test_areas_survive_prefix_chunk_boundaries(monkeypatch):
+    # The exact cross sums carry across the chunks the prefix arrays are
+    # built in; tiny chunks must give the same areas as one chunk.
+    path = generate_path(8, 10, 3)
+    windows = [(0, 1024), (3, 900), (511, 513), (100, 101)]
+    whole = [integrals_over(path, a, b).A for a, b in windows]
+    monkeypatch.setattr(milsde.wiener, "_FILL_CHUNK", 7)
+    chunked = milsde.wiener.PathPrefixes.of(path.increments, path.resolution, 1.0)
+    for (a, b), A in zip(windows, whole):
+        _, _, area = chunked.windows(np.zeros(1, dtype=int), np.array([a]), np.array([b]))
+        np.testing.assert_array_equal(area[0], A)
+
+
+def test_prefix_arrays_refuse_off_grid_increments():
+    pref = milsde.wiener.PathPrefixes.empty(1, 2, 4, 0.25, 1.0)
+    with pytest.raises(UsageError, match="grid"):
+        pref.fill(0, np.full((2, 4), 0.1))
 
 
 def test_scalar_noise_has_no_area():
