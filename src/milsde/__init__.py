@@ -69,6 +69,7 @@ from .wiener import (
     INCREMENT_GRID,
     IteratedIntegrals,
     PathPrefixes,
+    PathStreams,
     WienerPath,
     euler_number,
     generate_path,
@@ -100,6 +101,7 @@ __all__ = [
     "INCREMENT_GRID",
     "IteratedIntegrals",
     "PathPrefixes",
+    "PathStreams",
     "ResourceError",
     "RmsResult",
     "SdeProblem",

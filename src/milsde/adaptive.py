@@ -34,7 +34,10 @@ set of lanes together (:func:`integrate_adaptive_batch`), one lane per
 state and step count and reads its window integrals in O(1) from the
 prefix arrays of its path (:class:`~milsde.wiener.PathPrefixes`); a
 lane leaves the live set when it reaches the horizon or diverges. The
-one-path :func:`integrate_adaptive` is its one-lane call.
+prefix arrays may hold whole paths or a sliding window that streams
+them in slabs: a lane whose next window is not yet held waits, and the
+window advances when every live lane waits. The one-path
+:func:`integrate_adaptive` is its one-lane call, over whole arrays.
 """
 
 from __future__ import annotations
@@ -227,15 +230,16 @@ def _check_compatible(problem: SdeProblem, path: WienerPath | PathPrefixes) -> N
 class AdaptiveBatch:
     """Result of :func:`integrate_adaptive_batch` for L lanes.
 
-    One record per completed step, in the order the steps were taken:
-    ``lanes`` (N,) the lane that took it, ``positions`` (N,) the lane's
-    fine-grid node after it, ``states`` (N, d) its state there and
+    One record per completed step, grouped by lane: lane l's steps are
+    records ``offsets[l]:offsets[l + 1]`` (``offsets`` (L+1,)), in the
+    order it took them. ``positions`` (N,) holds the lane's fine-grid
+    node after the step, ``states`` (N, d) its state there and
     ``backstop_flags`` (N,) whether the step was pinned. A lane that
     went non-finite is flagged in ``divergent`` (L,); its records stop
     at its last finite state.
     """
 
-    lanes: np.ndarray
+    offsets: np.ndarray
     positions: np.ndarray
     states: np.ndarray
     backstop_flags: np.ndarray
@@ -246,11 +250,11 @@ class AdaptiveBatch:
     @property
     def num_steps(self) -> np.ndarray:
         """Completed steps per lane, (L,)."""
-        return np.bincount(self.lanes, minlength=len(self.divergent))
+        return np.diff(self.offsets)
 
     def solution(self, lane: int) -> SolutionPath:
-        """Lane ``lane`` as the :class:`SolutionPath` of its solve."""
-        mine = self.lanes == lane
+        """Lane ``lane`` as the :class:`SolutionPath` of its solve, in O(its steps)."""
+        mine = slice(self.offsets[lane], self.offsets[lane + 1])
         return SolutionPath(
             times=np.concatenate(([0], self.positions[mine])) * self.resolution,
             states=np.concatenate((self.initial_state[None], self.states[mine])),
@@ -283,16 +287,21 @@ def integrate_adaptive_batch(
     """Run the adaptive controller on a set of lanes in lockstep.
 
     Lane l drives the problem with ``configs[l]`` over path ``rows[l]``
-    of ``prefixes``. Every live lane takes one step per round: the
-    controller runs on all of them at once, each reads its window's
-    integrals from the prefix arrays, and pinned lanes run the tamed
-    backstop while the others run ``scheme``. Lanes never mix, so lane
-    l equals the one-lane solve of its path and config bit for bit. A
-    lane leaves the live set when it reaches the horizon or goes
-    non-finite; a divergent lane keeps its last finite state without
-    touching the others. The coefficients are checked on a batch of
-    distinct states against row-by-row calls before the first step.
-    ``zero_levy_area`` replaces every window's Levy areas with zero.
+    of ``prefixes``. Every live lane whose next window is held takes one
+    step per round: the controller plans each lane's next window as soon
+    as it has stepped, each lane reads its window's integrals from the
+    prefix arrays, and pinned lanes run the tamed backstop while the
+    others run ``scheme``. A lane whose next window ends beyond the
+    arrays' frontier waits; when every live lane waits, the arrays
+    advance by a slab, dropping the nodes behind the slowest lane (see
+    :meth:`~milsde.wiener.PathPrefixes.advance`). Lanes never mix, so
+    lane l equals the one-lane solve of its path and config bit for bit,
+    whether the arrays hold whole paths or stream them. A lane leaves the
+    live set when it reaches the horizon or goes non-finite; a divergent
+    lane keeps its last finite state without touching the others. The
+    coefficients are checked on a batch of distinct states against
+    row-by-row calls before the first step. ``zero_levy_area`` replaces
+    every window's Levy areas with zero.
     """
     if scheme not in FIXED_SCHEMES:
         raise UsageError(f"unknown scheme {scheme!r}; expected one of {FIXED_SCHEMES}")
@@ -323,50 +332,69 @@ def integrate_adaptive_batch(
         )
     _check_rowwise(problem, max(len(rows), problem.dim_state + 1))
 
+    def plan(lanes, y, at):
+        """The next window's end and pinned flag of ``lanes`` from their
+        states ``y`` at nodes ``at``."""
+        h, pinned = _proposals(_norms(y), scale[lanes], h_min[lanes], h_max[lanes])
+        k = _floor_units(h, h_ref)
+        lane_k_min = k_min[lanes]
+        pinned |= k < lane_k_min
+        end = at + np.where(pinned, lane_k_min, k)
+        clamped = end > n_total
+        if clamped.any():
+            end[clamped] = n_total
+            pinned &= ~clamped
+        return end, pinned
+
     strip_area = zero_levy_area and problem.dim_noise > 1
     count = len(rows)
-    lanes = np.arange(count)  # the live lanes, and below their parameters
-    at = np.zeros(count, dtype=np.int64)
+    live = np.arange(count)
+    at = np.zeros(count, dtype=np.int64)  # per lane, like the rest below
     y = np.tile(problem.initial_state, (count, 1))
-    live = (rows, scale, h_min, h_max, k_min)
-    rounds = []  # per round: (live lanes, end positions, states, pinned, finite)
+    rounds = []  # per round: (lanes, end positions, states, pinned, finite)
     # Overflow inside a step is the divergence signal, not a warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while lanes.size:
-            lane_rows, lane_scale, lane_min, lane_max, lane_k_min = live
-            h, pinned = _proposals(_norms(y), lane_scale, lane_min, lane_max)
-            k = _floor_units(h, h_ref)
-            pinned |= k < lane_k_min
-            end = at + np.where(pinned, lane_k_min, k)
-            clamped = end > n_total
-            if clamped.any():
-                end[clamped] = n_total
-                pinned &= ~clamped
-            hw, dW, A = prefixes.windows(lane_rows, at, end, strip_area)
+        end, pinned = plan(live, y, at)
+        while live.size:
+            lanes = live
+            if prefixes.frontier < n_total:
+                held = end[live] <= prefixes.frontier
+                if not held.any():
+                    prefixes.advance(int(at[live].min()))
+                    continue
+                if not held.all():
+                    lanes = live[held]
+            lane_end, lane_pinned = end[lanes], pinned[lanes]
+            hw, dW, A = prefixes.windows(rows[lanes], at[lanes], lane_end, strip_area)
             hw = hw[:, None]
             nxt = _advance_lanes(
-                problem, scheme, y, hw, dW, double_integrals(hw, dW, A), pinned
+                problem, scheme, y[lanes], hw, dW, double_integrals(hw, dW, A), lane_pinned
             )
             finite = np.isfinite(nxt).all(axis=1)
-            rounds.append((lanes, end, nxt, pinned, finite))
-            going = finite & (end < n_total)
-            if going.all():
-                at, y = end, nxt
-            else:
-                lanes, at, y = lanes[going], end[going], nxt[going]
-                live = tuple(a[going] for a in live)
+            rounds.append((lanes, lane_end, nxt, lane_pinned, finite))
+            going = finite & (lane_end < n_total)
+            if not going.all():
+                live = live[~np.isin(live, lanes[~going])]
+                lanes, lane_end, nxt = lanes[going], lane_end[going], nxt[going]
+            at[lanes], y[lanes] = lane_end, nxt
+            end[lanes], pinned[lanes] = plan(lanes, nxt, lane_end)
     return _collect(rounds, problem.initial_state, count, h_ref)
 
 
 def _collect(rounds, initial_state, count, h_ref) -> AdaptiveBatch:
-    """Join the per-round records of the live lanes, keeping the steps
-    that stayed finite. Empties ``rounds`` once they are joined."""
+    """Join the per-round records, keeping the steps that stayed finite,
+    grouped by lane in the order taken. Empties ``rounds`` once they
+    are joined."""
     lanes, end, nxt, pinned, finite = (np.concatenate(f) for f in zip(*rounds))
     rounds.clear()
     divergent = np.zeros(count, dtype=bool)
     divergent[lanes[~finite]] = True
+    kept = np.flatnonzero(finite)
+    order = kept[np.argsort(lanes[kept], kind="stable")]
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lanes[kept], minlength=count), out=offsets[1:])
     return AdaptiveBatch(
-        lanes[finite], end[finite], nxt[finite], pinned[finite], divergent, initial_state, h_ref
+        offsets, end[order], nxt[order], pinned[order], divergent, initial_state, h_ref
     )
 
 

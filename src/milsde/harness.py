@@ -17,30 +17,41 @@ effective resolution; their rows record that matched step in both the
 h_max and h_mean columns.
 
 Paths are processed in contiguous blocks of seeds, one block per task
-when ``workers > 1``. Within a block each driving path is generated
-once per pass, one at a time. Pass 1 works through the block in
-groups of paths: each path of a group is generated, its
-reference-mesh integrals are kept, its prefix arrays
-(:class:`~milsde.wiener.PathPrefixes`) are written into the group's
-arrays and its raw increments are dropped; then one lockstep adaptive
-solve runs a lane per (path, h_max) of the group. A group holds at
-most 2 MiB of prefix arrays (at least one path), a fixed cap of the
-library, not an option. After the last group, one batched tamed
-reference advances every path of the block together. Pass 2
-regenerates each path, keeps its integrals on each matched comparator
-mesh, and runs one batched solve per (scheme, matched step). Rows and
-lanes never mix inside a batched solve, so results do not depend on the
-split into blocks or groups. ``backstop_probability`` runs one task per
-group of paths: a lockstep solve with a lane per (path, rho).
+when ``workers > 1``. Pass 1 generates the block's paths together, in
+slabs of consecutive fine steps drawn from each path's open stream
+(:class:`~milsde.wiener.PathStreams`); slabs end on reference-window
+boundaries. Each slab's reference-mesh integrals are kept, and its
+prefix arrays join a sliding window
+(:class:`~milsde.wiener.PathPrefixes`) that feeds one lockstep adaptive
+solve with a lane per (path, h_max) of the block. A lane whose next
+window ends beyond the slabs drawn so far waits; when every lane waits,
+the next slab is drawn and the nodes behind the slowest lane are
+dropped. The window and one slab's increments stay within a fixed
+2 MiB cap of the library (not an option), and a block is cut small
+enough that its slabs are at least half as wide as the widest lane's
+h_max. Only a single path whose widest window alone exceeds the cap
+holds more: that window plus one reference window. A whole path is
+held only where it fits the cap. Slabs left once every lane is done
+are drawn for the reference alone.
+After the solve,
+one batched tamed reference advances every path of the block together.
+Pass 2 regenerates each path, keeps its integrals on each matched
+comparator mesh, and runs one batched solve per (scheme, matched step).
+Rows and lanes never mix inside a batched solve, so results do not
+depend on the split into blocks or slabs. ``backstop_probability`` runs
+one task per block of paths: a streamed lockstep solve with a lane per
+(path, rho).
 
 ``cpu_seconds`` per row is the CPU time (``time.process_time``, taken
 in the process that did the work and summed over workers) of that
 row's own solves. An adaptive row is charged its lanes' share of each
-group's lockstep solve and prefix arrays, split between the lanes in
-proportion to the steps they tried (a failed step included). A fixed row is charged its batched
-solve plus the extraction of its mesh integrals. Path generation is
-charged once, to ``ErrorTable.generation_seconds``, and the reference
-to ``ErrorTable.reference_seconds``; neither is in any row.
+block's lockstep solve and prefix arrays, split between the lanes in
+proportion to the steps they tried (a failed step included). A fixed
+row is charged its batched solve plus the extraction of its mesh
+integrals. Path generation (the slab draws of pass 1 and the whole
+paths of pass 2) is charged once, to ``ErrorTable.generation_seconds``,
+and the reference (its mesh integrals and solve) to
+``ErrorTable.reference_seconds``; neither is in any row.
 
 Seeds: path k uses ``base_seed ^ k``, so every experiment, pass, and
 rho value sees the same driving paths and results are reproducible
@@ -52,7 +63,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,7 +76,7 @@ from .adaptive import (
 )
 from .errors import ExperimentError, UsageError
 from .problems import SdeProblem, make_builtin
-from .wiener import PathPrefixes, generate_path
+from .wiener import PathPrefixes, PathStreams, _uniform_windows, generate_path
 
 __all__ = [
     "DEFAULT_BASE_SEED",
@@ -249,7 +260,7 @@ class ErrorTable:
             )
 
 
-def _rms_stats(err_sq: list[float]) -> tuple[float, float, int]:
+def _rms_stats(err_sq) -> tuple[float, float, int]:
     arr = np.array(err_sq, dtype=float)
     bad = int(np.isnan(arr).sum())
     ok = arr[~np.isnan(arr)]
@@ -278,19 +289,22 @@ def _map_tasks(fn, tasks, workers: int):
 _BLOCK_BYTES = 32 << 20
 
 
-def _seed_blocks(seeds, workers: int, windows_per_path: int, m: int) -> list[tuple]:
-    """Contiguous blocks of seeds: at least one per worker, and small
-    enough that a block's stored integrals stay under _BLOCK_BYTES."""
-    per_path = max(1, windows_per_path) * (m + m * m) * 8
-    size = max(1, _BLOCK_BYTES // per_path)
-    count = max(workers, -(-len(seeds) // size))
-    count = min(count, len(seeds))
+def _seed_blocks(seeds, workers: int, size: int) -> list[tuple]:
+    """Contiguous blocks of seeds: at least one per worker, and at most
+    ``size`` seeds each."""
+    count = min(len(seeds), max(workers, -(-len(seeds) // max(1, size))))
     bounds = [len(seeds) * b // count for b in range(count + 1)]
     return [tuple(seeds[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _widest(problem: SdeProblem, fine_exp: int, h_max: float) -> int:
+    """Fine steps of the widest window a lane with ``h_max`` can take."""
+    return math.ceil(h_max / (problem.horizon * 2.0**-fine_exp))
+
+
 class _Meshes:
-    """Stacked fixed-mesh integrals of a block of paths, filled path by path."""
+    """Stacked fixed-mesh integrals of a block of paths, filled path by
+    path (:meth:`fill`) or slab by slab (:meth:`fill_slabs`)."""
 
     def __init__(self, paths: int, m: int, n_total: int, substeps: int):
         self.substeps = substeps
@@ -311,6 +325,15 @@ class _Meshes:
             self.tail[1][p] = tail.dW
             self.tail[2][p] = tail.I
 
+    def fill_slabs(self, first: int, slabs: np.ndarray, resolution: float) -> None:
+        """The windows from window ``first`` on, of every path, from
+        (P, m, s) increments that start on window ``first``; s must be a
+        whole number of windows, and the mesh must have no tail."""
+        for p, slab in enumerate(slabs):
+            count, self.h, dw_all, ii_all = _uniform_windows(slab, resolution, self.substeps)
+            self.dW[first : first + count, p] = dw_all
+            self.I[first : first + count, p] = ii_all
+
     def solve(self, problem: SdeProblem, scheme: str):
         tail = None if self.tail is None else tuple(self.tail)
         return integrate_fixed_batch(problem, scheme, self.h, self.dW, self.I, tail)
@@ -321,134 +344,123 @@ def _err_sq(ref_final: np.ndarray, final: np.ndarray) -> float:
     return float(diff @ diff)
 
 
-def _groups(seeds, dim_noise: int, fine_exp: int) -> list[tuple]:
-    """Contiguous groups of seeds whose prefix arrays fit the group cap."""
-    size = PathPrefixes.group_size(dim_noise, 1 << fine_exp)
-    return [tuple(seeds[a : a + size]) for a in range(0, len(seeds), size)]
-
-
-def _lockstep(problem, group, fine_exp, configs, on_path=None):
-    """Generate the paths of a group, keep their prefix arrays, and run
-    one adaptive lane per (path, config), path-major; with no configs
-    only the paths are generated.
-
-    ``on_path(index, path)`` sees each path before its increments are
-    dropped. Returns (solutions per lane, CPU s of generation, CPU s of
-    the prefix arrays and the solve).
-    """
-    clock = time.process_time
-    gen_s = solve_s = 0.0
-    if configs:
-        prefixes = PathPrefixes.empty(
-            len(group),
-            problem.dim_noise,
-            1 << fine_exp,
-            problem.horizon * 2.0**-fine_exp,
-            problem.horizon,
-        )
-    for q, seed in enumerate(group):
-        t0 = clock()
-        path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
-        gen_s += clock() - t0
-        if on_path is not None:
-            on_path(q, path)
-        t0 = clock()
-        if configs:
-            prefixes.fill(q, path.increments)
-        solve_s += clock() - t0
-        del path  # free it before the next path is generated
-    if not configs:
-        return [], gen_s, solve_s
-    t0 = clock()
-    batch = integrate_adaptive_batch(
-        problem,
-        list(configs) * len(group),
-        prefixes,
-        np.repeat(np.arange(len(group)), len(configs)),
+def _lockstep(problem, count, fine_exp, configs, draw, unit):
+    """One lockstep adaptive solve over a block of ``count`` paths, a
+    lane per (path, config), path-major. The paths are streamed in
+    slabs of whole multiples of ``unit`` fine steps: ``draw(steps)``
+    returns the next increments of every path, (count, m, steps), and
+    the block's prefix arrays keep a sliding window of them (see
+    :meth:`PathPrefixes.streamed`)."""
+    prefixes = PathPrefixes.streamed(
+        count,
+        problem.dim_noise,
+        1 << fine_exp,
+        problem.horizon * 2.0**-fine_exp,
+        problem.horizon,
+        draw,
+        widest=_widest(problem, fine_exp, max(c.h_max for c in configs)),
+        unit=unit,
     )
-    solve_s += clock() - t0
-    sols = [batch.solution(lane) for lane in range(len(batch.divergent))]
-    return sols, gen_s, solve_s
+    rows = np.repeat(np.arange(count), len(configs))
+    return integrate_adaptive_batch(problem, list(configs) * count, prefixes, rows)
 
 
-def _adaptive_group(problem, group, fine_exp, configs, on_path):
-    """The adaptive solves of a group of paths, summarized.
+@dataclass(frozen=True)
+class _AdaptiveRuns:
+    """The adaptive solves of pass 1 as named (paths, h_max) arrays.
 
-    Returns (per path, per config: (run, CPU s), where run is (final
-    state, mean step, steps, flagged steps), or None if the lane
-    diverged; CPU s of generation). Only this summary outlives the
-    call, not the trajectories.
+    ``err_sq`` is the squared endpoint error against the reference (nan
+    for a divergent lane), ``mean_step`` the mean step (nan when
+    divergent), ``steps`` and ``flagged`` the completed and backstop
+    steps, and ``cpu_seconds`` the lane's share of its block's solve.
     """
-    sols, gen_s, solve_s = _lockstep(problem, group, fine_exp, configs, on_path)
-    # A lane's share of the solve: the steps it tried, the failed one included.
-    tried = [sol.num_steps + sol.divergent for sol in sols]
-    total = sum(tried)
-    runs = []
-    for q in range(len(group)):
-        per_config = []
-        for lane in range(q * len(configs), (q + 1) * len(configs)):
-            sol = sols[lane]
-            run_s = solve_s * tried[lane] / total
-            if sol.divergent:
-                per_config.append((None, run_s))
-            else:
-                flagged = int(sol.backstop_flags.sum())
-                # a copy, since a view would keep the lane's trajectory alive
-                run = (sol.final_state.copy(), sol.mean_step, sol.num_steps, flagged)
-                per_config.append((run, run_s))
-        runs.append(per_config)
-    return runs, gen_s
+
+    err_sq: np.ndarray
+    mean_step: np.ndarray
+    steps: np.ndarray
+    flagged: np.ndarray
+    cpu_seconds: np.ndarray
+
+    @classmethod
+    def concat(cls, parts) -> "_AdaptiveRuns":
+        """The runs of consecutive blocks, stacked along the paths."""
+        return cls(
+            *(np.concatenate([getattr(r, f.name) for r in parts]) for f in fields(cls))
+        )
 
 
-def _block_reference(task):
-    """Pass 1 for a contiguous block of seeds: per group of paths,
-    generate them, keep their reference-mesh integrals and run one
-    lockstep adaptive solve with a lane per (path, h_max); then one
-    batched tamed reference for the block.
+@dataclass(frozen=True)
+class _Pass1:
+    """One block's pass 1: CPU s of generation and of the reference, the
+    reference endpoints (P, d), and the adaptive runs."""
 
-    Returns (generation CPU s, reference CPU s, reference endpoints
-    (P, d), per-path adaptive records). A record per h_max is (err_sq,
-    mean step, steps, flagged steps, CPU s); nan err_sq marks a
-    divergent run.
+    generation_seconds: float
+    reference_seconds: float
+    ref_final: np.ndarray
+    runs: _AdaptiveRuns
+
+
+def _block_reference(task) -> _Pass1:
+    """Pass 1 for a contiguous block of seeds.
+
+    The block's paths are generated slab by slab from their open
+    streams. Each slab's reference-mesh integrals are kept, and its
+    prefix arrays feed one lockstep adaptive solve with a lane per
+    (path, h_max); the slabs left once every lane is done are drawn for
+    the reference alone. Then one batched tamed reference runs over the
+    block. Slab draws are charged to generation, the reference-mesh
+    integrals to the reference, and the rest of the lockstep to the
+    lanes, split by the steps each lane tried (a failed step included).
     """
     problem, seeds, fine_exp, ref_units, h_values, rho, delta = task
     clock = time.process_time
-    gen_s = ref_s = 0.0
-    meshes = _Meshes(len(seeds), problem.dim_noise, 1 << fine_exp, ref_units)
+    n = 1 << fine_exp
+    h_ref = problem.horizon * 2.0**-fine_exp
+    streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
+    meshes = _Meshes(len(seeds), problem.dim_noise, n, ref_units)
+    spent = [0.0, 0.0]  # CPU s of slab draws and of reference-mesh integrals
+
+    def draw(steps):
+        t0 = clock()
+        first = streams.drawn // ref_units
+        slabs = streams.draw(steps)
+        t1 = clock()
+        meshes.fill_slabs(first, slabs, h_ref)
+        spent[0] += t1 - t0
+        spent[1] += clock() - t1
+        return slabs
+
     configs = [StrategyConfig(h_max=h, rho=rho, delta=delta) for h in h_values]
-    runs = []
-    for group in _groups(seeds, problem.dim_noise, fine_exp):
-        first = len(runs)
-
-        def keep_mesh(q, path):
-            nonlocal ref_s
-            t0 = clock()
-            meshes.fill(first + q, path)
-            ref_s += clock() - t0
-
-        group_runs, group_gen_s = _adaptive_group(
-            problem, group, fine_exp, configs, keep_mesh
-        )
-        runs.extend(group_runs)
-        gen_s += group_gen_s
+    shape = (len(seeds), len(configs))
+    runs = _AdaptiveRuns(
+        np.full(shape, math.nan), np.full(shape, math.nan),
+        np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64), np.zeros(shape),
+    )
+    t0 = clock()
+    batch = _lockstep(problem, len(seeds), fine_exp, configs, draw, ref_units) if configs else None
+    solve_s = clock() - t0 - sum(spent)
+    slab = PathPrefixes.slab_steps(len(seeds), problem.dim_noise, n, 0, ref_units)
+    while streams.drawn < n:
+        draw(min(slab, n - streams.drawn))
     t0 = clock()
     ref = meshes.solve(problem, "tamed")
-    ref_s += clock() - t0
+    ref_s = spent[1] + clock() - t0
     if ref.divergent.any():
         seed = seeds[int(np.argmax(ref.divergent))]
         raise ExperimentError(f"reference solution diverged for seed {seed}")
-    recs = []
-    for p, per_h in enumerate(runs):
-        rec = []
-        for run, run_s in per_h:
-            if run is None:
-                rec.append((math.nan, math.nan, 0, 0, run_s))
-            else:
-                final, mean_step, steps, flagged = run
-                err = _err_sq(ref.final_states[p], final)
-                rec.append((err, mean_step, steps, flagged, run_s))
-        recs.append(rec)
-    return gen_s, ref_s, ref.final_states, recs
+    if batch is not None:
+        # A lane's share of the solve: the steps it tried, the failed one included.
+        tried = (batch.num_steps + batch.divergent).reshape(shape)
+        runs.cpu_seconds[:] = solve_s * tried / tried.sum()
+        for lane in range(len(batch.divergent)):
+            sol = batch.solution(lane)
+            p, j = divmod(lane, len(configs))
+            if not sol.divergent:
+                runs.err_sq[p, j] = _err_sq(ref.final_states[p], sol.final_state)
+                runs.mean_step[p, j] = sol.mean_step
+                runs.steps[p, j] = sol.num_steps
+                runs.flagged[p, j] = int(sol.backstop_flags.sum())
+    return _Pass1(spent[0], ref_s, ref.final_states, runs)
 
 
 def _block_fixed(task):
@@ -492,10 +504,15 @@ def _block_fixed(task):
 
 
 def _run_reference(problem, seeds, fine_exp, ref_units, h_values, rho, delta, workers):
-    """Pass 1 over every seed, in contiguous blocks."""
-    blocks = _seed_blocks(
-        seeds, workers, (1 << fine_exp) // ref_units, problem.dim_noise
-    )
+    """Pass 1 over every seed, in contiguous blocks: each block's
+    reference-mesh integrals fit _BLOCK_BYTES, and its streamed window
+    fits the prefix cap with slabs as wide as the widest lane."""
+    m = problem.dim_noise
+    size = _BLOCK_BYTES // (((1 << fine_exp) // ref_units) * (m + m * m) * 8)
+    if h_values:
+        widest = _widest(problem, fine_exp, max(h_values))
+        size = min(size, PathPrefixes.stream_size(m, widest))
+    blocks = _seed_blocks(seeds, workers, size)
     tasks = [
         (problem, block, fine_exp, ref_units, h_values, rho, delta) for block in blocks
     ]
@@ -507,7 +524,7 @@ def _run_fixed(problem, blocks, results, fine_exp, jobs, workers):
     reference endpoints. Returns (generation s, per-job (err_sq over
     all seeds in order, CPU s))."""
     tasks = [
-        (problem, block, fine_exp, tuple(jobs), r[2])
+        (problem, block, fine_exp, tuple(jobs), r.ref_final)
         for block, r in zip(blocks, results)
     ]
     out = _map_tasks(_block_fixed, tasks, workers)
@@ -538,27 +555,27 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
         config.delta,
         config.workers,
     )
-    gen_total = sum(r[0] for r in results)
-    ref_total = sum(r[1] for r in results)
-    recs = [rec for r in results for rec in r[3]]
+    gen_total = sum(r.generation_seconds for r in results)
+    ref_total = sum(r.reference_seconds for r in results)
+    runs = _AdaptiveRuns.concat([r.runs for r in results])
     rows: list[ErrorRow] = []
     adaptive_rows: dict[float, ErrorRow] = {}
     matched_step: dict[float, float] = {}
     h_ref = problem.horizon * 2.0 ** -fine_exp
     for j, h_max in enumerate(config.h_max_values):
-        err_sq = [r[j][0] for r in recs]
-        rms, se, bad = _rms_stats(err_sq)
-        means = [r[j][1] for r in recs if not math.isnan(r[j][1])]
-        h_mean = float(np.mean(means)) if means else math.nan
-        steps = sum(r[j][2] for r in recs)
-        flagged = sum(r[j][3] for r in recs)
+        rms, se, bad = _rms_stats(runs.err_sq[:, j])
+        means = runs.mean_step[:, j]
+        means = means[~np.isnan(means)]
+        h_mean = float(np.mean(means)) if means.size else math.nan
+        steps = int(runs.steps[:, j].sum())
+        flagged = int(runs.flagged[:, j].sum())
         adaptive_rows[h_max] = ErrorRow(
             scheme="adaptive",
             h_max=h_max,
             rms_error=rms,
             rms_std_error=se,
             h_mean=h_mean,
-            cpu_seconds=sum(r[j][4] for r in recs),
+            cpu_seconds=float(runs.cpu_seconds[:, j].sum()),
             backstop_rate=flagged / steps if steps else math.nan,
             divergent_count=bad,
         )
@@ -749,16 +766,18 @@ class BackstopCurve:
                 )
 
 
-def _backstop_group(task):
-    """One lockstep solve over a group of seeds, a lane per (seed, rho).
+def _backstop_block(task):
+    """One lockstep solve over a block of seeds, a lane per (seed, rho).
     Returns per seed, per rho: (backstop engaged, step sizes)."""
-    problem, group, fine_exp, h_max, rhos, delta = task
+    problem, block, fine_exp, h_max, rhos, delta = task
     configs = [StrategyConfig(h_max=h_max, rho=rho, delta=delta) for rho in rhos]
-    sols, _, _ = _lockstep(problem, group, fine_exp, configs)
+    streams = PathStreams(block, fine_exp, problem.dim_noise, problem.horizon)
+    batch = _lockstep(problem, len(block), fine_exp, configs, streams.draw, 1)
     out = []
-    for q, seed in enumerate(group):
+    for q, seed in enumerate(block):
         per_rho = []
-        for rho, sol in zip(rhos, sols[q * len(rhos) : (q + 1) * len(rhos)]):
+        for j, rho in enumerate(rhos):
+            sol = batch.solution(q * len(rhos) + j)
             if sol.divergent:
                 raise ExperimentError(
                     f"adaptive run diverged for seed {seed} at rho {rho:g}"
@@ -802,10 +821,14 @@ def backstop_probability(
         )
     seeds = [base_seed ^ k for k in range(num_paths)]
     tasks = [
-        (problem, group, fine_exponent, h_max, rhos, delta)
-        for group in _groups(seeds, problem.dim_noise, fine_exponent)
+        (problem, block, fine_exponent, h_max, rhos, delta)
+        for block in _seed_blocks(
+            seeds,
+            workers,
+            PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exponent, h_max)),
+        )
     ]
-    results = [r for out in _map_tasks(_backstop_group, tasks, workers) for r in out]
+    results = [r for out in _map_tasks(_backstop_block, tasks, workers) for r in out]
 
     points = []
     profiles = []

@@ -52,9 +52,10 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from .errors import ResourceError, UsageError
 __all__ = [
     "WienerPath",
     "PathPrefixes",
+    "PathStreams",
     "IteratedIntegrals",
     "double_integrals",
     "generate_path",
@@ -161,7 +163,9 @@ def _exact_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 @functools.cache
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pairs(
+    m: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays for the pairs i < j of m components (in
     ``np.triu_indices`` order): (i, j); the column orders (i then j,
     j then i) that line up W_i with dW_j and W_j with dW_i; the +-1
@@ -177,40 +181,63 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
     return i, j, np.concatenate([i, j]), np.concatenate([j, i]), halves, spread
 
 
-#: Fine steps converted per pass in :meth:`PathPrefixes.fill`, which
-#: bounds its temporary arrays.
+#: Fine steps converted per pass (over all paths written at once) when
+#: prefix arrays are written, which bounds their temporary arrays.
 _FILL_CHUNK = 1 << 12
 
-#: Cap on the prefix arrays one group of paths holds at a time (a group
-#: has at least one path); see :meth:`PathPrefixes.group_size`.
+#: Cap on the prefix arrays one group or block of paths holds at a time;
+#: see :meth:`PathPrefixes.group_size` and :meth:`PathPrefixes.streamed`.
 _GROUP_BYTES = 2 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PathPrefixes:
     """Prefix arrays of a group of paths on one fine grid, from which the
     integrals of any window of any of them are read in O(1).
 
+    The arrays hold the fine nodes ``start .. frontier`` of every path,
+    column c holding node ``start + c``. Whole-path arrays (:meth:`of`,
+    or :meth:`empty` then :meth:`fill` per path) hold every node: start
+    0, frontier ``num_steps``. Streamed arrays (:meth:`streamed`) hold a
+    sliding window: each :meth:`advance` drops the nodes behind a given
+    one and appends the next slab of every path, drawn from ``source``.
+
     Attributes:
-        sums: (G, m + P, n+1) int64 with P = m(m-1)/2. ``sums[g, i, k]``
-            (i < m) is W_i at fine node k of path g in units of the
-            increment grid; ``sums[g, m + p, k]`` is the high limb of the
+        sums: (G, m + P, C) int64 with P = m(m-1)/2. ``sums[g, i, c]``
+            (i < m) is W_i at node start + c of path g in units of the
+            increment grid; ``sums[g, m + p, c]`` is the high limb of the
             cross sum C(k) of the module docstring for the p-th pair
             i < j (in ``np.triu_indices`` order).
-        low: (G, P, n+1) int32, the low limb of C(k), in [0, 2**24):
-            C(k) = sums[g, m + p, k] * 2**24 + low[g, p, k] exactly, in
+        low: (G, P, C) int32, the low limb of C(k), in [0, 2**24):
+            C(k) = sums[g, m + p, c] * 2**24 + low[g, p, c] exactly, in
             2**-64 units.
         resolution: fine step h_ref.
         horizon: T.
+        num_steps: n, the fine steps of each path.
+        start: the node in column 0.
+        frontier: the last node held.
+        slab: fine steps appended per :meth:`advance` (the last slab
+            may be shorter); 0 for whole-path arrays.
+        source: ``source(steps)`` returns the next ``steps`` increments
+            of every path, (G, m, steps); None for whole-path arrays.
 
-    A path takes :meth:`bytes_per_path` bytes here; its raw increments
-    are not kept.
+    A node takes :meth:`bytes_per_path` (m, 0) bytes per path here; the
+    raw increments are not kept.
     """
 
     sums: np.ndarray
     low: np.ndarray
     resolution: float
     horizon: float
+    num_steps: int
+    start: int = 0
+    frontier: int | None = None
+    slab: int = 0
+    source: Callable[[int], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if self.frontier is None:
+            self.frontier = self.num_steps
 
     @staticmethod
     def bytes_per_path(dim_noise: int, num_steps: int) -> int:
@@ -219,20 +246,71 @@ class PathPrefixes:
 
     @staticmethod
     def group_size(dim_noise: int, num_steps: int) -> int:
-        """Paths per group under the 2 MiB cap, at least one."""
+        """Whole paths per group under the 2 MiB cap, at least one."""
         return max(1, _GROUP_BYTES // PathPrefixes.bytes_per_path(dim_noise, num_steps))
+
+    @staticmethod
+    def stream_size(dim_noise: int, widest: int) -> int:
+        """Paths per block whose streamed window fits the 2 MiB cap with
+        slabs at least half of ``widest`` fine steps long (see
+        :meth:`slab_steps`); at least one. Longer slabs let fewer lanes
+        wait; more paths per block share more of each lockstep round."""
+        per_node = PathPrefixes.bytes_per_path(dim_noise, 0)
+        return max(1, 2 * _GROUP_BYTES // (widest * (3 * per_node + 8 * dim_noise)))
+
+    @staticmethod
+    def slab_steps(count: int, dim_noise: int, num_steps: int, widest: int, unit: int) -> int:
+        """Fine steps per slab of a streamed window over ``count`` paths:
+        the largest whole multiple of ``unit`` such that ``widest`` nodes
+        plus the slab's nodes and its float increments fit the 2 MiB cap;
+        at least ``unit`` and at most the path."""
+        per_node = count * PathPrefixes.bytes_per_path(dim_noise, 0)
+        room = (_GROUP_BYTES - per_node * widest) // (per_node + count * dim_noise * 8)
+        return min(num_steps, max(unit, room // unit * unit))
+
+    @classmethod
+    def _alloc(cls, count, dim_noise, nodes, resolution, horizon, num_steps, **kw):
+        pairs = dim_noise * (dim_noise - 1) // 2
+        sums = np.empty((count, dim_noise + pairs, nodes), dtype=np.int64)
+        low = np.empty((count, pairs, nodes), dtype=np.int32)
+        sums[:, :, 0] = 0
+        low[:, :, 0] = 0
+        return cls(sums, low, resolution, horizon, num_steps, **kw)
 
     @classmethod
     def empty(
         cls, count: int, dim_noise: int, num_steps: int, resolution: float, horizon: float
     ) -> "PathPrefixes":
-        """Room for ``count`` paths, to be filled with :meth:`fill`."""
-        pairs = dim_noise * (dim_noise - 1) // 2
-        sums = np.empty((count, dim_noise + pairs, num_steps + 1), dtype=np.int64)
-        low = np.empty((count, pairs, num_steps + 1), dtype=np.int32)
-        sums[:, :, 0] = 0
-        low[:, :, 0] = 0
-        return cls(sums, low, resolution, horizon)
+        """Room for ``count`` whole paths, to be filled with :meth:`fill`."""
+        return cls._alloc(count, dim_noise, num_steps + 1, resolution, horizon, num_steps)
+
+    @classmethod
+    def streamed(
+        cls,
+        count: int,
+        dim_noise: int,
+        num_steps: int,
+        resolution: float,
+        horizon: float,
+        source: Callable[[int], np.ndarray],
+        widest: int,
+        unit: int = 1,
+    ) -> "PathPrefixes":
+        """A sliding window over ``count`` paths, holding node 0 until
+        the first :meth:`advance`.
+
+        The window holds ``widest`` nodes plus one slab (see
+        :meth:`slab_steps`), so it stays within the 2 MiB cap unless
+        ``widest`` plus one ``unit`` alone exceed it. Slabs are whole
+        multiples of ``unit`` fine steps, so they end on the boundaries
+        of windows of ``unit`` steps.
+        """
+        slab = cls.slab_steps(count, dim_noise, num_steps, widest, unit)
+        nodes = min(num_steps + 1, widest + slab)
+        return cls._alloc(
+            count, dim_noise, nodes, resolution, horizon, num_steps,
+            frontier=0, slab=slab, source=source,
+        )
 
     @classmethod
     def of(cls, increments: np.ndarray, resolution: float, horizon: float) -> "PathPrefixes":
@@ -246,54 +324,85 @@ class PathPrefixes:
     def dim_noise(self) -> int:
         return self.sums.shape[1] - self.low.shape[1]
 
-    @property
-    def num_steps(self) -> int:
-        return self.sums.shape[2] - 1
-
     def fill(self, g: int, increments: np.ndarray) -> None:
-        """Write the prefix arrays of a path with (m, n) ``increments``
-        into row g.
+        """Write the prefix arrays of a whole path with (m, n)
+        ``increments`` into row g.
 
         Raises:
             UsageError: the increments do not fit the arrays, are off
                 the 2**-32 grid, or (for m > 1) are so large that the
                 exact cross sums could overflow their limbs.
         """
-        m, n = increments.shape
-        if (m, n) != (self.dim_noise, self.num_steps):
+        if self.source is not None or increments.shape != (self.dim_noise, self.num_steps):
             raise UsageError("path does not match the prefix arrays' grid")
-        w, c_hi, c_lo = self.sums[g, :m], self.sums[g, m:], self.low[g]
-        for a in range(0, n, _FILL_CHUNK):
-            b = min(n, a + _FILL_CHUNK)
-            scaled = increments[:, a:b] * (1.0 / INCREMENT_GRID)
+        self._append(slice(g, g + 1), 0, increments[None])
+
+    def advance(self, keep_from: int) -> None:
+        """Drop the nodes before ``keep_from`` (a held node) and append
+        the next slab of every path from ``source``.
+
+        Raises:
+            UsageError: every node is already held, or the nodes kept
+                and the slab do not fit the window.
+        """
+        steps = min(self.slab, self.num_steps - self.frontier)
+        kept = self.frontier - keep_from + 1
+        if self.source is None or steps < 1:
+            raise UsageError("the prefix arrays already hold every node")
+        if not (self.start <= keep_from <= self.frontier and kept + steps <= self.sums.shape[2]):
+            raise UsageError(
+                f"cannot keep nodes {keep_from}..{self.frontier} and a slab of "
+                f"{steps} in a window of {self.sums.shape[2]} nodes"
+            )
+        drop = keep_from - self.start
+        if drop:
+            self.sums[:, :, :kept] = self.sums[:, :, drop : drop + kept]
+            self.low[:, :, :kept] = self.low[:, :, drop : drop + kept]
+            self.start = keep_from
+        self._append(slice(None), kept - 1, self.source(steps))
+        self.frontier += steps
+
+    def _append(self, rows: slice, col: int, increments: np.ndarray) -> None:
+        """Continue the prefix arrays of ``rows`` from column ``col`` with
+        (G, m, s) ``increments``, in chunks that bound the temporaries."""
+        m, s = increments.shape[1:]
+        sums, c_lo = self.sums[rows], self.low[rows]
+        w, c_hi = sums[:, :m], sums[:, m:]
+        chunk = max(1, _FILL_CHUNK // len(sums))
+        for a in range(col, col + s, chunk):
+            b = min(col + s, a + chunk)
+            scaled = increments[:, :, a - col : b - col] * (1.0 / INCREMENT_GRID)
             d = scaled.astype(np.int64)
             if (d != scaled).any():
                 raise UsageError("increments must lie on the 2**-32 grid")
-            np.cumsum(d, axis=1, out=w[:, a + 1 : b + 1])
-            if a:
-                w[:, a + 1 : b + 1] += w[:, a : a + 1]
+            np.cumsum(d, axis=2, out=w[:, :, a + 1 : b + 1])
+            w[:, :, a + 1 : b + 1] += w[:, :, a : a + 1]
             if m == 1:
                 continue
-            left = w[:, a:b]  # W at each step's left point
+            left = w[:, :, a:b]  # W at each step's left point
             # Bounds that keep every limb below 2**63: |W| < 2**10,
             # |dW| < 2**5 and n |W| |dW| below 2**84 grid units squared.
             w_max = float(np.abs(left).max())
             d_max = float(np.abs(d).max())
-            if not (w_max < 2.0**42 and d_max < 2.0**37 and n * w_max * d_max < 2.0**84):
+            if not (
+                w_max < 2.0**42
+                and d_max < 2.0**37
+                and self.num_steps * w_max * d_max < 2.0**84
+            ):
                 raise UsageError("path too large for exact Levy areas (|W| >= 2**10)")
             w_hi, w_lo = left >> _LIMB_BITS, left & _LIMB_MASK
             for p, (i, j) in enumerate(zip(*_pairs(m)[:2])):
                 # W_i dW_j - W_j dW_i = hi 2**24 + lo, split as the limbs;
                 # the low limb's running sum is carried into the high one.
-                lo = w_lo[i] * d[j] - w_lo[j] * d[i]
-                hi = w_hi[i] * d[j] - w_hi[j] * d[i] + (lo >> _LIMB_BITS)
+                lo = w_lo[:, i] * d[:, j] - w_lo[:, j] * d[:, i]
+                hi = w_hi[:, i] * d[:, j] - w_hi[:, j] * d[:, i] + (lo >> _LIMB_BITS)
                 lo &= _LIMB_MASK
-                lo[0] += c_lo[p, a]
-                hi[0] += c_hi[p, a]
-                np.cumsum(lo, out=lo)
-                np.cumsum(hi, out=c_hi[p, a + 1 : b + 1])
-                c_hi[p, a + 1 : b + 1] += lo >> _LIMB_BITS
-                c_lo[p, a + 1 : b + 1] = lo & _LIMB_MASK
+                lo[:, 0] += c_lo[:, p, a]
+                hi[:, 0] += c_hi[:, p, a]
+                np.cumsum(lo, axis=1, out=lo)
+                np.cumsum(hi, axis=1, out=c_hi[:, p, a + 1 : b + 1])
+                c_hi[:, p, a + 1 : b + 1] += lo >> _LIMB_BITS
+                c_lo[:, p, a + 1 : b + 1] = lo & _LIMB_MASK
 
     def windows(
         self,
@@ -303,13 +412,16 @@ class PathPrefixes:
         zero_area: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integrals of the windows [start, end) of paths ``rows``, one
-        window per entry: (h (L,), dW (L, m), A (L, m, m)).
-        ``zero_area`` returns A = 0 instead of the Levy areas."""
+        window per entry: (h (L,), dW (L, m), A (L, m, m)). Every node
+        of a window must be held. ``zero_area`` returns A = 0 instead of
+        the Levy areas."""
         m = self.dim_noise
+        h = (end - start) * self.resolution
+        if self.start:
+            start, end = start - self.start, end - self.start
         at_start = self.sums[rows, :, start]
         diff = self.sums[rows, :, end] - at_start
         dW = diff[:, :m] * INCREMENT_GRID
-        h = (end - start) * self.resolution
         if m == 1 or zero_area:
             return h, dW, np.zeros(dW.shape + (m,))
         _, _, ij, ji, halves, spread = _pairs(m)
@@ -330,9 +442,75 @@ def _quantize(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _component_stream(seed: int, stream: int) -> np.random.Generator:
+def _stream_state(seed: int, stream: int) -> dict:
+    """The state of a fresh Philox stream keyed by (seed, stream)."""
     key = np.array([seed & _SEED_MASK, stream & _SEED_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+_reused = threading.local()
+
+
+def _generator_at(state: dict) -> np.random.Generator:
+    """This thread's reused Philox generator, set to ``state``. Building a
+    Philox from a key draws OS entropy for a seed sequence that the key
+    then overrides; setting the state of one that exists draws none."""
+    gen = getattr(_reused, "generator", None)
+    if gen is None:
+        gen = _reused.generator = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = state
+    return gen
+
+
+def _component_stream(seed: int, stream: int) -> np.random.Generator:
+    return _generator_at(_stream_state(seed, stream))
+
+
+class PathStreams:
+    """The open generation streams of a block of paths.
+
+    Each :meth:`draw` returns the next fine increments of every path, so
+    a block's paths can be generated in slabs of consecutive steps
+    instead of whole. Component i of path g continues the Philox stream
+    keyed by (seeds[g], i), and the slabs join into exactly the
+    increments :func:`generate_path` gives each seed, bit for bit.
+    """
+
+    def __init__(
+        self, seeds: Sequence[int], resolution_exponent: int, dim_noise: int, horizon: float = 1.0
+    ):
+        self.num_steps = 1 << resolution_exponent
+        self.drawn = 0
+        self._scale = math.sqrt(horizon * 2.0**-resolution_exponent)
+        self._states = [[_stream_state(s, i) for i in range(dim_noise)] for s in seeds]
+
+    def draw(self, steps: int) -> np.ndarray:
+        """The next ``steps`` fine increments of every path, (G, m, steps).
+
+        Raises:
+            UsageError: fewer than ``steps`` steps are left to draw.
+        """
+        if not 0 < steps <= self.num_steps - self.drawn:
+            raise UsageError(
+                f"cannot draw {steps} steps; {self.num_steps - self.drawn} are left"
+            )
+        self.drawn += steps
+        out = np.empty((len(self._states), len(self._states[0]), steps))
+        for row, states in zip(out, self._states):
+            for i, state in enumerate(states):
+                gen = _generator_at(state)
+                gen.standard_normal(out=row[i])
+                if self.drawn < self.num_steps:
+                    states[i] = gen.bit_generator.state
+        out *= self._scale
+        return _quantize(out)
 
 
 def generate_path(
@@ -370,17 +548,10 @@ def generate_path(
             f"path of {dim_noise} x 2**{resolution_exponent} increments needs "
             f"{needed} bytes; lower resolution_exponent or dim_noise"
         )
-    h_ref = horizon * 2.0**-resolution_exponent
-    scale = math.sqrt(h_ref)
-    inc = np.empty((dim_noise, n))
-    for comp in range(dim_noise):
-        row = inc[comp]
-        _component_stream(seed, comp).standard_normal(out=row)
-        row *= scale
-        _quantize(row)
+    streams = PathStreams([seed], resolution_exponent, dim_noise, horizon)
     return WienerPath(
-        increments=inc,
-        resolution=h_ref,
+        increments=streams.draw(n)[0],
+        resolution=horizon * 2.0**-resolution_exponent,
         resolution_exponent=resolution_exponent,
         horizon=horizon,
         seed=seed & _SEED_MASK,
@@ -516,16 +687,27 @@ def uniform_integrals(
 
     Returns:
         (count, h, dW_all, I_all) where dW_all has shape (count, m) and
-        I_all has shape (count, m, m), matching what
-        :func:`integrals_over` would produce per window (up to summation
-        order inside the Levy accumulation).
+        I_all has shape (count, m, m). The increments are exact, as in
+        :func:`integrals_over`, but each window's Levy areas are summed
+        in floats, so they may differ from the exact areas that
+        :func:`integrals_over` and the adaptive solves read in their
+        last bits.
     """
     if substeps < 1 or substeps > path.num_steps:
         raise UsageError("substeps must be in [1, num_steps]")
-    m = path.dim_noise
-    count = path.num_steps // substeps
-    h = substeps * path.resolution
-    inc3 = path.increments[:, : count * substeps].reshape(m, count, substeps)
+    return _uniform_windows(path.increments, path.resolution, substeps, zero_area)
+
+
+def _uniform_windows(
+    increments: np.ndarray, resolution: float, substeps: int, zero_area: bool = False
+) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """:func:`uniform_integrals` of (m, n) ``increments``. A run of
+    increments that starts on a window boundary gives its windows the
+    same bits as the whole path does."""
+    m, n = increments.shape
+    count = n // substeps
+    h = substeps * resolution
+    inc3 = increments[:, : count * substeps].reshape(m, count, substeps)
     dW_all = inc3.sum(axis=2).T  # (count, m)
     if m == 1 or zero_area:
         area = np.zeros((count, m, m))

@@ -30,6 +30,8 @@ from milsde import (
     propose_step,
 )
 
+pytestmark = pytest.mark.acceptance
+
 # 2^-12 .. 2^-8 and 2^-8 .. 2^-4, ascending.
 GRID_FINE = tuple(2.0**-k for k in range(12, 7, -1))
 GRID_COARSE = tuple(2.0**-k for k in range(8, 3, -1))
