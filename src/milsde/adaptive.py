@@ -349,7 +349,9 @@ def integrate_adaptive_batch(
     strip_area = zero_levy_area and problem.dim_noise > 1
     count = len(rows)
     live = np.arange(count)
-    at = np.zeros(count, dtype=np.int64)  # per lane, like the rest below
+    # Per lane: its node, its state there, and (from plan) its next
+    # window's end and whether that step is pinned.
+    at = np.zeros(count, dtype=np.int64)
     y = np.tile(problem.initial_state, (count, 1))
     rounds = []  # per round: (lanes, end positions, states, pinned, finite)
     # Overflow inside a step is the divergence signal, not a warning.

@@ -32,11 +32,10 @@ enough that its slabs are at least half as wide as the widest lane's
 h_max. Only a single path whose widest window alone exceeds the cap
 holds more: that window plus one reference window. A whole path is
 held only where it fits the cap. Slabs left once every lane is done
-are drawn for the reference alone.
-After the solve,
-one batched tamed reference advances every path of the block together.
-Pass 2 regenerates each path, keeps its integrals on each matched
-comparator mesh, and runs one batched solve per (scheme, matched step).
+are drawn for the reference alone. After the solve, one batched tamed
+reference advances every path of the block together. Pass 2
+regenerates each path, keeps its integrals on each matched comparator
+mesh, and runs one batched solve per (scheme, matched step).
 Rows and lanes never mix inside a batched solve, so results do not
 depend on the split into blocks or slabs. ``backstop_probability`` runs
 one task per block of paths: a streamed lockstep solve with a lane per
@@ -329,10 +328,9 @@ class _Meshes:
         """The windows from window ``first`` on, of every path, from
         (P, m, s) increments that start on window ``first``; s must be a
         whole number of windows, and the mesh must have no tail."""
-        for p, slab in enumerate(slabs):
-            count, self.h, dw_all, ii_all = _uniform_windows(slab, resolution, self.substeps)
-            self.dW[first : first + count, p] = dw_all
-            self.I[first : first + count, p] = ii_all
+        count, self.h, dw_all, ii_all = _uniform_windows(slabs, resolution, self.substeps)
+        self.dW[first : first + count] = dw_all
+        self.I[first : first + count] = ii_all
 
     def solve(self, problem: SdeProblem, scheme: str):
         tail = None if self.tail is None else tuple(self.tail)
@@ -431,14 +429,11 @@ def _block_reference(task) -> _Pass1:
         return slabs
 
     configs = [StrategyConfig(h_max=h, rho=rho, delta=delta) for h in h_values]
-    shape = (len(seeds), len(configs))
-    runs = _AdaptiveRuns(
-        np.full(shape, math.nan), np.full(shape, math.nan),
-        np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64), np.zeros(shape),
-    )
-    t0 = clock()
-    batch = _lockstep(problem, len(seeds), fine_exp, configs, draw, ref_units) if configs else None
-    solve_s = clock() - t0 - sum(spent)
+    batch = None
+    if configs:
+        t0 = clock()
+        batch = _lockstep(problem, len(seeds), fine_exp, configs, draw, ref_units)
+        solve_s = clock() - t0 - sum(spent)
     slab = PathPrefixes.slab_steps(len(seeds), problem.dim_noise, n, 0, ref_units)
     while streams.drawn < n:
         draw(min(slab, n - streams.drawn))
@@ -448,18 +443,23 @@ def _block_reference(task) -> _Pass1:
     if ref.divergent.any():
         seed = seeds[int(np.argmax(ref.divergent))]
         raise ExperimentError(f"reference solution diverged for seed {seed}")
+    shape = (len(seeds), len(configs))
+    err_sq, mean_step = np.full(shape, math.nan), np.full(shape, math.nan)
+    steps, flagged = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    cpu_s = np.zeros(shape)
     if batch is not None:
         # A lane's share of the solve: the steps it tried, the failed one included.
         tried = (batch.num_steps + batch.divergent).reshape(shape)
-        runs.cpu_seconds[:] = solve_s * tried / tried.sum()
+        cpu_s = solve_s * tried / tried.sum()
         for lane in range(len(batch.divergent)):
             sol = batch.solution(lane)
             p, j = divmod(lane, len(configs))
             if not sol.divergent:
-                runs.err_sq[p, j] = _err_sq(ref.final_states[p], sol.final_state)
-                runs.mean_step[p, j] = sol.mean_step
-                runs.steps[p, j] = sol.num_steps
-                runs.flagged[p, j] = int(sol.backstop_flags.sum())
+                err_sq[p, j] = _err_sq(ref.final_states[p], sol.final_state)
+                mean_step[p, j] = sol.mean_step
+                steps[p, j] = sol.num_steps
+                flagged[p, j] = sol.backstop_flags.sum()
+    runs = _AdaptiveRuns(err_sq, mean_step, steps, flagged, cpu_s)
     return _Pass1(spent[0], ref_s, ref.final_states, runs)
 
 
@@ -506,7 +506,8 @@ def _block_fixed(task):
 def _run_reference(problem, seeds, fine_exp, ref_units, h_values, rho, delta, workers):
     """Pass 1 over every seed, in contiguous blocks: each block's
     reference-mesh integrals fit _BLOCK_BYTES, and its streamed window
-    fits the prefix cap with slabs as wide as the widest lane."""
+    fits the prefix cap with slabs at least half as wide as the widest
+    lane's window."""
     m = problem.dim_noise
     size = _BLOCK_BYTES // (((1 << fine_exp) // ref_units) * (m + m * m) * 8)
     if h_values:

@@ -43,6 +43,12 @@ int64 limbs, and the area is rounded once, to nearest. A window of
 one fine step therefore has an area of exactly zero, and any window's
 area is its exact left-point sum, correctly rounded.
 
+A block of paths can also be drawn in slabs of consecutive fine steps
+(:class:`PathStreams`), which join into exactly the paths
+:func:`generate_path` gives; prefix arrays can then hold a sliding
+window of the block instead of whole paths
+(:meth:`PathPrefixes.streamed`).
+
 Moment constants of the Levy area come from the Taylor series of sech
 (Euler numbers), computed in exact rational arithmetic.
 """
@@ -214,15 +220,15 @@ class PathPrefixes:
         resolution: fine step h_ref.
         horizon: T.
         num_steps: n, the fine steps of each path.
-        start: the node in column 0.
         frontier: the last node held.
+        start: the node in column 0.
         slab: fine steps appended per :meth:`advance` (the last slab
             may be shorter); 0 for whole-path arrays.
         source: ``source(steps)`` returns the next ``steps`` increments
             of every path, (G, m, steps); None for whole-path arrays.
 
-    A node takes :meth:`bytes_per_path` (m, 0) bytes per path here; the
-    raw increments are not kept.
+    A node of a path takes :meth:`bytes_per_node` bytes here; the raw
+    increments are not kept.
     """
 
     sums: np.ndarray
@@ -230,19 +236,19 @@ class PathPrefixes:
     resolution: float
     horizon: float
     num_steps: int
+    frontier: int
     start: int = 0
-    frontier: int | None = None
     slab: int = 0
     source: Callable[[int], np.ndarray] | None = None
 
-    def __post_init__(self) -> None:
-        if self.frontier is None:
-            self.frontier = self.num_steps
+    @staticmethod
+    def bytes_per_node(dim_noise: int) -> int:
+        pairs = dim_noise * (dim_noise - 1) // 2
+        return 8 * (dim_noise + pairs) + 4 * pairs
 
     @staticmethod
     def bytes_per_path(dim_noise: int, num_steps: int) -> int:
-        pairs = dim_noise * (dim_noise - 1) // 2
-        return (8 * (dim_noise + pairs) + 4 * pairs) * (num_steps + 1)
+        return PathPrefixes.bytes_per_node(dim_noise) * (num_steps + 1)
 
     @staticmethod
     def group_size(dim_noise: int, num_steps: int) -> int:
@@ -255,7 +261,7 @@ class PathPrefixes:
         slabs at least half of ``widest`` fine steps long (see
         :meth:`slab_steps`); at least one. Longer slabs let fewer lanes
         wait; more paths per block share more of each lockstep round."""
-        per_node = PathPrefixes.bytes_per_path(dim_noise, 0)
+        per_node = PathPrefixes.bytes_per_node(dim_noise)
         return max(1, 2 * _GROUP_BYTES // (widest * (3 * per_node + 8 * dim_noise)))
 
     @staticmethod
@@ -264,25 +270,27 @@ class PathPrefixes:
         the largest whole multiple of ``unit`` such that ``widest`` nodes
         plus the slab's nodes and its float increments fit the 2 MiB cap;
         at least ``unit`` and at most the path."""
-        per_node = count * PathPrefixes.bytes_per_path(dim_noise, 0)
+        per_node = count * PathPrefixes.bytes_per_node(dim_noise)
         room = (_GROUP_BYTES - per_node * widest) // (per_node + count * dim_noise * 8)
         return min(num_steps, max(unit, room // unit * unit))
 
     @classmethod
-    def _alloc(cls, count, dim_noise, nodes, resolution, horizon, num_steps, **kw):
+    def _alloc(cls, count, dim_noise, nodes, resolution, horizon, num_steps, frontier, **kw):
         pairs = dim_noise * (dim_noise - 1) // 2
         sums = np.empty((count, dim_noise + pairs, nodes), dtype=np.int64)
         low = np.empty((count, pairs, nodes), dtype=np.int32)
         sums[:, :, 0] = 0
         low[:, :, 0] = 0
-        return cls(sums, low, resolution, horizon, num_steps, **kw)
+        return cls(sums, low, resolution, horizon, num_steps, frontier, **kw)
 
     @classmethod
     def empty(
         cls, count: int, dim_noise: int, num_steps: int, resolution: float, horizon: float
     ) -> "PathPrefixes":
         """Room for ``count`` whole paths, to be filled with :meth:`fill`."""
-        return cls._alloc(count, dim_noise, num_steps + 1, resolution, horizon, num_steps)
+        return cls._alloc(
+            count, dim_noise, num_steps + 1, resolution, horizon, num_steps, num_steps
+        )
 
     @classmethod
     def streamed(
@@ -308,8 +316,8 @@ class PathPrefixes:
         slab = cls.slab_steps(count, dim_noise, num_steps, widest, unit)
         nodes = min(num_steps + 1, widest + slab)
         return cls._alloc(
-            count, dim_noise, nodes, resolution, horizon, num_steps,
-            frontier=0, slab=slab, source=source,
+            count, dim_noise, nodes, resolution, horizon, num_steps, 0,
+            slab=slab, source=source,
         )
 
     @classmethod
@@ -701,20 +709,22 @@ def uniform_integrals(
 def _uniform_windows(
     increments: np.ndarray, resolution: float, substeps: int, zero_area: bool = False
 ) -> tuple[int, float, np.ndarray, np.ndarray]:
-    """:func:`uniform_integrals` of (m, n) ``increments``. A run of
-    increments that starts on a window boundary gives its windows the
+    """:func:`uniform_integrals` of (m, n) ``increments``, or of a stack
+    (P, m, n) of them with dW (count, P, m) and I (count, P, m, m). A run
+    of increments that starts on a window boundary gives its windows the
     same bits as the whole path does."""
-    m, n = increments.shape
+    *lead, m, n = increments.shape
     count = n // substeps
     h = substeps * resolution
-    inc3 = increments[:, : count * substeps].reshape(m, count, substeps)
-    dW_all = inc3.sum(axis=2).T  # (count, m)
+    inc = increments[..., : count * substeps].reshape(*lead, m, count, substeps)
+    dW_all = np.moveaxis(inc.sum(axis=-1), -1, 0)  # (count, ..., m)
     if m == 1 or zero_area:
-        area = np.zeros((count, m, m))
+        area = np.zeros(dW_all.shape + (m,))
     else:
-        w_excl = np.cumsum(inc3, axis=2) - inc3
-        s = np.einsum("isk,jsk->sij", w_excl, inc3)
-        area = 0.5 * (s - s.transpose(0, 2, 1))
+        w_excl = np.cumsum(inc, axis=-1)
+        w_excl -= inc
+        s = np.einsum("...isk,...jsk->s...ij", w_excl, inc)
+        area = 0.5 * (s - np.swapaxes(s, -1, -2))
     return count, h, dW_all, double_integrals(h, dW_all, area)
 
 

@@ -24,6 +24,7 @@ from milsde import (
     make_builtin,
     moment_check,
     refine_path,
+    uniform_integrals,
 )
 
 # ---------------------------------------------------------------------------
@@ -51,6 +52,29 @@ def test_chunked_draws_equal_generate_path():
             np.testing.assert_array_equal(joined[g], path.increments)
         with pytest.raises(UsageError, match="left"):
             streams.draw(1)
+
+
+def test_uniform_integrals_over_slabs_equal_the_whole_path():
+    # Slabs that are whole numbers of windows give each window, of each
+    # path of the stack, the bits uniform_integrals gives the whole path.
+    for level, m, substeps in [(14, 2, 16), (12, 3, 8), (10, 1, 4), (10, 2, 1)]:
+        seeds = (5, 6, 7)
+        streams = PathStreams(seeds, level, m)
+        sizes = [substeps * k for k in (1, 3, 50, 9)]
+        parts = [[], []]
+        while streams.drawn < streams.num_steps:
+            steps = min(sizes[len(parts[0]) % 4], streams.num_steps - streams.drawn)
+            count, h, dW, I = milsde.wiener._uniform_windows(
+                streams.draw(steps), 2.0**-level, substeps
+            )
+            assert count == steps // substeps and h == substeps * 2.0**-level
+            parts[0].append(dW)
+            parts[1].append(I)
+        dW, I = (np.concatenate(p) for p in parts)
+        for g, seed in enumerate(seeds):
+            _, _, whole_dW, whole_I = uniform_integrals(generate_path(seed, level, m), substeps)
+            np.testing.assert_array_equal(dW[:, g], whole_dW)
+            np.testing.assert_array_equal(I[:, g], whole_I)
 
 
 def test_generating_a_path_draws_no_os_entropy(monkeypatch):
@@ -184,7 +208,7 @@ def _table(**overrides):
     return convergence_table(milsde.ExperimentConfig(**config))
 
 
-def test_block_window_stays_within_the_cap(windows, monkeypatch):
+def test_block_window_stays_within_the_cap(windows):
     # Pass 1 and the backstop curve hold a sliding window, not whole
     # paths, within the 2 MiB cap.
     _table()
@@ -208,4 +232,4 @@ def test_block_window_keeps_one_widest_window_below_the_cap(windows, monkeypatch
         assert seen
         for nbytes, nodes, _, paths, m in seen:
             assert nodes == widest + unit
-            assert nbytes == paths * PathPrefixes.bytes_per_path(m, 0) * nodes
+            assert nbytes == paths * PathPrefixes.bytes_per_node(m) * nodes
