@@ -8,12 +8,14 @@ The pieces, bottom up:
 - :mod:`milsde.wiener`: grid-quantized Wiener paths, iterated
   integrals and Levy areas over arbitrary windows, dyadic refinement,
   and the Levy-area moment constants.
-- :mod:`milsde.steppers`: Milstein, tamed Milstein, and
-  Euler-Maruyama one-step maps.
+- :mod:`milsde.steppers`: the one step map, ``advance_state``, for
+  Milstein, tamed Milstein, and Euler-Maruyama, and the check of
+  scheme names.
 - :mod:`milsde.adaptive`: the path-bounded step controller with its
   tamed backstop, plus fixed-step integration on the same paths.
-- :mod:`milsde.harness`: coupled-reference strong-error tables,
-  efficiency readouts, and backstop-probability curves.
+- :mod:`milsde.harness`: coupled-reference strong-error tables (read
+  as convergence or efficiency results) and backstop-probability
+  curves.
 - :mod:`milsde.cli`: the ``milsde`` command.
 """
 
@@ -29,7 +31,7 @@ from .adaptive import (
     mesh_integrals,
     propose_step,
 )
-from .errors import ExperimentError, ResourceError, StepOverflow, UsageError
+from .errors import ExperimentError, ResourceError, UsageError
 from .harness import (
     BACKSTOP_CSV_HEADER,
     CSV_HEADER,
@@ -39,32 +41,18 @@ from .harness import (
     ErrorRow,
     ErrorTable,
     ExperimentConfig,
-    RmsResult,
     StepProfile,
     backstop_probability,
     convergence_table,
-    efficiency_table,
-    rms_error,
 )
 from .problems import (
     BUILTIN_NAMES,
-    BuiltinProblem,
     SdeProblem,
     check_jacobian,
     commutator_defect,
     make_builtin,
 )
-from .steppers import (
-    FIXED_SCHEMES,
-    StepInput,
-    StepOutput,
-    backstop_step,
-    comparator_step,
-    euler_maruyama_step,
-    milstein_step,
-    scheme_step,
-    tamed_milstein_step,
-)
+from .steppers import FIXED_SCHEMES
 from .wiener import (
     INCREMENT_GRID,
     IteratedIntegrals,
@@ -90,7 +78,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "BackstopCurve",
     "BackstopPoint",
-    "BuiltinProblem",
     "CSV_HEADER",
     "DEFAULT_BASE_SEED",
     "ErrorRow",
@@ -103,24 +90,16 @@ __all__ = [
     "PathPrefixes",
     "PathStreams",
     "ResourceError",
-    "RmsResult",
     "SdeProblem",
     "SolutionPath",
-    "StepInput",
-    "StepOutput",
-    "StepOverflow",
     "StepProfile",
     "StrategyConfig",
     "UsageError",
     "WienerPath",
     "backstop_probability",
-    "backstop_step",
     "check_jacobian",
     "commutator_defect",
-    "comparator_step",
     "convergence_table",
-    "efficiency_table",
-    "euler_maruyama_step",
     "euler_number",
     "generate_path",
     "integrals_over",
@@ -131,15 +110,11 @@ __all__ = [
     "FixedBatch",
     "mesh_integrals",
     "make_builtin",
-    "milstein_step",
     "moment_check",
     "moment_constant",
     "propose_step",
     "read_path",
     "refine_path",
-    "rms_error",
-    "scheme_step",
-    "tamed_milstein_step",
     "uniform_integrals",
     "write_path",
     "__version__",

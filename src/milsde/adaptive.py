@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import UsageError
 from .problems import SdeProblem
-from .steppers import FIXED_SCHEMES, advance_state
+from .steppers import advance_state, check_scheme
 from .wiener import (
     IteratedIntegrals,
     PathPrefixes,
@@ -303,8 +303,7 @@ def integrate_adaptive_batch(
     row-by-row calls before the first step. ``zero_levy_area`` replaces
     every window's Levy areas with zero.
     """
-    if scheme not in FIXED_SCHEMES:
-        raise UsageError(f"unknown scheme {scheme!r}; expected one of {FIXED_SCHEMES}")
+    check_scheme(scheme)
     _check_compatible(problem, prefixes)
     rows = np.asarray(rows, dtype=np.intp)
     if not configs or rows.shape != (len(configs),):
@@ -516,8 +515,7 @@ def integrate_fixed_batch(
     states raise UsageError instead of mixing rows. ``record`` keeps
     every node state (memory n * P * d floats).
     """
-    if scheme not in FIXED_SCHEMES:
-        raise UsageError(f"unknown scheme {scheme!r}; expected one of {FIXED_SCHEMES}")
+    check_scheme(scheme)
     n, P, m = dW.shape
     if m != problem.dim_noise or I.shape != (n, P, m, m):
         raise UsageError(
@@ -589,8 +587,7 @@ def integrate_fixed(
     run finishes with one shorter step onto the horizon. This is the
     one-path call of :func:`integrate_fixed_batch`.
     """
-    if scheme not in FIXED_SCHEMES:
-        raise UsageError(f"unknown scheme {scheme!r}; expected one of {FIXED_SCHEMES}")
+    check_scheme(scheme)
     _check_compatible(problem, path)
     k = fixed_substeps(step_size, path.resolution, path.num_steps)
     strip_area = zero_levy_area and problem.dim_noise > 1

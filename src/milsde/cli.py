@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .adaptive import StrategyConfig, integrate_adaptive, integrate_fixed
-from .errors import ExperimentError, ResourceError, StepOverflow, UsageError
+from .errors import ExperimentError, ResourceError, UsageError
 from .harness import (
     DEFAULT_BASE_SEED,
     ExperimentConfig,
@@ -32,7 +32,7 @@ from .harness import (
     convergence_table,
 )
 from .problems import BUILTIN_NAMES, make_builtin
-from .steppers import FIXED_SCHEMES, RESERVED_COMPARATORS
+from .steppers import check_scheme
 from .wiener import generate_path, moment_check
 
 __all__ = ["main"]
@@ -93,17 +93,7 @@ def _parse_problem(token: str) -> str:
 
 
 def _parse_scheme(token: str) -> str:
-    name = token.strip()
-    if name in ("adaptive",) + FIXED_SCHEMES:
-        return name
-    if name in RESERVED_COMPARATORS:
-        raise UsageError(
-            f"scheme {name!r} is a reserved comparator name not enabled in this build"
-        )
-    raise UsageError(
-        f"unknown scheme {name!r}; expected one of adaptive, "
-        + ", ".join(FIXED_SCHEMES)
-    )
+    return check_scheme(token.strip(), adaptive=True)
 
 
 def _parse_scheme_list(token: str) -> tuple[str, ...]:
@@ -433,7 +423,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExperimentError, ResourceError, StepOverflow) as exc:
+    except (ExperimentError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

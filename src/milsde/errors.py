@@ -1,19 +1,16 @@
 """Exception types shared across the package.
 
-Callers distinguish three failure families: misuse of an interface
-(:class:`UsageError`), a numeric blow-up inside a scheme step
-(:class:`StepOverflow`, a signal rather than a hard error), and
-resource or experiment-level failures.
+Callers distinguish two failure families: misuse of an interface
+(:class:`UsageError`), and resource or experiment-level failures. A
+numeric blow-up inside a step is not an exception: the integrators see
+the non-finite state and flag the path divergent.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
     "UsageError",
     "ResourceError",
-    "StepOverflow",
     "ExperimentError",
 ]
 
@@ -24,20 +21,6 @@ class UsageError(ValueError):
 
 class ResourceError(RuntimeError):
     """A request would exceed a sane resource budget (e.g. path memory)."""
-
-
-class StepOverflow(RuntimeError):
-    """A scheme step produced a non-finite state.
-
-    This is a signal, not a crash: integrators catch it and mark the
-    trajectory divergent, and the experiment harness counts the path as
-    an infinite-error sample. The offending state is attached so callers
-    can inspect it.
-    """
-
-    def __init__(self, state: np.ndarray, message: str = "scheme step produced a non-finite state"):
-        super().__init__(message)
-        self.state = state
 
 
 class ExperimentError(RuntimeError):

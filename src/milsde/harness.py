@@ -68,14 +68,21 @@ import numpy as np
 
 from .adaptive import (
     StrategyConfig,
-    fixed_substeps,
     integrate_adaptive_batch,
     integrate_fixed_batch,
     mesh_integrals,
 )
 from .errors import ExperimentError, UsageError
 from .problems import SdeProblem, make_builtin
-from .wiener import PathPrefixes, PathStreams, _uniform_windows, generate_path
+from .steppers import check_scheme
+from .wiener import (
+    _MAX_EXPONENT,
+    PathPrefixes,
+    PathStreams,
+    _check_exponent,
+    _uniform_windows,
+    generate_path,
+)
 
 __all__ = [
     "DEFAULT_BASE_SEED",
@@ -84,13 +91,10 @@ __all__ = [
     "ExperimentConfig",
     "ErrorRow",
     "ErrorTable",
-    "RmsResult",
     "BackstopPoint",
     "StepProfile",
     "BackstopCurve",
     "convergence_table",
-    "efficiency_table",
-    "rms_error",
     "backstop_probability",
 ]
 
@@ -101,19 +105,6 @@ CSV_HEADER = (
 )
 BACKSTOP_CSV_HEADER = "rho,prob,prob_std_error"
 PROFILE_CSV_HEADER = "rho,step_index,h_mean,h_var,num_paths"
-
-_KNOWN_SCHEMES = ("adaptive", "milstein", "tamed", "euler")
-_RESERVED_SCHEMES = ("pmil", "ssbm")
-
-
-def _check_scheme_name(name: str) -> None:
-    if name in _KNOWN_SCHEMES:
-        return
-    if name in _RESERVED_SCHEMES:
-        raise UsageError(
-            f"scheme {name!r} is a reserved comparator name not enabled in this build"
-        )
-    raise UsageError(f"unknown scheme {name!r}; expected one of {_KNOWN_SCHEMES}")
 
 
 @dataclass(frozen=True)
@@ -148,17 +139,17 @@ class ExperimentConfig:
         if not self.schemes:
             raise UsageError("at least one scheme is required")
         for s in self.schemes:
-            _check_scheme_name(s)
+            check_scheme(s, adaptive=True)
         if not self.h_max_values:
             raise UsageError("at least one h_max value is required")
         if self.num_paths < 2:
             raise UsageError("num_paths must be at least 2")
         if self.workers < 1:
             raise UsageError("workers must be at least 1")
-        if not (1 <= self.reference_exponent < self.fine_exponent <= 30):
+        if not (1 <= self.reference_exponent < self.fine_exponent <= _MAX_EXPONENT):
             raise UsageError(
-                "need 1 <= reference_exponent < fine_exponent <= 30, got "
-                f"{self.reference_exponent} and {self.fine_exponent}"
+                f"need 1 <= reference_exponent < fine_exponent <= {_MAX_EXPONENT}, "
+                f"got {self.reference_exponent} and {self.fine_exponent}"
             )
         if self.fine_exponent - self.reference_exponent < 4:
             raise UsageError(
@@ -429,11 +420,9 @@ def _block_reference(task) -> _Pass1:
         return slabs
 
     configs = [StrategyConfig(h_max=h, rho=rho, delta=delta) for h in h_values]
-    batch = None
-    if configs:
-        t0 = clock()
-        batch = _lockstep(problem, len(seeds), fine_exp, configs, draw, ref_units)
-        solve_s = clock() - t0 - sum(spent)
+    t0 = clock()
+    batch = _lockstep(problem, len(seeds), fine_exp, configs, draw, ref_units)
+    solve_s = clock() - t0 - sum(spent)
     slab = PathPrefixes.slab_steps(len(seeds), problem.dim_noise, n, 0, ref_units)
     while streams.drawn < n:
         draw(min(slab, n - streams.drawn))
@@ -446,19 +435,17 @@ def _block_reference(task) -> _Pass1:
     shape = (len(seeds), len(configs))
     err_sq, mean_step = np.full(shape, math.nan), np.full(shape, math.nan)
     steps, flagged = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-    cpu_s = np.zeros(shape)
-    if batch is not None:
-        # A lane's share of the solve: the steps it tried, the failed one included.
-        tried = (batch.num_steps + batch.divergent).reshape(shape)
-        cpu_s = solve_s * tried / tried.sum()
-        for lane in range(len(batch.divergent)):
-            sol = batch.solution(lane)
-            p, j = divmod(lane, len(configs))
-            if not sol.divergent:
-                err_sq[p, j] = _err_sq(ref.final_states[p], sol.final_state)
-                mean_step[p, j] = sol.mean_step
-                steps[p, j] = sol.num_steps
-                flagged[p, j] = sol.backstop_flags.sum()
+    # A lane's share of the solve: the steps it tried, the failed one included.
+    tried = (batch.num_steps + batch.divergent).reshape(shape)
+    cpu_s = solve_s * tried / tried.sum()
+    for lane in range(len(batch.divergent)):
+        sol = batch.solution(lane)
+        p, j = divmod(lane, len(configs))
+        if not sol.divergent:
+            err_sq[p, j] = _err_sq(ref.final_states[p], sol.final_state)
+            mean_step[p, j] = sol.mean_step
+            steps[p, j] = sol.num_steps
+            flagged[p, j] = sol.backstop_flags.sum()
     runs = _AdaptiveRuns(err_sq, mean_step, steps, flagged, cpu_s)
     return _Pass1(spent[0], ref_s, ref.final_states, runs)
 
@@ -509,10 +496,10 @@ def _run_reference(problem, seeds, fine_exp, ref_units, h_values, rho, delta, wo
     fits the prefix cap with slabs at least half as wide as the widest
     lane's window."""
     m = problem.dim_noise
-    size = _BLOCK_BYTES // (((1 << fine_exp) // ref_units) * (m + m * m) * 8)
-    if h_values:
-        widest = _widest(problem, fine_exp, max(h_values))
-        size = min(size, PathPrefixes.stream_size(m, widest))
+    size = min(
+        _BLOCK_BYTES // (((1 << fine_exp) // ref_units) * (m + m * m) * 8),
+        PathPrefixes.stream_size(m, _widest(problem, fine_exp, max(h_values))),
+    )
     blocks = _seed_blocks(seeds, workers, size)
     tasks = [
         (problem, block, fine_exp, ref_units, h_values, rho, delta) for block in blocks
@@ -631,100 +618,6 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
     )
 
 
-def efficiency_table(config: ExperimentConfig) -> ErrorTable:
-    """Same computation as :func:`convergence_table`; read the result
-    through :meth:`ErrorTable.frontier` as (rms, cpu) pairs.
-    """
-    return convergence_table(config)
-
-
-@dataclass(frozen=True)
-class RmsResult:
-    rms_error: float
-    rms_std_error: float
-    h_mean: float
-    backstop_rate: float
-    divergent_count: int
-    cpu_seconds: float
-
-
-def rms_error(
-    problem: SdeProblem | str,
-    scheme: str,
-    *,
-    h_max: float,
-    rho: float,
-    num_paths: int,
-    reference_exponent: int = 16,
-    fine_exponent: int = 20,
-    base_seed: int = DEFAULT_BASE_SEED,
-    delta: float | None = None,
-    fixed_step: float | None = None,
-    workers: int = 1,
-) -> RmsResult:
-    """Strong error of one scheme at one resolution.
-
-    For "adaptive" the controller uses (h_max, rho, delta). For a fixed
-    scheme the step is ``fixed_step`` if given, else h_max itself (no
-    mean-step matching here; use :func:`convergence_table` for matched
-    comparisons).
-    """
-    config = ExperimentConfig(
-        problem=problem,
-        h_max_values=(h_max,),
-        rho=rho,
-        schemes=("adaptive",),
-        num_paths=num_paths,
-        reference_exponent=reference_exponent,
-        fine_exponent=fine_exponent,
-        base_seed=base_seed,
-        delta=delta,
-        workers=workers,
-    )
-    prob = config.problem
-    if scheme == "adaptive":
-        table = convergence_table(config)
-        r = table.rows[0]
-        return RmsResult(
-            rms_error=r.rms_error,
-            rms_std_error=r.rms_std_error,
-            h_mean=r.h_mean,
-            backstop_rate=r.backstop_rate,
-            divergent_count=r.divergent_count,
-            cpu_seconds=r.cpu_seconds,
-        )
-    _check_scheme_name(scheme)
-    fine_exp = config.fine_exponent
-    n_total = 1 << fine_exp
-    h_ref = prob.horizon * 2.0**-fine_exp
-    k = fixed_substeps(h_max if fixed_step is None else fixed_step, h_ref, n_total)
-    blocks, results = _run_reference(
-        prob,
-        config.seeds,
-        fine_exp,
-        1 << (fine_exp - config.reference_exponent),
-        (),
-        rho,
-        delta,
-        config.workers,
-    )
-    _, [(err_sq, cpu)] = _run_fixed(
-        prob, blocks, results, fine_exp, [(scheme, k)], config.workers
-    )
-    rms, se, bad = _rms_stats(err_sq)
-    # Every path that completes takes the same mesh.
-    positions = np.minimum(np.arange(-(-n_total // k) + 1) * k, n_total)
-    mean_step = float(np.diff(positions * h_ref).mean())
-    return RmsResult(
-        rms_error=rms,
-        rms_std_error=se,
-        h_mean=mean_step if bad < len(err_sq) else math.nan,
-        backstop_rate=0.0,
-        divergent_count=bad,
-        cpu_seconds=cpu,
-    )
-
-
 @dataclass(frozen=True)
 class BackstopPoint:
     rho: float
@@ -812,6 +705,7 @@ def backstop_probability(
             raise UsageError(f"rho must exceed 1, got {rho}")
     if num_paths < 2:
         raise UsageError("num_paths must be at least 2")
+    _check_exponent("fine_exponent", fine_exponent)
     h_ref = problem.horizon * 2.0 ** -fine_exponent
     if not (0.0 < h_max <= problem.horizon):
         raise UsageError(f"h_max {h_max} must lie in (0, horizon]")

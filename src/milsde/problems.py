@@ -13,9 +13,9 @@ All built-in coefficient callables are module-level functions (bound via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import UsageError
 
 __all__ = [
     "SdeProblem",
-    "BuiltinProblem",
     "BUILTIN_NAMES",
     "make_builtin",
     "JacobianCheck",
@@ -275,45 +274,25 @@ _BUILDERS = {
 
 BUILTIN_NAMES = tuple(_BUILDERS)
 
-_DEFAULT_PARAMETERS: Mapping[str, float] = {"noise_scale": 0.2}
-
-
-@dataclass(frozen=True)
-class BuiltinProblem:
-    """A named built-in problem plus its parameter map.
-
-    ``build()`` materialises the :class:`SdeProblem`. The default noise
-    scale is 0.2 for every builtin.
-    """
-
-    name: str
-    parameters: Mapping[str, float] = field(default_factory=lambda: dict(_DEFAULT_PARAMETERS))
-
-    def build(self) -> SdeProblem:
-        if self.name not in _BUILDERS:
-            raise UsageError(
-                f"unknown builtin problem {self.name!r}; available: {', '.join(BUILTIN_NAMES)}"
-            )
-        unknown = set(self.parameters) - {"noise_scale"}
-        if unknown:
-            raise UsageError(f"unknown problem parameters: {sorted(unknown)}")
-        scale = float(self.parameters.get("noise_scale", 0.2))
-        return _BUILDERS[self.name](scale)
-
-
 def make_builtin(name: str, **parameters: float) -> SdeProblem:
     """Build a built-in problem by name.
 
     Args:
         name: one of ``BUILTIN_NAMES``.
-        **parameters: optional overrides (only ``noise_scale`` is recognised).
+        **parameters: optional overrides (only ``noise_scale`` is
+            recognised; it defaults to 0.2 for every builtin).
 
     Raises:
         UsageError: unknown name or parameter.
     """
-    params = dict(_DEFAULT_PARAMETERS)
-    params.update(parameters)
-    return BuiltinProblem(name, params).build()
+    if name not in _BUILDERS:
+        raise UsageError(
+            f"unknown builtin problem {name!r}; available: {', '.join(BUILTIN_NAMES)}"
+        )
+    unknown = set(parameters) - {"noise_scale"}
+    if unknown:
+        raise UsageError(f"unknown problem parameters: {sorted(unknown)}")
+    return _BUILDERS[name](float(parameters.get("noise_scale", 0.2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Single-step maps: explicit Milstein, tamed Milstein, Euler-Maruyama.
+"""One step map for three schemes: explicit Milstein, tamed Milstein,
+Euler-Maruyama.
 
-All maps share one assembly (see :func:`advance_state`), which takes
-one state or a batch of states, one row per path:
+:func:`advance_state` assembles all three, on one state or a batch of
+states, one row per path:
 
     y' = y + drift increment
            + sum_i g_i(y) dW_i
@@ -15,36 +16,25 @@ cubic-type drifts on coarse steps (taming in the sense of Hutzenthaler,
 Jentzen and Kloeden). Euler-Maruyama simply drops the correction, so on
 additive noise it coincides bitwise with Milstein.
 
-The backstop map used by the adaptive integrator when the step
-controller hits its floor is exactly the tamed Milstein map (full
-correction retained, drift tamed); :func:`backstop_step` delegates.
+The adaptive integrator's backstop, run when the step controller hits
+its floor, is exactly the tamed Milstein map (full correction retained,
+drift tamed): it is ``advance_state(..., "tamed", ...)``, with no map of
+its own.
 
-A step that produces a non-finite state raises :class:`StepOverflow`
-carrying the offending state; integrators treat that as a divergence
-signal, not a crash.
+The map does no checking: a step that overflows returns a non-finite
+state, and the integrators read that as the divergence signal.
+Scheme names are checked once, by :func:`check_scheme`, which also
+tells the reserved comparator names apart from unknown ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import StepOverflow, UsageError
+from .errors import UsageError
 from .problems import SdeProblem
-from .wiener import IteratedIntegrals
 
-__all__ = [
-    "StepInput",
-    "StepOutput",
-    "milstein_step",
-    "tamed_milstein_step",
-    "euler_maruyama_step",
-    "backstop_step",
-    "comparator_step",
-    "scheme_step",
-    "FIXED_SCHEMES",
-]
+__all__ = ["advance_state", "check_scheme", "FIXED_SCHEMES", "RESERVED_COMPARATORS"]
 
 #: Fixed-step scheme identifiers accepted by the integrators and harness.
 FIXED_SCHEMES = ("milstein", "tamed", "euler")
@@ -53,20 +43,21 @@ FIXED_SCHEMES = ("milstein", "tamed", "euler")
 RESERVED_COMPARATORS = ("pmil", "ssbm")
 
 
-@dataclass(frozen=True)
-class StepInput:
-    """State at the start of a window plus that window's integrals."""
+def check_scheme(name: str, adaptive: bool = False) -> str:
+    """Return ``name`` if it is one of FIXED_SCHEMES, or "adaptive" when
+    ``adaptive`` is set.
 
-    state: np.ndarray
-    integrals: IteratedIntegrals
-
-
-@dataclass(frozen=True)
-class StepOutput:
-    """Result of one dispatched step."""
-
-    state: np.ndarray
-    used_backstop: bool
+    Raises:
+        UsageError: a reserved comparator name, or an unknown one.
+    """
+    known = ("adaptive",) + FIXED_SCHEMES if adaptive else FIXED_SCHEMES
+    if name in known:
+        return name
+    if name in RESERVED_COMPARATORS:
+        raise UsageError(
+            f"scheme {name!r} is a reserved comparator name not enabled in this build"
+        )
+    raise UsageError(f"unknown scheme {name!r}; expected one of {', '.join(known)}")
 
 
 def advance_state(
@@ -123,106 +114,3 @@ def advance_state(
                 corr = corr + jac[..., c] * v[comp[c]]
             out = out + corr
     return out
-
-
-def _checked(problem: SdeProblem, kind: str, step: StepInput) -> np.ndarray:
-    # Overflow during coefficient evaluation is a handled condition
-    # (reported via StepOverflow), not worth a numpy warning.
-    ii = step.integrals
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = advance_state(problem, kind, step.state, ii.h, ii.dW, ii.I)
-    if not np.all(np.isfinite(out)):
-        raise StepOverflow(out)
-    return out
-
-
-def _validate(problem: SdeProblem, step: StepInput) -> None:
-    state = step.state
-    ii = step.integrals
-    if np.shape(state) != (problem.dim_state,):
-        raise UsageError(
-            f"state has shape {np.shape(state)}, expected ({problem.dim_state},)"
-        )
-    if ii.dW.shape != (problem.dim_noise,):
-        raise UsageError(
-            f"integrals are for {ii.dW.shape[0]} noise components, "
-            f"problem has {problem.dim_noise}"
-        )
-
-
-def milstein_step(problem: SdeProblem, step: StepInput) -> np.ndarray:
-    """Explicit Milstein map over one window.
-
-        y' = y + h f(y) + sum_i g_i(y) dW_i + sum_{i,j} Dg_i(y) g_j(y) I[j, i]
-
-    (strong order one; see Kloeden and Platen for the classical scheme).
-
-    Raises:
-        UsageError: dimension mismatch.
-        StepOverflow: non-finite output.
-    """
-    _validate(problem, step)
-    return _checked(problem, "milstein", step)
-
-
-def tamed_milstein_step(problem: SdeProblem, step: StepInput) -> np.ndarray:
-    """Milstein map with the drift increment tamed to h f / (1 + h ||f||).
-
-    The diffusion and correction terms are untouched; only the drift
-    increment is damped, and its norm stays strictly below
-    min(1, h ||f(y)||) whenever f(y) != 0.
-    """
-    _validate(problem, step)
-    return _checked(problem, "tamed", step)
-
-
-def euler_maruyama_step(problem: SdeProblem, step: StepInput) -> np.ndarray:
-    """Euler-Maruyama map (Milstein without the correction term).
-
-    Strong order 1/2 on multiplicative noise; used as the deliberately
-    lower-order control in convergence experiments.
-    """
-    _validate(problem, step)
-    return _checked(problem, "euler", step)
-
-
-def backstop_step(problem: SdeProblem, step: StepInput) -> np.ndarray:
-    """Backstop map applied when the step controller is pinned at its floor.
-
-    Delegates to :func:`tamed_milstein_step` (bitwise identical by
-    construction): taming makes the floor step safe for any state the
-    controller could not shrink away from.
-    """
-    return tamed_milstein_step(problem, step)
-
-
-def comparator_step(kind: str, problem: SdeProblem, step: StepInput) -> np.ndarray:
-    """Optional comparator dispatch.
-
-    Only "tamed" is built; "pmil" and "ssbm" are reserved names that
-    raise a usage error explaining they are not enabled in this build.
-    """
-    if kind == "tamed":
-        return tamed_milstein_step(problem, step)
-    if kind in RESERVED_COMPARATORS:
-        raise UsageError(
-            f"comparator {kind!r} is a reserved scheme name not enabled in this build"
-        )
-    raise UsageError(f"unknown comparator {kind!r}; built-in: tamed")
-
-
-def scheme_step(problem: SdeProblem, scheme: str, step: StepInput) -> StepOutput:
-    """Uniform dispatcher over the step maps.
-
-    ``scheme`` is one of FIXED_SCHEMES or "backstop"; the output flags
-    whether the backstop map ran.
-    """
-    if scheme == "backstop":
-        return StepOutput(state=backstop_step(problem, step), used_backstop=True)
-    if scheme == "milstein":
-        return StepOutput(state=milstein_step(problem, step), used_backstop=False)
-    if scheme == "tamed":
-        return StepOutput(state=tamed_milstein_step(problem, step), used_backstop=False)
-    if scheme == "euler":
-        return StepOutput(state=euler_maruyama_step(problem, step), used_backstop=False)
-    raise UsageError(f"unknown scheme {scheme!r}; expected one of {FIXED_SCHEMES + ('backstop',)}")

@@ -96,6 +96,9 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 #: Refuse to allocate paths above this many bytes of increment storage.
 _MAX_PATH_BYTES = 1 << 33
 
+#: Largest resolution exponent L an experiment takes (2**30 fine steps).
+_MAX_EXPONENT = 30
+
 _SEED_MASK = (1 << 64) - 1
 
 #: Key-space offset separating bridge-refinement streams from the
@@ -521,6 +524,22 @@ class PathStreams:
         return _quantize(out)
 
 
+def _check_exponent(name: str, level: int) -> None:
+    """UsageError unless 1 <= level <= _MAX_EXPONENT."""
+    if not 1 <= level <= _MAX_EXPONENT:
+        raise UsageError(f"need 1 <= {name} <= {_MAX_EXPONENT}, got {level}")
+
+
+def _check_path_bytes(dim_noise: int, level: int) -> None:
+    """ResourceError unless (dim_noise, 2**level) float increments fit
+    _MAX_PATH_BYTES; a huge level is refused before any shift."""
+    if level > _MAX_PATH_BYTES.bit_length() or dim_noise * 8 << level > _MAX_PATH_BYTES:
+        raise ResourceError(
+            f"path of {dim_noise} x 2**{level} increments needs more than "
+            f"{_MAX_PATH_BYTES} bytes; lower resolution_exponent or dim_noise"
+        )
+
+
 def generate_path(
     seed: int,
     resolution_exponent: int,
@@ -549,13 +568,8 @@ def generate_path(
         raise UsageError("dim_noise must be >= 1")
     if not horizon > 0.0:
         raise UsageError("horizon must be positive")
+    _check_path_bytes(dim_noise, resolution_exponent)
     n = 1 << resolution_exponent
-    needed = dim_noise * n * 8
-    if needed > _MAX_PATH_BYTES:
-        raise ResourceError(
-            f"path of {dim_noise} x 2**{resolution_exponent} increments needs "
-            f"{needed} bytes; lower resolution_exponent or dim_noise"
-        )
     streams = PathStreams([seed], resolution_exponent, dim_noise, horizon)
     return WienerPath(
         increments=streams.draw(n)[0],
@@ -854,7 +868,12 @@ def moment_check(
     A[0, 1] against :func:`moment_constant`. The left-point sum biases
     E[A^2] by the factor (1 - 2**-L), far below the 4-standard-error
     tolerance at the default sizes.
+
+    Raises:
+        UsageError: fewer than 100 windows, an order outside [1, 8], or
+            a resolution exponent outside [1, 30].
     """
+    _check_exponent("resolution_exponent", resolution_exponent)
     if num_windows < 100:
         raise UsageError("num_windows must be >= 100 for a meaningful check")
     if any(not 1 <= b <= 8 for b in orders):
@@ -915,7 +934,9 @@ def read_path(stream: BinaryIO) -> WienerPath:
     """Inverse of :func:`write_path`.
 
     Raises:
-        UsageError: bad magic, unsupported version, or truncated data.
+        UsageError: bad magic, unsupported version, a header with no
+            noise component or no fine step, or truncated data.
+        ResourceError: the header's path would exceed the memory budget.
     """
     raw = stream.read(_DUMP_HEADER.size)
     if len(raw) != _DUMP_HEADER.size:
@@ -925,6 +946,9 @@ def read_path(stream: BinaryIO) -> WienerPath:
         raise UsageError("not a path dump (bad magic)")
     if version != _DUMP_VERSION:
         raise UsageError(f"unsupported path dump version {version}")
+    if m < 1 or level < 1:
+        raise UsageError(f"path dump header has m = {m} and L = {level}; both must be >= 1")
+    _check_path_bytes(m, level)
     n = 1 << level
     data = stream.read(m * n * 8)
     if len(data) != m * n * 8:

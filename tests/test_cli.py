@@ -323,3 +323,13 @@ def test_moments_check_pass_and_fail(tmp_path):
         ]
     )
     assert fail == 1
+
+
+def test_out_of_range_fine_exponent_exits_2(tmp_path):
+    # The tables bounded the exponent, but the curve and the moment check
+    # took any and crashed, or tried to allocate the whole grid. Both
+    # share the bound 1 <= L <= 30 now; 31 is the first level past it.
+    out = ["--out-dir", str(tmp_path)]
+    for command in ("backstop-prob", "moments-check"):
+        for level in ("70", "31", "0"):
+            assert main([command, "--fine-exponent", level] + out) == 2, (command, level)

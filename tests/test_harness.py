@@ -17,9 +17,7 @@ from milsde import (
     UsageError,
     backstop_probability,
     convergence_table,
-    efficiency_table,
     make_builtin,
-    rms_error,
 )
 
 SMALL = dict(num_paths=6, reference_exponent=8, fine_exponent=12)
@@ -63,32 +61,29 @@ def test_config_validation():
             ExperimentConfig(**{**ok, **SMALL, **overrides})
 
 
-def test_rms_error_rejects_bad_scheme_names():
-    common = dict(h_max=2.0**-4, rho=8.0, **SMALL)
-    with pytest.raises(UsageError, match="reserved"):
-        rms_error("scalar_mult", "ssbm", **common)
-    with pytest.raises(UsageError, match="unknown scheme"):
-        rms_error("scalar_mult", "heun", **common)
-
-
 # ---------------------------------------------------------------------------
 # Strong-error measurement
 # ---------------------------------------------------------------------------
 
 
 def test_coupled_reference_gives_exactly_zero_error():
-    # A fixed tamed run at the reference step IS the reference run, so
-    # the coupled difference must be identically zero, not just small.
-    r = rms_error(
-        "scalar_mult",
-        "tamed",
-        h_max=2.0**-6,
+    # From 0.5 the adaptive steps never leave h_max, so the tamed row runs
+    # at the reference step: that run IS the reference run, and the
+    # coupled difference must be identically zero, not just small.
+    problem = dataclasses.replace(
+        make_builtin("scalar_mult"), initial_state=np.array([0.5])
+    )
+    cfg = ExperimentConfig(
+        problem=problem,
+        h_max_values=(2.0**-6,),
         rho=16.0,
+        schemes=("adaptive", "tamed"),
         num_paths=4,
         reference_exponent=6,
         fine_exponent=10,
-        fixed_step=2.0**-6,
     )
+    (r,) = convergence_table(cfg).rows_for("tamed")
+    assert r.h_max == 2.0**-6 == cfg.reference_step
     assert r.rms_error == 0.0
     assert r.rms_std_error == 0.0
     assert r.divergent_count == 0
@@ -116,29 +111,24 @@ def test_error_halves_per_octave():
 
 
 def test_standard_error_shrinks_with_path_count():
-    common = dict(h_max=2.0**-5, rho=16.0, reference_exponent=10, fine_exponent=14)
-    small = rms_error("scalar_add", "adaptive", num_paths=60, **common)
-    large = rms_error("scalar_add", "adaptive", num_paths=240, **common)
+    def row(num_paths):
+        cfg = ExperimentConfig(
+            problem="scalar_add",
+            h_max_values=(2.0**-5,),
+            rho=16.0,
+            num_paths=num_paths,
+            reference_exponent=10,
+            fine_exponent=14,
+        )
+        return convergence_table(cfg).rows[0]
+
+    small, large = row(60), row(240)
     ratio = small.rms_std_error / large.rms_std_error
     # 4x the paths halves the standard error, up to Monte Carlo noise
     assert 1.4 <= ratio <= 2.86, f"se ratio {ratio:.3f}"
     assert abs(small.rms_error - large.rms_error) <= 4.0 * (
         small.rms_std_error + large.rms_std_error
     )
-
-
-def test_rms_error_adaptive_matches_table_row():
-    kw = dict(h_max=2.0**-5, rho=8.0, **SMALL)
-    r = rms_error("scalar_mult", "adaptive", **kw)
-    cfg = ExperimentConfig(
-        problem="scalar_mult", h_max_values=(2.0**-5,), rho=8.0, **SMALL
-    )
-    row = convergence_table(cfg).rows[0]
-    assert r.rms_error == row.rms_error
-    assert r.rms_std_error == row.rms_std_error
-    assert r.h_mean == row.h_mean
-    assert r.backstop_rate == row.backstop_rate
-    assert r.divergent_count == row.divergent_count
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +283,7 @@ def test_shared_costs_are_charged_once():
 
 
 def test_efficiency_view():
-    table = efficiency_table(_structure_config())
+    table = convergence_table(_structure_config())
     pts = table.frontier()
     assert len(pts) == len(table.rows)
     for (scheme, rms, cpu), row in zip(pts, table.rows):
@@ -327,10 +317,16 @@ def test_divergent_paths_are_counted_not_averaged():
     problem = dataclasses.replace(
         make_builtin("scalar_mult"), initial_state=np.array([8.0])
     )
-    r = rms_error(problem, "milstein", h_max=0.125, rho=16.0, **SMALL)
+    cfg = ExperimentConfig(
+        problem=problem,
+        h_max_values=(0.125,),
+        rho=16.0,
+        schemes=("adaptive", "milstein"),
+        **SMALL,
+    )
+    (r,) = convergence_table(cfg).rows_for("milstein")
     assert r.divergent_count == 6
     assert math.isnan(r.rms_error)
-    assert math.isnan(r.h_mean)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,20 +7,18 @@ import pytest
 from milsde import (
     FIXED_SCHEMES,
     IteratedIntegrals,
-    StepInput,
-    StepOverflow,
+    SdeProblem,
+    StrategyConfig,
     UsageError,
-    backstop_step,
-    comparator_step,
-    euler_maruyama_step,
     generate_path,
     integrals_over,
+    integrate_adaptive,
+    integrate_adaptive_batch,
+    integrate_fixed,
+    integrate_fixed_batch,
     make_builtin,
-    milstein_step,
-    scheme_step,
-    tamed_milstein_step,
 )
-from milsde.steppers import advance_state
+from milsde.steppers import advance_state, check_scheme
 
 BUILTINS = (
     "scalar_mult",
@@ -31,7 +30,13 @@ BUILTINS = (
 )
 
 
+def _step(problem, kind, y, ii):
+    """The step map from the (d,) state ``y`` over the window ``ii``."""
+    return advance_state(problem, kind, y, ii.h, ii.dW, ii.I)
+
+
 def _random_inputs(problem, seed, count=20):
+    """(state, window integrals) pairs: random states, random windows."""
     rng = np.random.default_rng(seed)
     path = generate_path(seed, 8, problem.dim_noise)
     out = []
@@ -39,7 +44,7 @@ def _random_inputs(problem, seed, count=20):
         a = int(rng.integers(0, path.num_steps - 1))
         b = int(rng.integers(a + 1, path.num_steps + 1))
         y = rng.uniform(-3.0, 3.0, size=problem.dim_state)
-        out.append(StepInput(state=y, integrals=integrals_over(path, a, b)))
+        out.append((y, integrals_over(path, a, b)))
     return out
 
 
@@ -55,7 +60,7 @@ def test_milstein_hand_value():
     p = make_builtin("scalar_mult")
     ii = IteratedIntegrals.from_components(0.25, np.array([0.1]), np.zeros((1, 1)))
     assert ii.I[0, 0] == -0.12
-    out = milstein_step(p, StepInput(state=np.array([2.0]), integrals=ii))
+    out = _step(p, "milstein", np.array([2.0]), ii)
     expected = ((2.0 + 0.25 * (-6.0)) + (-0.2) * 0.1) + (-0.2) * ((-0.2) * (-0.12))
     assert out.shape == (1,)
     assert out[0] == expected
@@ -65,7 +70,7 @@ def test_milstein_hand_value():
 def test_euler_hand_value():
     p = make_builtin("scalar_mult")
     ii = IteratedIntegrals.from_components(0.25, np.array([0.1]), np.zeros((1, 1)))
-    out = euler_maruyama_step(p, StepInput(state=np.array([2.0]), integrals=ii))
+    out = _step(p, "euler", np.array([2.0]), ii)
     # correction dropped: 2 - 1.5 - 0.02
     assert out[0] == (2.0 + 0.25 * (-6.0)) + (-0.2) * 0.1
 
@@ -75,7 +80,7 @@ def test_tamed_drift_hand_value():
     # ||f|| = 6, so y' = 2 - 6/7 = 8/7.
     p = make_builtin("scalar_add", noise_scale=0.0)
     ii = IteratedIntegrals.from_components(1.0, np.array([0.3]), np.zeros((1, 1)))
-    out = tamed_milstein_step(p, StepInput(state=np.array([2.0]), integrals=ii))
+    out = _step(p, "tamed", np.array([2.0]), ii)
     assert out[0] == 2.0 + (1.0 / 7.0) * (-6.0)
     assert out[0] == pytest.approx(8.0 / 7.0, rel=1e-15)
 
@@ -85,8 +90,7 @@ def test_twod_milstein_matches_componentwise_assembly():
     # over the correction indices: sum_{i,j} Dg_i(y) g_j(y) I[j, i].
     for name in ("twod_diagonal", "twod_commutative", "twod_noncommutative"):
         p = make_builtin(name)
-        for step in _random_inputs(p, seed=7):
-            y, ii = step.state, step.integrals
+        for y, ii in _random_inputs(p, seed=7):
             expected = y + ii.h * p.drift(y)
             cols = [p.diffusion_column(y, i) for i in range(2)]
             for i in range(2):
@@ -94,7 +98,7 @@ def test_twod_milstein_matches_componentwise_assembly():
             for i in range(2):
                 for j in range(2):
                     expected = expected + p.diffusion_jacobian(y, i) @ cols[j] * ii.I[j, i]
-            out = milstein_step(p, step)
+            out = _step(p, "milstein", y, ii)
             np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -107,7 +111,7 @@ def test_correction_uses_inner_outer_convention():
     dW = np.array([0.2, -0.4])
     A = np.array([[0.0, 0.3], [-0.3, 0.0]])
     ii = IteratedIntegrals.from_components(0.25, dW, A)
-    out = milstein_step(p, StepInput(state=y, integrals=ii))
+    out = _step(p, "milstein", y, ii)
 
     def assemble(I):
         acc = y + ii.h * p.drift(y)
@@ -157,27 +161,40 @@ def test_batched_step_equals_single_steps_bitwise():
 
 
 def test_backstop_is_tamed_bitwise():
+    # Every flagged step of an adaptive solve is the tamed map from the
+    # previous node over that step's window, bit for bit; every other
+    # step is the plain Milstein map. The start is put outside the norm
+    # bound rho, so that each solve pins some steps.
+    cfg = StrategyConfig(h_max=2.0**-6, rho=2.0)
     for seed, name in enumerate(BUILTINS):
         p = make_builtin(name)
-        for step in _random_inputs(p, seed=100 + seed, count=10):
+        p = dataclasses.replace(p, initial_state=np.full(p.dim_state, 3.0))
+        path = generate_path(100 + seed, 12, p.dim_noise)
+        sol = integrate_adaptive(p, cfg, path)
+        assert not sol.divergent
+        assert sol.backstop_flags.any(), name
+        nodes = np.rint(sol.times / path.resolution).astype(int)
+        for n, flagged in enumerate(sol.backstop_flags):
+            ii = integrals_over(path, nodes[n], nodes[n + 1])
+            kind = "tamed" if flagged else "milstein"
             np.testing.assert_array_equal(
-                backstop_step(p, step), tamed_milstein_step(p, step)
+                sol.states[n + 1], _step(p, kind, sol.states[n], ii)
             )
 
 
 def test_euler_equals_milstein_on_additive_noise():
     p = make_builtin("scalar_add")
-    for step in _random_inputs(p, seed=5, count=15):
+    for y, ii in _random_inputs(p, seed=5, count=15):
         np.testing.assert_array_equal(
-            euler_maruyama_step(p, step), milstein_step(p, step)
+            _step(p, "euler", y, ii), _step(p, "milstein", y, ii)
         )
 
 
 def test_euler_differs_from_milstein_on_multiplicative_noise():
     p = make_builtin("scalar_mult")
     ii = IteratedIntegrals.from_components(0.25, np.array([0.1]), np.zeros((1, 1)))
-    step = StepInput(state=np.array([2.0]), integrals=ii)
-    assert milstein_step(p, step)[0] != euler_maruyama_step(p, step)[0]
+    y = np.array([2.0])
+    assert _step(p, "milstein", y, ii)[0] != _step(p, "euler", y, ii)[0]
 
 
 def test_taming_bound():
@@ -197,7 +214,7 @@ def test_taming_bound():
             if h * f_norm < 1e-6:
                 continue
             ii = IteratedIntegrals.from_components(h, np.zeros(m), zeros)
-            out = tamed_milstein_step(p, StepInput(state=y, integrals=ii))
+            out = _step(p, "tamed", y, ii)
             inc = float(np.linalg.norm(out - y))
             assert inc < 1.0
             assert inc < h * f_norm
@@ -208,7 +225,7 @@ def test_taming_bound():
 def test_plain_drift_is_untamed():
     p = make_builtin("scalar_add", noise_scale=0.0)
     ii = IteratedIntegrals.from_components(1.0, np.array([0.0]), np.zeros((1, 1)))
-    out = milstein_step(p, StepInput(state=np.array([2.0]), integrals=ii))
+    out = _step(p, "milstein", np.array([2.0]), ii)
     assert out[0] == 2.0 + 1.0 * (-6.0)
 
 
@@ -217,61 +234,79 @@ def test_plain_drift_is_untamed():
 # ---------------------------------------------------------------------------
 
 
-def test_overflow_raises_with_state():
-    p = make_builtin("scalar_mult")
-    ii = IteratedIntegrals.from_components(0.25, np.array([0.1]), np.zeros((1, 1)))
-    with pytest.raises(StepOverflow) as info:
-        milstein_step(p, StepInput(state=np.array([1e200]), integrals=ii))
-    assert not np.all(np.isfinite(info.value.state))
+def test_overflow_flags_the_path_divergent():
+    # From 1e200 the cubic drift overflows on the first step: the solve
+    # stops there, flags the path and keeps its last finite state.
+    p = dataclasses.replace(make_builtin("scalar_mult"), initial_state=np.array([1e200]))
+    sol = integrate_fixed(p, "milstein", 0.25, generate_path(1, 4, 1))
+    assert sol.divergent
+    assert sol.num_steps == 0
+    np.testing.assert_array_equal(sol.final_state, [1e200])
+    assert np.all(np.isfinite(sol.states))
 
 
-def test_nan_state_raises_overflow():
-    p = make_builtin("scalar_mult")
-    ii = IteratedIntegrals.from_components(0.25, np.array([0.1]), np.zeros((1, 1)))
-    with pytest.raises(StepOverflow):
-        milstein_step(p, StepInput(state=np.array([math.nan]), integrals=ii))
+def test_nan_state_flags_the_path_divergent():
+    # A problem cannot start from nan, so the drift turns nan above 1.5:
+    # unit drift steps 1 -> 1.25 -> 1.5 -> 1.75, and the fourth step
+    # gives nan. The solve keeps the last finite state, 1.75.
+    p = SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda y: np.where(y > 1.5, math.nan, 1.0),
+        diffusion_column=lambda y, i: np.zeros(1),
+        diffusion_jacobian=lambda y, i: np.zeros((1, 1)),
+        structure="additive",
+        initial_state=np.array([1.0]),
+        horizon=1.0,
+        name="nan_above",
+    )
+    sol = integrate_fixed(p, "milstein", 0.25, generate_path(1, 4, 1))
+    assert sol.divergent
+    assert sol.num_steps == 3
+    assert sol.final_time == 0.75
+    np.testing.assert_array_equal(sol.final_state, [1.75])
 
 
 def test_dimension_validation():
     p = make_builtin("twod_noncommutative")
-    good = IteratedIntegrals.from_components(
-        0.25, np.array([0.1, -0.2]), np.zeros((2, 2))
-    )
-    with pytest.raises(UsageError, match="state"):
-        milstein_step(p, StepInput(state=np.array([1.0]), integrals=good))
-    scalar_ii = IteratedIntegrals.from_components(0.25, np.array([0.1]), np.zeros((1, 1)))
     with pytest.raises(UsageError, match="noise components"):
-        milstein_step(p, StepInput(state=np.array([1.0, 2.0]), integrals=scalar_ii))
+        integrate_fixed(p, "milstein", 0.25, generate_path(1, 4, 1))
 
 
 def test_comparator_dispatch():
+    # "tamed" is the one built comparator; the reserved names and unknown
+    # ones are refused by the scheme check, and so by every integrator.
+    assert check_scheme("tamed") == "tamed"
     p = make_builtin("scalar_mult")
-    step = _random_inputs(p, seed=3, count=1)[0]
-    np.testing.assert_array_equal(
-        comparator_step("tamed", p, step), tamed_milstein_step(p, step)
-    )
-    for reserved in ("pmil", "ssbm"):
-        with pytest.raises(UsageError, match="reserved"):
-            comparator_step(reserved, p, step)
-    with pytest.raises(UsageError, match="unknown comparator"):
-        comparator_step("heun", p, step)
+    path = generate_path(1, 4, 1)
+    dW, I = np.zeros((1, 1, 1)), np.zeros((1, 1, 1, 1))
+    cfg = StrategyConfig(h_max=0.25, rho=2.0)
+    solves = [
+        lambda s: check_scheme(s),
+        lambda s: check_scheme(s, adaptive=True),
+        lambda s: integrate_fixed(p, s, 0.25, path),
+        lambda s: integrate_fixed_batch(p, s, 1.0, dW, I),
+        lambda s: integrate_adaptive_batch(p, [cfg], path.prefixes(), [0], s),
+    ]
+    for solve in solves:
+        for reserved in ("pmil", "ssbm"):
+            with pytest.raises(UsageError, match="reserved"):
+                solve(reserved)
+        with pytest.raises(UsageError, match="unknown scheme"):
+            solve("heun")
 
 
-def test_scheme_step_dispatch():
+def test_scheme_dispatch():
+    # Each fixed scheme names its own map; "adaptive" names the
+    # controller, which only the tables and the CLI take.
     p = make_builtin("twod_noncommutative")
-    step = _random_inputs(p, seed=11, count=1)[0]
-    by_name = {
-        "milstein": milstein_step,
-        "tamed": tamed_milstein_step,
-        "euler": euler_maruyama_step,
-    }
-    assert set(FIXED_SCHEMES) == set(by_name)
-    for name, fn in by_name.items():
-        result = scheme_step(p, name, step)
-        assert not result.used_backstop
-        np.testing.assert_array_equal(result.state, fn(p, step))
-    back = scheme_step(p, "backstop", step)
-    assert back.used_backstop
-    np.testing.assert_array_equal(back.state, tamed_milstein_step(p, step))
+    y, ii = _random_inputs(p, seed=11, count=1)[0]
+    for name in FIXED_SCHEMES:
+        assert check_scheme(name) == check_scheme(name, adaptive=True) == name
+    outs = {name: _step(p, name, y, ii) for name in FIXED_SCHEMES}
+    assert len({out.tobytes() for out in outs.values()}) == len(FIXED_SCHEMES)
+    assert check_scheme("adaptive", adaptive=True) == "adaptive"
     with pytest.raises(UsageError, match="unknown scheme"):
-        scheme_step(p, "rk4", step)
+        check_scheme("adaptive")
+    with pytest.raises(UsageError, match="unknown scheme"):
+        check_scheme("rk4", adaptive=True)

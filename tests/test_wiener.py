@@ -448,6 +448,21 @@ def test_dump_rejects_garbage():
         read_path(io.BytesIO(data[:-8]))
 
 
+def test_dump_rejects_impossible_headers():
+    # The header is checked before any data is read: no noise component,
+    # and paths far beyond the memory budget (2**40 and 2**62 steps).
+    def header(m, level):
+        return io.BytesIO(milsde.wiener._DUMP_HEADER.pack(b"WIENPATH", 1, m, level, 1.0, 7))
+
+    with pytest.raises(UsageError, match="m = 0"):
+        read_path(header(0, 4))
+    with pytest.raises(UsageError, match="L = 0"):
+        read_path(header(1, 0))
+    for level in (40, 62):
+        with pytest.raises(ResourceError):
+            read_path(header(1, level))
+
+
 def test_iterated_integrals_validation():
     with pytest.raises(UsageError):
         IteratedIntegrals.from_components(0.0, np.array([0.1]), np.zeros((1, 1)))
