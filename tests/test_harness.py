@@ -61,6 +61,22 @@ def test_config_validation():
             ExperimentConfig(**{**ok, **SMALL, **overrides})
 
 
+def test_rms_error_rejects_bad_scheme_names():
+    # A reserved or unknown name among the measured schemes is refused
+    # before any path is drawn, also beside a valid scheme and when a
+    # valid config is rebuilt with it.
+    common = dict(
+        problem="scalar_mult", h_max_values=(2.0**-4,), rho=8.0, **SMALL
+    )
+    good = ExperimentConfig(**common)
+    for bad, match in (("ssbm", "reserved"), ("pmil", "reserved"),
+                       ("heun", "unknown scheme")):
+        with pytest.raises(UsageError, match=match):
+            convergence_table(ExperimentConfig(**common, schemes=("adaptive", bad)))
+        with pytest.raises(UsageError, match=match):
+            dataclasses.replace(good, schemes=(bad,))
+
+
 # ---------------------------------------------------------------------------
 # Strong-error measurement
 # ---------------------------------------------------------------------------
