@@ -43,6 +43,11 @@ int64 limbs, and the area is rounded once, to nearest. A window of
 one fine step therefore has an area of exactly zero, and any window's
 area is its exact left-point sum, correctly rounded.
 
+A window read only once (one window of :func:`integrals_over`, each
+path of :func:`moment_check`) is summed straight from its increments
+instead: the same per-step limbs, summed exactly and rounded once, so
+the same bits without writing a prefix node per step.
+
 A block of paths can also be drawn in slabs of consecutive fine steps
 (:class:`PathStreams`), which join into exactly the paths
 :func:`generate_path` gives; prefix arrays can then hold a sliding
@@ -382,32 +387,14 @@ class PathPrefixes:
         chunk = max(1, _FILL_CHUNK // len(sums))
         for a in range(col, col + s, chunk):
             b = min(col + s, a + chunk)
-            scaled = increments[:, :, a - col : b - col] * (1.0 / INCREMENT_GRID)
-            d = scaled.astype(np.int64)
-            if (d != scaled).any():
-                raise UsageError("increments must lie on the 2**-32 grid")
+            d = _grid_units(increments[:, :, a - col : b - col])
             np.cumsum(d, axis=2, out=w[:, :, a + 1 : b + 1])
             w[:, :, a + 1 : b + 1] += w[:, :, a : a + 1]
             if m == 1:
                 continue
-            left = w[:, :, a:b]  # W at each step's left point
-            # Bounds that keep every limb below 2**63: |W| < 2**10,
-            # |dW| < 2**5 and n |W| |dW| below 2**84 grid units squared.
-            w_max = float(np.abs(left).max())
-            d_max = float(np.abs(d).max())
-            if not (
-                w_max < 2.0**42
-                and d_max < 2.0**37
-                and self.num_steps * w_max * d_max < 2.0**84
-            ):
-                raise UsageError("path too large for exact Levy areas (|W| >= 2**10)")
-            w_hi, w_lo = left >> _LIMB_BITS, left & _LIMB_MASK
-            for p, (i, j) in enumerate(zip(*_pairs(m)[:2])):
-                # W_i dW_j - W_j dW_i = hi 2**24 + lo, split as the limbs;
-                # the low limb's running sum is carried into the high one.
-                lo = w_lo[:, i] * d[:, j] - w_lo[:, j] * d[:, i]
-                hi = w_hi[:, i] * d[:, j] - w_hi[:, j] * d[:, i] + (lo >> _LIMB_BITS)
-                lo &= _LIMB_MASK
+            # Cross terms from W at each step's left point; the low limb's
+            # running sum is carried into the high one.
+            for p, (hi, lo) in enumerate(_cross_terms(w[:, :, a:b], d, self.num_steps)):
                 lo[:, 0] += c_lo[:, p, a]
                 hi[:, 0] += c_hi[:, p, a]
                 np.cumsum(lo, axis=1, out=lo)
@@ -439,10 +426,92 @@ class PathPrefixes:
         # W_i(a) dW_j - W_j(a) dW_i as limbs, per pair.
         prod_hi, prod_lo = _exact_product(at_start[:, ij], diff[:, ji])
         lo = self.low[rows, :, end] - self.low[rows, :, start] - prod_lo @ halves
-        hi = diff[:, m:] - prod_hi @ halves + (lo >> _LIMB_BITS)
-        # hi and lo are exact floats (|A| < 2**12), so their sum rounds once.
-        area = (hi * float(1 << _LIMB_BITS) + (lo & _LIMB_MASK)) * 2.0**-65
+        area = _round_areas(diff[:, m:] - prod_hi @ halves, lo)
         return h, dW, (area @ spread).reshape(-1, m, m)
+
+
+def _grid_units(increments: np.ndarray) -> np.ndarray:
+    """``increments`` as int64 multiples of the increment grid.
+
+    Raises:
+        UsageError: an increment is off the 2**-32 grid.
+    """
+    scaled = increments * (1.0 / INCREMENT_GRID)
+    d = scaled.astype(np.int64)
+    if (d != scaled).any():
+        raise UsageError("increments must lie on the 2**-32 grid")
+    return d
+
+
+def _cross_terms(
+    left: np.ndarray, d: np.ndarray, num_steps: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The per-step terms W_i dW_j - W_j dW_i of every pair i < j (in
+    ``np.triu_indices`` order), for (G, m, s) left-point W and increments
+    d in grid units: per pair, limbs (hi, lo), each (G, s), with
+    W_i dW_j - W_j dW_i = hi 2**24 + lo and 0 <= lo < 2**24.
+
+    Raises:
+        UsageError: on a path of ``num_steps`` fine steps, W or d are so
+            large that the limbs of its cross sums could overflow.
+    """
+    # Bounds that keep every limb below 2**63: |W| < 2**10,
+    # |dW| < 2**5 and n |W| |dW| below 2**84 grid units squared.
+    w_max = float(np.abs(left).max())
+    d_max = float(np.abs(d).max())
+    if not (w_max < 2.0**42 and d_max < 2.0**37 and num_steps * w_max * d_max < 2.0**84):
+        raise UsageError("path too large for exact Levy areas (|W| >= 2**10)")
+    w_hi, w_lo = left >> _LIMB_BITS, left & _LIMB_MASK
+    terms = []
+    for i, j in zip(*_pairs(left.shape[1])[:2]):
+        lo = w_lo[:, i] * d[:, j] - w_lo[:, j] * d[:, i]
+        hi = w_hi[:, i] * d[:, j] - w_hi[:, j] * d[:, i] + (lo >> _LIMB_BITS)
+        terms.append((hi, lo & _LIMB_MASK))
+    return terms
+
+
+def _round_areas(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The areas A = C / 2 of exact cross sums C = hi 2**24 + lo (2**-64
+    units, int64 limbs), rounded once, to nearest."""
+    hi = hi + (lo >> _LIMB_BITS)
+    # hi and lo are exact floats (|A| < 2**12), so their sum rounds once.
+    return (hi * float(1 << _LIMB_BITS) + (lo & _LIMB_MASK)) * 2.0**-65
+
+
+def _window_sums(increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact integrals of whole windows, summed straight from their
+    increments rather than read from prefix arrays.
+
+    For (G, m, s) ``increments`` that start on a window boundary, returns
+    each row's dW (G, m) and the areas A[i][j] of its pairs i < j (G, P),
+    in ``np.triu_indices`` order. The cross terms are the ones the prefix
+    arrays accumulate, summed exactly and rounded once, so every value
+    has the bits :meth:`PathPrefixes.windows` gives the window [0, s).
+    Each row is walked alone, in chunks of fine steps as
+    :meth:`PathPrefixes.fill` writes it, so the temporaries stay as small
+    and in cache.
+
+    Raises:
+        UsageError: as :meth:`PathPrefixes.fill`, with n = s.
+    """
+    count, m, s = increments.shape
+    w = np.zeros((count, m, 1), dtype=np.int64)
+    # Low limbs are summed without carries: each is below 2**24, so a
+    # row of at most 2**30 steps stays below 2**54.
+    hi = np.zeros((count, m * (m - 1) // 2), dtype=np.int64)
+    lo = np.zeros_like(hi)
+    for g in range(count):
+        for a in range(0, s, _FILL_CHUNK):
+            d = _grid_units(increments[g : g + 1, :, a : a + _FILL_CHUNK])
+            if m > 1:
+                left = np.cumsum(d, axis=2)
+                left -= d
+                left += w[g]
+                for p, (step_hi, step_lo) in enumerate(_cross_terms(left, d, s)):
+                    hi[g, p] += step_hi.sum()
+                    lo[g, p] += step_lo.sum()
+            w[g] += d[0].sum(axis=1, keepdims=True)
+    return w[:, :, 0] * INCREMENT_GRID, _round_areas(hi, lo)
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -554,7 +623,7 @@ def generate_path(
 
     Args:
         seed: stream seed (reduced mod 2**64).
-        resolution_exponent: L >= 1; the path has 2**L fine steps.
+        resolution_exponent: 1 <= L <= 30; the path has 2**L fine steps.
         dim_noise: m >= 1.
         horizon: T > 0.
 
@@ -562,8 +631,7 @@ def generate_path(
         UsageError: invalid arguments.
         ResourceError: the increment array would exceed the memory budget.
     """
-    if resolution_exponent < 1:
-        raise UsageError("resolution_exponent must be >= 1")
+    _check_exponent("resolution_exponent", resolution_exponent)
     if dim_noise < 1:
         raise UsageError("dim_noise must be >= 1")
     if not horizon > 0.0:
@@ -675,9 +743,6 @@ def double_integrals(h, dW: np.ndarray, A: np.ndarray) -> np.ndarray:
     return I
 
 
-_ROW_0 = np.zeros(1, dtype=np.intp)
-
-
 def integrals_over(path: WienerPath, start: int, end: int) -> IteratedIntegrals:
     """Increments and iterated integrals over fine-step window [start, end).
 
@@ -687,16 +752,17 @@ def integrals_over(path: WienerPath, start: int, end: int) -> IteratedIntegrals:
 
     Returns:
         IteratedIntegrals for the window of length (end - start) * h_ref.
+        The window is summed straight from its increments, at a cost of
+        O(end - start), with the bits the path's prefix arrays give it.
     """
     if not (0 <= start < end <= path.num_steps):
         raise UsageError(
             f"window [{start}, {end}) out of range for {path.num_steps} fine steps"
         )
-    # The window's own prefix arrays give the same exact integrals as the
-    # whole path's, at a cost of O(end - start).
-    window = PathPrefixes.of(path.increments[:, start:end], path.resolution, path.horizon)
-    h, dW, area = window.windows(_ROW_0, _ROW_0, np.array([end - start]))
-    return IteratedIntegrals.from_components(float(h[0]), dW[0], area[0])
+    m = path.dim_noise
+    dW, area = _window_sums(path.increments[None, :, start:end])
+    A = (area @ _pairs(m)[5]).reshape(m, m)
+    return IteratedIntegrals.from_components((end - start) * path.resolution, dW[0], A)
 
 
 def uniform_integrals(
@@ -865,32 +931,31 @@ def moment_check(
 
     Accumulates A over ``num_windows`` independent two-component unit
     paths at the given resolution and compares sample moments of
-    A[0, 1] against :func:`moment_constant`. The left-point sum biases
+    A[0, 1] against :func:`moment_constant`. Path k uses seed
+    ``base_seed ^ k``; each path's area is summed straight from its
+    increments, drawn a group at a time. The left-point sum biases
     E[A^2] by the factor (1 - 2**-L), far below the 4-standard-error
     tolerance at the default sizes.
 
     Raises:
         UsageError: fewer than 100 windows, an order outside [1, 8], or
             a resolution exponent outside [1, 30].
+        ResourceError: one path's increments would exceed the memory
+            budget.
     """
     _check_exponent("resolution_exponent", resolution_exponent)
     if num_windows < 100:
         raise UsageError("num_windows must be >= 100 for a meaningful check")
     if any(not 1 <= b <= 8 for b in orders):
         raise UsageError("Monte Carlo moment orders must be in [1, 8]")
+    _check_path_bytes(2, resolution_exponent)
     samples = np.empty(num_windows)
     n = 1 << resolution_exponent
     size = PathPrefixes.group_size(2, n)
     for first in range(0, num_windows, size):
-        count = min(size, num_windows - first)
-        prefixes = PathPrefixes.empty(count, 2, n, 2.0**-resolution_exponent, 1.0)
-        for q in range(count):
-            seed = (base_seed ^ (first + q)) & _SEED_MASK
-            path = generate_path(seed, resolution_exponent, dim_noise=2)
-            prefixes.fill(q, path.increments)
-        rows = np.arange(count)
-        _, _, area = prefixes.windows(rows, np.zeros_like(rows), np.full_like(rows, n))
-        samples[first : first + count] = area[:, 0, 1]
+        seeds = [base_seed ^ k for k in range(first, min(num_windows, first + size))]
+        increments = PathStreams(seeds, resolution_exponent, 2).draw(n)
+        samples[first : first + len(seeds)] = _window_sums(increments)[1][:, 0]
     rows = []
     for b in orders:
         table = moment_constant(b)

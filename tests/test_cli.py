@@ -333,3 +333,12 @@ def test_out_of_range_fine_exponent_exits_2(tmp_path):
     for command in ("backstop-prob", "moments-check"):
         for level in ("70", "31", "0"):
             assert main([command, "--fine-exponent", level] + out) == 2, (command, level)
+
+
+def test_single_path_fine_exponent_past_the_bound_exits_2(tmp_path):
+    # single-path was bounded only by the path budget, so 31 ended in a
+    # resource error (exit 1); it shares the 1 <= L <= 30 bound now. The
+    # bound is checked before any path is allocated.
+    out = ["--out-dir", str(tmp_path)]
+    for scheme in ([], ["--scheme", "milstein"]):
+        assert main(["single-path", "--fine-exponent", "31"] + scheme + out) == 2, scheme

@@ -193,6 +193,74 @@ def test_areas_survive_prefix_chunk_boundaries(monkeypatch):
         np.testing.assert_array_equal(area[0], A)
 
 
+def _prefix_windows(increments, a, b):
+    # (dW, per-pair areas) of [a, b) read from the whole path's prefix arrays.
+    m = increments.shape[0]
+    pref = milsde.wiener.PathPrefixes.of(increments, 1.0 / increments.shape[1], 1.0)
+    _, dW, area = pref.windows(np.zeros(1, dtype=int), np.array([a]), np.array([b]))
+    i, j = np.triu_indices(m, 1)
+    return dW[0], area[0][i, j]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_whole_window_sums_equal_the_prefix_arrays(monkeypatch, m):
+    # A window summed straight from its increments has the bits the prefix
+    # arrays give it: whole paths at every L up to 16, one-step windows
+    # (area exactly 0) and windows across the fill chunks' boundaries.
+    window_sums = milsde.wiener._window_sums
+    for level in range(1, 17):
+        inc = generate_path(100 + level, level, m).increments
+        n = inc.shape[1]
+        windows = {(0, n), (n - 1, n), (n // 3, n // 3 + 1), (n // 4, n - n // 4)}
+        if n > 4096:
+            windows |= {(4095, 4097), (4000, n), (1, min(n, 3 * 4096 + 5))}
+        for a, b in sorted(windows):
+            dW, area = window_sums(inc[None, :, a:b])
+            want_dW, want_area = _prefix_windows(inc, a, b)
+            np.testing.assert_array_equal(dW[0], want_dW)
+            np.testing.assert_array_equal(area[0], want_area)
+            if b - a == 1:
+                np.testing.assert_array_equal(area[0], 0.0)
+    # Several rows at once, and chunks that split every row, change nothing.
+    stack = np.stack([generate_path(s, 10, m).increments for s in (1, 2, 3)])
+    whole = window_sums(stack)
+    monkeypatch.setattr(milsde.wiener, "_FILL_CHUNK", 7)
+    for g, inc in enumerate(stack):
+        want_dW, want_area = _prefix_windows(inc, 0, 1024)
+        for dW, area in (whole, window_sums(stack)):
+            np.testing.assert_array_equal(dW[g], want_dW)
+            np.testing.assert_array_equal(area[g], want_area)
+
+
+def test_whole_window_sums_near_the_limb_bounds():
+    # |W| just below 2**10 and |dW| just below 2**4 over 64 steps put
+    # n |W| |dW| at about 98 % of its 2**84 bound; the sums stay exact.
+    rng = np.random.default_rng(3)
+    grid = INCREMENT_GRID
+    signs = np.where(rng.random((3, 64)) < 0.5, -1.0, 1.0)
+    signs[0] = 1.0
+    inc = signs * (16.0 - grid * rng.integers(1, 1000, size=(3, 64)))
+    path = milsde.wiener.WienerPath(inc, 1.0 / 64, 6, 1.0, 0)
+    dW, area = milsde.wiener._window_sums(inc[None])
+    want_dW, want_area = _prefix_windows(inc, 0, 64)
+    np.testing.assert_array_equal(dW[0], want_dW)
+    np.testing.assert_array_equal(area[0], want_area)
+    exact = _exact_areas(path, 0, 64)
+    np.testing.assert_array_equal(area[0], exact[np.triu_indices(3, 1)])
+
+
+@pytest.mark.parametrize(
+    "inc, match",
+    [(np.full((2, 4), 0.1), "grid"), (np.full((2, 64), 17.0), "2\\*\\*10")],
+)
+def test_whole_window_sums_refuse_what_the_prefix_arrays_refuse(inc, match):
+    with pytest.raises(UsageError, match=match) as from_prefixes:
+        milsde.wiener.PathPrefixes.of(inc, 1.0 / inc.shape[1], 1.0)
+    with pytest.raises(UsageError, match=match) as from_sums:
+        milsde.wiener._window_sums(inc[None])
+    assert str(from_sums.value) == str(from_prefixes.value)
+
+
 def test_prefix_arrays_refuse_off_grid_increments():
     pref = milsde.wiener.PathPrefixes.empty(1, 2, 4, 0.25, 1.0)
     with pytest.raises(UsageError, match="grid"):
@@ -408,6 +476,59 @@ def test_moment_check_small_run():
     # E|A| over unit windows sits well below the 1/2 bound
     assert by_order[1].absolute_estimate < 0.45
     assert by_order[2].signed_estimate == pytest.approx(0.25, abs=0.04)
+
+
+#: float.hex of every field of moment_check's rows, as the prefix arrays
+#: gave them before whole windows were summed directly.
+GOLDEN_MOMENT_ROWS = {
+    (137, 6): [
+        (1, "0x0.0p+0", "-0x1.2f2c475ceb4f4p-5", "0x1.41ebeb0e584e9p-5",
+         "0x1.0000000000000p-1", "0x1.6dfd12ef47daap-2"),
+        (2, "0x1.0000000000000p-2", "0x1.b0eca862c09a3p-3", "0x1.c130f85bc6c82p-6",
+         "0x1.0000000000000p-2", "0x1.b0eca862c09a3p-3"),
+        (3, "0x0.0p+0", "-0x1.0b78d3cb91ad1p-8", "0x1.1d914dd95b528p-5",
+         "0x1.1e3779b97f4a8p-2", "0x1.4c0e90cda9acfp-3"),
+        (4, "0x1.4000000000000p-2", "0x1.2cdfd9c8c68fep-3", "0x1.49de85a42d38fp-5",
+         "0x1.4000000000000p-2", "0x1.2cdfd9c8c68fep-3"),
+        (8, "0x1.5a40000000000p+2", "0x1.efd23d8042390p-3", "0x1.34f85e120a52bp-3",
+         "0x1.5a40000000000p+2", "0x1.efd23d8042390p-3"),
+    ],
+    (100, 1): [
+        (1, "0x0.0p+0", "0x1.bdef160f74176p-7", "0x1.dcb4459d41cc3p-6",
+         "0x1.0000000000000p-1", "0x1.bdf69d1cc7e83p-3"),
+        (2, "0x1.0000000000000p-2", "0x1.580ad39901123p-4", "0x1.cf98be5d01dc6p-7",
+         "0x1.0000000000000p-2", "0x1.580ad39901123p-4"),
+        (3, "0x0.0p+0", "0x1.c206896d37acep-8", "0x1.7cccf8216babep-7",
+         "0x1.1e3779b97f4a8p-2", "0x1.649f639457225p-5"),
+        (4, "0x1.4000000000000p-2", "0x1.b841963fe2cf2p-6", "0x1.162f8cd4f9f0ep-7",
+         "0x1.4000000000000p-2", "0x1.b841963fe2cf2p-6"),
+        (8, "0x1.5a40000000000p+2", "0x1.01774b092d54dp-7", "0x1.eb91b7489ff06p-9",
+         "0x1.5a40000000000p+2", "0x1.01774b092d54dp-7"),
+    ],
+}
+
+
+@pytest.mark.parametrize("num_windows, level", sorted(GOLDEN_MOMENT_ROWS))
+def test_moment_check_rows_are_golden(num_windows, level):
+    # 137 windows is not a whole number of groups; L = 1 gives two-step paths.
+    rows = moment_check(
+        orders=(1, 2, 3, 4, 8), num_windows=num_windows, resolution_exponent=level
+    )
+    got = [
+        (r.order,)
+        + tuple(
+            float(v).hex()
+            for v in (
+                r.signed_target,
+                r.signed_estimate,
+                r.signed_std_error,
+                r.absolute_bound,
+                r.absolute_estimate,
+            )
+        )
+        for r in rows
+    ]
+    assert got == GOLDEN_MOMENT_ROWS[num_windows, level]
 
 
 def test_moment_check_validation():
