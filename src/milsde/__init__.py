@@ -22,13 +22,12 @@ The pieces, bottom up:
 from .adaptive import (
     AdaptiveBatch,
     FixedBatch,
+    FixedSolves,
     SolutionPath,
     StrategyConfig,
     integrate_adaptive,
     integrate_adaptive_batch,
     integrate_fixed,
-    integrate_fixed_batch,
-    mesh_integrals,
     propose_step,
 )
 from .errors import ExperimentError, ResourceError, UsageError
@@ -106,9 +105,8 @@ __all__ = [
     "integrate_adaptive",
     "integrate_adaptive_batch",
     "integrate_fixed",
-    "integrate_fixed_batch",
+    "FixedSolves",
     "FixedBatch",
-    "mesh_integrals",
     "make_builtin",
     "moment_check",
     "moment_constant",

@@ -26,9 +26,11 @@ experiment bookkeeping relies on this. The final step is clamped to
 land on the horizon; a clamped step may be shorter than h_min, runs the
 plain scheme map, and is never flagged as a backstop.
 
-Fixed-step solves advance a batch of P paths together through one
-step map per window (:func:`integrate_fixed_batch`); the one-path
-:func:`integrate_fixed` is its P = 1 call. Adaptive solves advance a
+Fixed-step solves advance a block of P paths together through one
+step map per window, fed slab by slab (:class:`FixedSolves`): each row
+carries its state from one slab to the next, and several jobs (scheme,
+step) share each slab. The one-path :func:`integrate_fixed` is one job
+over one path fed as one slab. Adaptive solves advance a
 set of lanes together (:func:`integrate_adaptive_batch`), one lane per
 (path, :class:`StrategyConfig`) pair. Each lane keeps its own position,
 state and step count and reads its window integrals in O(1) from the
@@ -43,6 +45,7 @@ window advances when every live lane waits. The one-path
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +54,12 @@ from .errors import UsageError
 from .problems import SdeProblem
 from .steppers import advance_state, check_scheme
 from .wiener import (
-    IteratedIntegrals,
     PathPrefixes,
     WienerPath,
+    _pairs,
+    _uniform_windows,
+    _window_sums,
     double_integrals,
-    integrals_over,
-    uniform_integrals,
 )
 
 __all__ = [
@@ -67,9 +70,8 @@ __all__ = [
     "integrate_adaptive_batch",
     "AdaptiveBatch",
     "integrate_fixed",
-    "integrate_fixed_batch",
+    "FixedSolves",
     "FixedBatch",
-    "mesh_integrals",
 ]
 
 
@@ -230,34 +232,37 @@ def _check_compatible(problem: SdeProblem, path: WienerPath | PathPrefixes) -> N
 class AdaptiveBatch:
     """Result of :func:`integrate_adaptive_batch` for L lanes.
 
-    One record per completed step, grouped by lane: lane l's steps are
-    records ``offsets[l]:offsets[l + 1]`` (``offsets`` (L+1,)), in the
-    order it took them. ``positions`` (N,) holds the lane's fine-grid
-    node after the step, ``states`` (N, d) its state there and
-    ``backstop_flags`` (N,) whether the step was pinned. A lane that
-    went non-finite is flagged in ``divergent`` (L,); its records stop
-    at its last finite state.
+    Per lane (L,): ``ends`` the fine node it stopped at, ``final_states``
+    (L, d) its state there, ``num_steps`` its completed steps, ``flagged``
+    how many were pinned, and ``divergent`` whether it went non-finite
+    (it then stops at its last finite state). Per step, when kept: lane
+    l's records are ``offsets[l]:offsets[l + 1]`` in the order taken,
+    ``positions`` (N,) the node after the step, ``backstop_flags`` (N,)
+    whether it was pinned, and ``states`` (N, d) the state there.
     """
 
-    offsets: np.ndarray
-    positions: np.ndarray
-    states: np.ndarray
-    backstop_flags: np.ndarray
+    ends: np.ndarray
+    final_states: np.ndarray
+    num_steps: np.ndarray
+    flagged: np.ndarray
     divergent: np.ndarray
     initial_state: np.ndarray
     resolution: float
-
-    @property
-    def num_steps(self) -> np.ndarray:
-        """Completed steps per lane, (L,)."""
-        return np.diff(self.offsets)
+    offsets: np.ndarray | None = None
+    positions: np.ndarray | None = None
+    backstop_flags: np.ndarray | None = None
+    states: np.ndarray | None = None
 
     def solution(self, lane: int) -> SolutionPath:
-        """Lane ``lane`` as the :class:`SolutionPath` of its solve, in O(its steps)."""
+        """Lane ``lane`` as the :class:`SolutionPath` of its solve, in O(its
+        steps); its ``states`` are None unless the batch kept them."""
         mine = slice(self.offsets[lane], self.offsets[lane + 1])
+        states = self.states
+        if states is not None:
+            states = np.concatenate((self.initial_state[None], states[mine]))
         return SolutionPath(
             times=np.concatenate(([0], self.positions[mine])) * self.resolution,
-            states=np.concatenate((self.initial_state[None], self.states[mine])),
+            states=states,
             backstop_flags=self.backstop_flags[mine],
             divergent=bool(self.divergent[lane]),
         )
@@ -283,6 +288,7 @@ def integrate_adaptive_batch(
     rows,
     scheme: str = "milstein",
     zero_levy_area: bool = False,
+    keep: str = "states",
 ) -> AdaptiveBatch:
     """Run the adaptive controller on a set of lanes in lockstep.
 
@@ -301,9 +307,13 @@ def integrate_adaptive_batch(
     lane keeps its last finite state without touching the others. The
     coefficients are checked on a batch of distinct states against
     row-by-row calls before the first step. ``zero_levy_area`` replaces
-    every window's Levy areas with zero.
+    every window's Levy areas with zero. ``keep`` is what the result
+    holds per step beyond the per-lane totals: "states" (everything),
+    "steps" (positions and flags) or "totals" (nothing).
     """
     check_scheme(scheme)
+    if keep not in ("states", "steps", "totals"):
+        raise UsageError(f"keep must be 'states', 'steps' or 'totals', got {keep!r}")
     _check_compatible(problem, prefixes)
     rows = np.asarray(rows, dtype=np.intp)
     if not configs or rows.shape != (len(configs),):
@@ -352,7 +362,7 @@ def integrate_adaptive_batch(
     # window's end and whether that step is pinned.
     at = np.zeros(count, dtype=np.int64)
     y = np.tile(problem.initial_state, (count, 1))
-    rounds = []  # per round: (lanes, end positions, states, pinned, finite)
+    rounds = []  # per round: lanes, pinned, finite, and kept ends and states
     # Overflow inside a step is the divergence signal, not a warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         end, pinned = plan(live, y, at)
@@ -372,31 +382,50 @@ def integrate_adaptive_batch(
                 problem, scheme, y[lanes], hw, dW, double_integrals(hw, dW, A), lane_pinned
             )
             finite = np.isfinite(nxt).all(axis=1)
-            rounds.append((lanes, lane_end, nxt, lane_pinned, finite))
-            going = finite & (lane_end < n_total)
+            kept = (lane_end if keep != "totals" else None, nxt if keep == "states" else None)
+            rounds.append((lanes, lane_pinned, finite) + kept)
+            if not finite.all():
+                live = live[~np.isin(live, lanes[~finite])]
+                lanes, lane_end, nxt = lanes[finite], lane_end[finite], nxt[finite]
+            at[lanes], y[lanes] = lane_end, nxt
+            going = lane_end < n_total
             if not going.all():
                 live = live[~np.isin(live, lanes[~going])]
                 lanes, lane_end, nxt = lanes[going], lane_end[going], nxt[going]
-            at[lanes], y[lanes] = lane_end, nxt
             end[lanes], pinned[lanes] = plan(lanes, nxt, lane_end)
-    return _collect(rounds, problem.initial_state, count, h_ref)
+    return _collect(rounds, at, y, problem.initial_state, h_ref)
 
 
-def _collect(rounds, initial_state, count, h_ref) -> AdaptiveBatch:
-    """Join the per-round records, keeping the steps that stayed finite,
-    grouped by lane in the order taken. Empties ``rounds`` once they
-    are joined."""
-    lanes, end, nxt, pinned, finite = (np.concatenate(f) for f in zip(*rounds))
-    rounds.clear()
+def _collect(rounds, at, y, initial_state, h_ref) -> AdaptiveBatch:
+    """Per-lane totals from the per-round records (``at`` and ``y`` hold
+    each lane's last finite node and state), and the kept records of the
+    finite steps, grouped by lane in the order taken. Each record is
+    copied once, into its place; ``rounds`` is emptied as it is read."""
+    count = len(at)
+    lanes, pinned, finite = (np.concatenate([r[f] for r in rounds]) for f in range(3))
     divergent = np.zeros(count, dtype=bool)
     divergent[lanes[~finite]] = True
-    kept = np.flatnonzero(finite)
-    order = kept[np.argsort(lanes[kept], kind="stable")]
+    num_steps = np.bincount(lanes[finite], minlength=count)
+    flagged = np.bincount(lanes[finite & pinned], minlength=count)
+    totals = (at, y, num_steps, flagged, divergent, initial_state, h_ref)
+    if rounds[0][3] is None:
+        rounds.clear()
+        return AdaptiveBatch(*totals)
     offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lanes[kept], minlength=count), out=offsets[1:])
-    return AdaptiveBatch(
-        offsets, end[order], nxt[order], pinned[order], divergent, initial_state, h_ref
-    )
+    np.cumsum(num_steps, out=offsets[1:])
+    order = np.flatnonzero(finite)[np.argsort(lanes[finite], kind="stable")]
+    place = np.empty(len(lanes), dtype=np.int64)  # of each finite record
+    place[order] = np.arange(len(order))
+    positions = np.empty(len(order), dtype=np.int64)
+    states = None if rounds[0][4] is None else np.empty((len(order), y.shape[1]))
+    a = 0
+    for r, (_, _, fin, ends, nxt) in enumerate(rounds):
+        rounds[r], to, a = None, place[a : a + len(fin)][fin], a + len(fin)
+        positions[to] = ends[fin]
+        if states is not None:
+            states[to] = nxt[fin]
+    rounds.clear()
+    return AdaptiveBatch(*totals, offsets, positions, pinned[order], states)
 
 
 def integrate_adaptive(
@@ -423,7 +452,7 @@ def integrate_adaptive(
 
 @dataclass(frozen=True)
 class FixedBatch:
-    """Result of :func:`integrate_fixed_batch` for P paths.
+    """Result of one job of :class:`FixedSolves` for P paths.
 
     ``final_states`` (P, d) holds each row's last finite state and
     ``num_steps`` (P,) the steps it completed; a row that went
@@ -437,25 +466,6 @@ class FixedBatch:
     num_steps: np.ndarray
     divergent: np.ndarray
     states: np.ndarray | None = None
-
-
-def mesh_integrals(
-    path: WienerPath, substeps: int, zero_area: bool = False
-) -> tuple[float, np.ndarray, np.ndarray, IteratedIntegrals | None]:
-    """Window integrals of a fixed mesh of ``substeps``-sized windows.
-
-    Returns (h, dW, I, tail): the ``n = num_steps // substeps`` uniform
-    windows as ``dW`` (n, m) and ``I`` (n, m, m), and the shorter window
-    that finishes on the horizon (None when the mesh fits exactly).
-    """
-    count, h, dw_all, ii_all = uniform_integrals(path, substeps, zero_area=zero_area)
-    start = count * substeps
-    tail = None
-    if start < path.num_steps:
-        tail = integrals_over(path, start, path.num_steps)
-        if zero_area:
-            tail = tail.without_area()
-    return h, dw_all, ii_all, tail
 
 
 _BATCH_CONTRACT = (
@@ -492,70 +502,128 @@ def _check_rowwise(problem: SdeProblem, count: int) -> None:
                 raise UsageError(f"problem {problem.name!r}: {_BATCH_CONTRACT}")
 
 
-def integrate_fixed_batch(
-    problem: SdeProblem,
-    scheme: str,
-    h: float,
-    dW: np.ndarray,
-    I: np.ndarray,
-    tail: tuple[float, np.ndarray, np.ndarray] | None = None,
-    record: bool = False,
-) -> FixedBatch:
-    """Fixed-step integration of P paths together, one step map per window.
+class _FixedRun:
+    """One job's rows between slabs."""
 
-    ``dW`` (n, P, m) and ``I`` (n, P, m, m) stack the integrals of the n
-    uniform windows of length ``h`` of each path; ``tail`` = (h_tail,
-    dW (P, m), I (P, m, m)) is an optional shorter last window, the same
-    window of every path. Every row starts at the problem's initial
-    state. Rows never mix, so row p equals the P = 1 solve of path p bit
-    for bit; a row that goes non-finite keeps its last finite state and
-    is flagged divergent without touching the others. Before the first
-    step the coefficients are checked on a batch of distinct states
-    against row-by-row calls, so coefficients written only for (d,)
-    states raise UsageError instead of mixing rows. ``record`` keeps
-    every node state (memory n * P * d floats).
-    """
-    check_scheme(scheme)
-    n, P, m = dW.shape
-    if m != problem.dim_noise or I.shape != (n, P, m, m):
-        raise UsageError(
-            f"integrals of shape {dW.shape} and {I.shape} do not fit "
-            f"(n, P, {problem.dim_noise}) and (n, P, {problem.dim_noise}, "
-            f"{problem.dim_noise})"
-        )
-    if tail is not None and (tail[1].shape != (P, m) or tail[2].shape != (P, m, m)):
-        raise UsageError("tail integrals must have shapes (P, m) and (P, m, m)")
-    _check_rowwise(problem, max(P, problem.dim_state + 1))
+    def __init__(self, problem, scheme, count, windows, record):
+        self.problem, self.scheme = problem, scheme
+        self.y = np.tile(problem.initial_state, (count, 1))
+        self.stop = np.full(count, windows)  # the window each row stopped at
+        self.dead = np.zeros(count, dtype=bool)  # rows stopped so far
+        self.step = 0  # windows taken
+        self.states = [self.y] if record else None
 
-    total = n + (tail is not None)
-    y = np.tile(problem.initial_state, (P, 1))
-    stop = np.full(P, total)
-    dead = None  # rows stopped so far; None while every row runs
-    states = [y] if record else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(total):
-            if s < n:
-                nxt = advance_state(problem, scheme, y, h, dW[s], I[s])
-            else:
-                nxt = advance_state(problem, scheme, y, *tail)
-            if dead is None and np.isfinite(nxt).all():
+    def advance(self, h, dW, I) -> None:
+        """Step the rows over windows ``dW`` (c, P, m), ``I`` (c, P, m, m)."""
+        problem, scheme, states = self.problem, self.scheme, self.states
+        y, dead, step = self.y, self.dead, self.step
+        clean = not dead.any()  # no row has stopped: check the batch at once
+        for s in range(0 if dead.all() else len(dW)):
+            nxt = advance_state(problem, scheme, y, h, dW[s], I[s])
+            if clean and np.isfinite(nxt).all():
                 y = nxt
             else:
-                finite = np.isfinite(nxt).all(axis=-1)
-                new = ~finite if dead is None else ~finite & ~dead
-                stop[new] = s
-                dead = new if dead is None else dead | new
+                new = ~np.isfinite(nxt).all(axis=-1) & ~dead
+                self.stop[new] = step
+                dead, clean = dead | new, False
                 if dead.all():
                     break
                 y = np.where(dead[:, None], y, nxt)
-            if record:
+            step += 1
+            if states is not None:
                 states.append(y)
-    return FixedBatch(
-        final_states=y,
-        num_steps=stop,
-        divergent=np.zeros(P, dtype=bool) if dead is None else dead,
-        states=np.array(states) if record else None,
-    )
+        self.y, self.dead, self.step = y, dead, step
+
+
+class FixedSolves:
+    """Fixed-step solves of a block of P paths, fed slab by slab.
+
+    Each job (scheme, k) steps every path from the initial state over
+    windows of k fine steps, the last one shorter when k does not divide
+    the path; :meth:`feed` takes the next (P, m, s) increments of every
+    path. Per k, the windows a slab completes are built once, a window
+    that straddles slabs from the increments carried over and the head
+    of the next slab, and every job with that k advances over them.
+    Whole windows get the bits :func:`~milsde.wiener.uniform_integrals`
+    gives them and the shorter last one those of
+    :func:`~milsde.wiener.integrals_over`, whatever the slabs. Rows never
+    mix, so row p equals :func:`integrate_fixed` on path p bit for bit,
+    divergence included. The coefficients are checked once, as in
+    :func:`integrate_adaptive_batch`. ``record`` keeps every node state;
+    ``zero_levy_area`` zeroes the Levy areas. ``seconds`` holds each
+    job's CPU seconds: its steps plus an equal share of its k's windows.
+    """
+
+    def __init__(
+        self, problem: SdeProblem, jobs, count: int, num_steps: int, resolution: float,
+        zero_levy_area: bool = False, record: bool = False,
+    ):
+        jobs = [(check_scheme(scheme), int(k)) for scheme, k in jobs]
+        if not jobs or count < 1 or not all(1 <= k <= num_steps for _, k in jobs):
+            raise UsageError(f"need a job, a path, and 1 <= substeps <= {num_steps}")
+        _check_rowwise(problem, max(count, problem.dim_state + 1))
+        self.problem, self.count, self.num_steps = problem, count, num_steps
+        self.resolution, self.zero_area = resolution, zero_levy_area
+        self.fed, self.seconds = 0, [0.0] * len(jobs)
+        self._runs = [_FixedRun(problem, s, count, -(-num_steps // k), record) for s, k in jobs]
+        self._jobs_of = {}  # k: the jobs that step k fine steps
+        for j, (_, k) in enumerate(jobs):
+            self._jobs_of.setdefault(k, []).append(j)
+        self._carry = dict.fromkeys(self._jobs_of)  # k: increments of an open window
+
+    def feed(self, increments: np.ndarray) -> None:
+        """Advance every job over the next (P, m, s) increments of every path."""
+        s, left = increments.shape[-1], self.num_steps - self.fed
+        if increments.shape != (self.count, self.problem.dim_noise, s) or not 0 < s <= left:
+            raise UsageError(f"increments {increments.shape} do not fit; {left} steps are left")
+        self.fed += s
+        clock = time.process_time
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, jobs in self._jobs_of.items():
+                t0 = clock()
+                windows = self._windows(k, increments)
+                share = (clock() - t0) / len(jobs)
+                for j in jobs:
+                    t0 = clock()
+                    for h, dW, I in windows:
+                        self._runs[j].advance(h, dW, I)
+                    self.seconds[j] += share + clock() - t0
+
+    def _windows(self, k: int, increments: np.ndarray) -> list:
+        """(h, dW, I) of the windows of k fine steps that ``increments``
+        complete, in order; the rest is carried over to the next slab (as
+        a view: each k keeps at most the last slab alive)."""
+        out, rest, carry = [], increments, self._carry[k]
+        if carry is not None:
+            head = min(k - carry.shape[2], rest.shape[2])
+            carry = np.concatenate((carry, rest[:, :, :head]), axis=2)
+            rest = rest[:, :, head:]
+            if carry.shape[2] == k:
+                out.append(_uniform_windows(carry, self.resolution, k, self.zero_area)[1:])
+                carry = None
+        if carry is None:
+            whole = rest.shape[2] // k * k
+            if whole:
+                out.append(_uniform_windows(rest, self.resolution, k, self.zero_area)[1:])
+            if whole < rest.shape[2]:
+                carry = rest[:, :, whole:]
+        if carry is not None and self.fed == self.num_steps:
+            P, m, r = carry.shape
+            dW, area = _window_sums(carry)
+            A = 0.0 if self.zero_area else (area @ _pairs(m)[5]).reshape(P, m, m)
+            h = r * self.resolution
+            out.append((h, dW[None], double_integrals(h, dW, A)[None]))
+        self._carry[k] = carry
+        return out
+
+    def results(self) -> list[FixedBatch]:
+        """Every job's :class:`FixedBatch`, in the order of the jobs."""
+        if self.fed < self.num_steps:
+            raise UsageError(f"only {self.fed} of {self.num_steps} fine steps were fed")
+        return [
+            FixedBatch(r.y, r.stop, r.dead, None if r.states is None else np.array(r.states))
+            for r in self._runs
+        ]
 
 
 def fixed_substeps(step_size: float, resolution: float, num_steps: int) -> int:
@@ -584,23 +652,16 @@ def integrate_fixed(
 ) -> SolutionPath:
     """Fixed-step integration at a step that is a whole multiple of the
     path resolution; if the horizon is not a multiple of the step, the
-    run finishes with one shorter step onto the horizon. This is the
-    one-path call of :func:`integrate_fixed_batch`.
+    run finishes with one shorter step onto the horizon. This is one
+    :class:`FixedSolves` job over one path, fed as one slab.
     """
-    check_scheme(scheme)
     _check_compatible(problem, path)
     k = fixed_substeps(step_size, path.resolution, path.num_steps)
-    strip_area = zero_levy_area and problem.dim_noise > 1
-    h, dw_all, ii_all, tail = mesh_integrals(path, k, zero_area=strip_area)
-    batch = integrate_fixed_batch(
-        problem,
-        scheme,
-        h,
-        dw_all[:, None],
-        ii_all[:, None],
-        None if tail is None else (tail.h, tail.dW[None], tail.I[None]),
-        record=True,
+    solves = FixedSolves(
+        problem, [(scheme, k)], 1, path.num_steps, path.resolution, zero_levy_area, True
     )
+    solves.feed(path.increments[None])
+    batch = solves.results()[0]
     steps = int(batch.num_steps[0])
     positions = np.minimum(np.arange(steps + 1) * k, path.num_steps)
     return SolutionPath(

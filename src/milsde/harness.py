@@ -20,37 +20,40 @@ Paths are processed in contiguous blocks of seeds, one block per task
 when ``workers > 1``. Pass 1 generates the block's paths together, in
 slabs of consecutive fine steps drawn from each path's open stream
 (:class:`~milsde.wiener.PathStreams`); slabs end on reference-window
-boundaries. Each slab's reference-mesh integrals are kept, and its
-prefix arrays join a sliding window
-(:class:`~milsde.wiener.PathPrefixes`) that feeds one lockstep adaptive
-solve with a lane per (path, h_max) of the block. A lane whose next
-window ends beyond the slabs drawn so far waits; when every lane waits,
-the next slab is drawn and the nodes behind the slowest lane are
-dropped. The window and one slab's increments stay within a fixed
-2 MiB cap of the library (not an option), and a block is cut small
-enough that its slabs are at least half as wide as the widest lane's
-h_max. Only a single path whose widest window alone exceeds the cap
-holds more: that window plus one reference window. A whole path is
-held only where it fits the cap. Slabs left once every lane is done
-are drawn for the reference alone. After the solve, one batched tamed
-reference advances every path of the block together. Pass 2
-regenerates each path, keeps its integrals on each matched comparator
-mesh, and runs one batched solve per (scheme, matched step).
-Rows and lanes never mix inside a batched solve, so results do not
-depend on the split into blocks or slabs. ``backstop_probability`` runs
-one task per block of paths: a streamed lockstep solve with a lane per
-(path, rho).
+boundaries. Each slab advances the batched tamed reference of every
+path of the block over the slab's reference windows
+(:class:`~milsde.adaptive.FixedSolves`), and its prefix arrays join a
+sliding window (:class:`~milsde.wiener.PathPrefixes`) that feeds one
+lockstep adaptive solve with a lane per (path, h_max) of the block. A
+lane whose next window ends beyond the slabs drawn so far waits; when
+every lane waits, the next slab is drawn and the nodes behind the
+slowest lane are dropped. The window and one slab's increments stay
+within a fixed 2 MiB cap of the library (not an option), and a block
+is cut small enough that its slabs are at least half as wide as the
+widest lane's h_max. Only a single path whose widest window alone
+exceeds the cap holds more: that window plus one reference window. A
+whole path is held only where it fits the cap. Slabs left once every
+lane is done are drawn for the reference alone. Pass 2 draws the
+block's paths again, in slabs whose increments fit the same cap, and
+advances every (scheme, matched step) job over each slab as it
+arrives; a comparator window that straddles two slabs is joined from
+the increments carried over and the head of the next slab. So no block
+holds a whole path or a whole mesh. Rows and lanes never mix inside a
+batched solve, so results do not depend on the split into blocks or
+slabs. ``backstop_probability`` runs one task per block of paths: a
+streamed lockstep solve with a lane per (path, rho).
 
 ``cpu_seconds`` per row is the CPU time (``time.process_time``, taken
 in the process that did the work and summed over workers) of that
 row's own solves. An adaptive row is charged its lanes' share of each
 block's lockstep solve and prefix arrays, split between the lanes in
 proportion to the steps they tried (a failed step included). A fixed
-row is charged its batched solve plus the extraction of its mesh
-integrals. Path generation (the slab draws of pass 1 and the whole
-paths of pass 2) is charged once, to ``ErrorTable.generation_seconds``,
-and the reference (its mesh integrals and solve) to
-``ErrorTable.reference_seconds``; neither is in any row.
+row is charged the steps of its batched solve plus its share of the
+window integrals of its matched step, which the jobs with that step
+split equally. Path generation (the slab draws of both passes) is
+charged once, to ``ErrorTable.generation_seconds``, and the reference
+(its window integrals and steps) to ``ErrorTable.reference_seconds``;
+neither is in any row.
 
 Seeds: path k uses ``base_seed ^ k``, so every experiment, pass, and
 rho value sees the same driving paths and results are reproducible
@@ -66,23 +69,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adaptive import (
-    StrategyConfig,
-    integrate_adaptive_batch,
-    integrate_fixed_batch,
-    mesh_integrals,
-)
+from .adaptive import FixedSolves, StrategyConfig, integrate_adaptive_batch
 from .errors import ExperimentError, UsageError
 from .problems import SdeProblem, make_builtin
 from .steppers import check_scheme
-from .wiener import (
-    _MAX_EXPONENT,
-    PathPrefixes,
-    PathStreams,
-    _check_exponent,
-    _uniform_windows,
-    generate_path,
-)
+from .wiener import _MAX_EXPONENT, PathPrefixes, PathStreams, _check_exponent
 
 __all__ = [
     "DEFAULT_BASE_SEED",
@@ -205,7 +196,7 @@ class ErrorRow:
 @dataclass(frozen=True)
 class ErrorTable:
     """Table rows plus the CPU seconds charged to no row: the coupled
-    reference (its mesh integrals and batched solve) and the generation
+    reference (its window integrals and batched steps) and the generation
     of the driving paths, summed over both passes."""
 
     rows: tuple[ErrorRow, ...]
@@ -274,11 +265,6 @@ def _map_tasks(fn, tasks, workers: int):
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-#: Cap on the window integrals one block of paths holds for its batched
-#: fixed-step solves; blocks are cut smaller than this.
-_BLOCK_BYTES = 32 << 20
-
-
 def _seed_blocks(seeds, workers: int, size: int) -> list[tuple]:
     """Contiguous blocks of seeds: at least one per worker, and at most
     ``size`` seeds each."""
@@ -292,54 +278,18 @@ def _widest(problem: SdeProblem, fine_exp: int, h_max: float) -> int:
     return math.ceil(h_max / (problem.horizon * 2.0**-fine_exp))
 
 
-class _Meshes:
-    """Stacked fixed-mesh integrals of a block of paths, filled path by
-    path (:meth:`fill`) or slab by slab (:meth:`fill_slabs`)."""
-
-    def __init__(self, paths: int, m: int, n_total: int, substeps: int):
-        self.substeps = substeps
-        n = n_total // substeps
-        self.dW = np.empty((n, paths, m))
-        self.I = np.empty((n, paths, m, m))
-        self.tail = None
-        if n * substeps < n_total:
-            self.tail = [0.0, np.empty((paths, m)), np.empty((paths, m, m))]
-
-    def fill(self, p: int, path) -> None:
-        h, dw_all, ii_all, tail = mesh_integrals(path, self.substeps)
-        self.h = h
-        self.dW[:, p] = dw_all
-        self.I[:, p] = ii_all
-        if tail is not None:
-            self.tail[0] = tail.h
-            self.tail[1][p] = tail.dW
-            self.tail[2][p] = tail.I
-
-    def fill_slabs(self, first: int, slabs: np.ndarray, resolution: float) -> None:
-        """The windows from window ``first`` on, of every path, from
-        (P, m, s) increments that start on window ``first``; s must be a
-        whole number of windows, and the mesh must have no tail."""
-        count, self.h, dw_all, ii_all = _uniform_windows(slabs, resolution, self.substeps)
-        self.dW[first : first + count] = dw_all
-        self.I[first : first + count] = ii_all
-
-    def solve(self, problem: SdeProblem, scheme: str):
-        tail = None if self.tail is None else tuple(self.tail)
-        return integrate_fixed_batch(problem, scheme, self.h, self.dW, self.I, tail)
-
-
 def _err_sq(ref_final: np.ndarray, final: np.ndarray) -> float:
     diff = ref_final - final
     return float(diff @ diff)
 
 
-def _lockstep(problem, count, fine_exp, configs, draw, unit):
+def _lockstep(problem, count, fine_exp, configs, draw, unit, keep):
     """One lockstep adaptive solve over a block of ``count`` paths, a
-    lane per (path, config), path-major. The paths are streamed in
-    slabs of whole multiples of ``unit`` fine steps: ``draw(steps)``
-    returns the next increments of every path, (count, m, steps), and
-    the block's prefix arrays keep a sliding window of them (see
-    :meth:`PathPrefixes.streamed`)."""
+    lane per (path, config), path-major, keeping ``keep`` of each step.
+    The paths are streamed in slabs of whole multiples of ``unit`` fine
+    steps: ``draw(steps)`` returns the next increments of every path,
+    (count, m, steps), and the block's prefix arrays keep a sliding
+    window of them (see :meth:`PathPrefixes.streamed`)."""
     prefixes = PathPrefixes.streamed(
         count,
         problem.dim_noise,
@@ -351,7 +301,7 @@ def _lockstep(problem, count, fine_exp, configs, draw, unit):
         unit=unit,
     )
     rows = np.repeat(np.arange(count), len(configs))
-    return integrate_adaptive_batch(problem, list(configs) * count, prefixes, rows)
+    return integrate_adaptive_batch(problem, list(configs) * count, prefixes, rows, keep=keep)
 
 
 @dataclass(frozen=True)
@@ -389,117 +339,104 @@ class _Pass1:
     runs: _AdaptiveRuns
 
 
-def _block_reference(task) -> _Pass1:
-    """Pass 1 for a contiguous block of seeds.
-
-    The block's paths are generated slab by slab from their open
-    streams. Each slab's reference-mesh integrals are kept, and its
-    prefix arrays feed one lockstep adaptive solve with a lane per
-    (path, h_max); the slabs left once every lane is done are drawn for
-    the reference alone. Then one batched tamed reference runs over the
-    block. Slab draws are charged to generation, the reference-mesh
-    integrals to the reference, and the rest of the lockstep to the
-    lanes, split by the steps each lane tried (a failed step included).
-    """
-    problem, seeds, fine_exp, ref_units, h_values, rho, delta = task
+def _feeding(streams, solves, spent):
+    """draw(steps): the next ``steps`` increments of every path of
+    ``streams``, (P, m, steps), fed to ``solves`` too; adds the CPU s of
+    the draw to spent[0] and of the feed to spent[1]."""
     clock = time.process_time
-    n = 1 << fine_exp
-    h_ref = problem.horizon * 2.0**-fine_exp
-    streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
-    meshes = _Meshes(len(seeds), problem.dim_noise, n, ref_units)
-    spent = [0.0, 0.0]  # CPU s of slab draws and of reference-mesh integrals
 
     def draw(steps):
         t0 = clock()
-        first = streams.drawn // ref_units
         slabs = streams.draw(steps)
         t1 = clock()
-        meshes.fill_slabs(first, slabs, h_ref)
+        solves.feed(slabs)
         spent[0] += t1 - t0
         spent[1] += clock() - t1
         return slabs
 
+    return draw
+
+
+def _block_reference(task) -> _Pass1:
+    """Pass 1 for a contiguous block of seeds.
+
+    The block's paths are generated slab by slab from their open
+    streams. Each slab advances the batched tamed reference of every
+    path over the slab's reference windows, and its prefix arrays feed
+    one lockstep adaptive solve with a lane per (path, h_max); the slabs
+    left once every lane is done are drawn for the reference alone.
+    Slab draws are charged to generation, the reference's windows and
+    steps to the reference, and the rest of the lockstep to the lanes,
+    split by the steps each lane tried (a failed step included).
+    """
+    problem, seeds, fine_exp, ref_units, h_values, rho, delta = task
+    clock = time.process_time
+    n = 1 << fine_exp
+    streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
+    t0 = clock()
+    reference = FixedSolves(
+        problem, [("tamed", ref_units)], len(seeds), n, problem.horizon * 2.0**-fine_exp
+    )
+    spent = [0.0, clock() - t0]  # CPU s of slab draws and of the reference
+    draw = _feeding(streams, reference, spent)
     configs = [StrategyConfig(h_max=h, rho=rho, delta=delta) for h in h_values]
     t0 = clock()
-    batch = _lockstep(problem, len(seeds), fine_exp, configs, draw, ref_units)
+    batch = _lockstep(problem, len(seeds), fine_exp, configs, draw, ref_units, "totals")
     solve_s = clock() - t0 - sum(spent)
     slab = PathPrefixes.slab_steps(len(seeds), problem.dim_noise, n, 0, ref_units)
     while streams.drawn < n:
         draw(min(slab, n - streams.drawn))
-    t0 = clock()
-    ref = meshes.solve(problem, "tamed")
-    ref_s = spent[1] + clock() - t0
+    ref = reference.results()[0]
     if ref.divergent.any():
         seed = seeds[int(np.argmax(ref.divergent))]
         raise ExperimentError(f"reference solution diverged for seed {seed}")
-    shape = (len(seeds), len(configs))
-    err_sq, mean_step = np.full(shape, math.nan), np.full(shape, math.nan)
-    steps, flagged = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-    # A lane's share of the solve: the steps it tried, the failed one included.
-    tried = (batch.num_steps + batch.divergent).reshape(shape)
-    cpu_s = solve_s * tried / tried.sum()
-    for lane in range(len(batch.divergent)):
-        sol = batch.solution(lane)
-        p, j = divmod(lane, len(configs))
-        if not sol.divergent:
-            err_sq[p, j] = _err_sq(ref.final_states[p], sol.final_state)
-            mean_step[p, j] = sol.mean_step
-            steps[p, j] = sol.num_steps
-            flagged[p, j] = sol.backstop_flags.sum()
-    runs = _AdaptiveRuns(err_sq, mean_step, steps, flagged, cpu_s)
-    return _Pass1(spent[0], ref_s, ref.final_states, runs)
+    ok = ~batch.divergent
+    # A lane's share of the solve: the steps it tried, the failed one
+    # included; on a finite lane, that is its steps.
+    tried = batch.num_steps + ~ok
+    err_sq = np.full(len(ok), math.nan)
+    for lane in np.flatnonzero(ok):
+        err_sq[lane] = _err_sq(ref.final_states[lane // len(configs)], batch.final_states[lane])
+    mean_step = np.where(ok, batch.ends * batch.resolution / tried, math.nan)
+    steps, flagged = np.where(ok, batch.num_steps, 0), np.where(ok, batch.flagged, 0)
+    cpu_s, shape = solve_s * tried / tried.sum(), (len(seeds), len(configs))
+    runs = _AdaptiveRuns(*(a.reshape(shape) for a in (err_sq, mean_step, steps, flagged, cpu_s)))
+    return _Pass1(spent[0], spent[1], ref.final_states, runs)
 
 
 def _block_fixed(task):
-    """Pass 2 for a contiguous block of seeds: per path, regenerate it
-    (cheaper than shipping it between processes) and keep its integrals
-    on each matched mesh; then one batched solve per (scheme, substeps)
-    job against the reference endpoints of pass 1.
+    """Pass 2 for a contiguous block of seeds: draw the block's paths
+    again, in slabs (cheaper than shipping them between processes), and
+    advance every (scheme, substeps) job over each slab as it arrives,
+    against the reference endpoints of pass 1.
 
     Returns (generation CPU s, per-job (err_sq list, CPU s)); the CPU
-    time of a job is its batched solve plus the extraction of its mesh
-    integrals.
+    time of a job is its steps plus its share of the windows it reads.
     """
     problem, seeds, fine_exp, jobs, ref_final = task
-    clock = time.process_time
-    n_total = 1 << fine_exp
-    meshes = {
-        k: _Meshes(len(seeds), problem.dim_noise, n_total, k)
-        for k in dict.fromkeys(k for _, k in jobs)
-    }
-    mesh_s = dict.fromkeys(meshes, 0.0)
-    gen_s = 0.0
-    for p, seed in enumerate(seeds):
-        t0 = clock()
-        path = generate_path(seed, fine_exp, problem.dim_noise, problem.horizon)
-        gen_s += clock() - t0
-        for k, mesh in meshes.items():
-            t0 = clock()
-            mesh.fill(p, path)
-            mesh_s[k] += clock() - t0
-        del path  # free it before the next path is generated
+    n = 1 << fine_exp
+    streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
+    solves = FixedSolves(problem, jobs, len(seeds), n, problem.horizon * 2.0**-fine_exp)
+    spent = [0.0, 0.0]
+    draw = _feeding(streams, solves, spent)
+    slab = PathPrefixes.slab_steps(len(seeds), problem.dim_noise, n, 0, 1)
+    while streams.drawn < n:
+        draw(min(slab, n - streams.drawn))
     out = []
-    for scheme, k in jobs:
-        t0 = clock()
-        sol = meshes[k].solve(problem, scheme)
+    for sol, seconds in zip(solves.results(), solves.seconds):
         err = [
             math.nan if sol.divergent[p] else _err_sq(ref_final[p], sol.final_states[p])
             for p in range(len(seeds))
         ]
-        out.append((err, mesh_s[k] + clock() - t0))
-    return gen_s, out
+        out.append((err, seconds))
+    return spent[0], out
 
 
 def _run_reference(problem, seeds, fine_exp, ref_units, h_values, rho, delta, workers):
-    """Pass 1 over every seed, in contiguous blocks: each block's
-    reference-mesh integrals fit _BLOCK_BYTES, and its streamed window
-    fits the prefix cap with slabs at least half as wide as the widest
-    lane's window."""
-    m = problem.dim_noise
-    size = min(
-        _BLOCK_BYTES // (((1 << fine_exp) // ref_units) * (m + m * m) * 8),
-        PathPrefixes.stream_size(m, _widest(problem, fine_exp, max(h_values))),
-    )
+    """Pass 1 over every seed, in contiguous blocks whose streamed
+    window fits the prefix cap with slabs at least half as wide as the
+    widest lane's window."""
+    size = PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exp, max(h_values)))
     blocks = _seed_blocks(seeds, workers, size)
     tasks = [
         (problem, block, fine_exp, ref_units, h_values, rho, delta) for block in blocks
@@ -666,16 +603,17 @@ def _backstop_block(task):
     problem, block, fine_exp, h_max, rhos, delta = task
     configs = [StrategyConfig(h_max=h_max, rho=rho, delta=delta) for rho in rhos]
     streams = PathStreams(block, fine_exp, problem.dim_noise, problem.horizon)
-    batch = _lockstep(problem, len(block), fine_exp, configs, streams.draw, 1)
+    batch = _lockstep(problem, len(block), fine_exp, configs, streams.draw, 1, "steps")
     out = []
     for q, seed in enumerate(block):
         per_rho = []
         for j, rho in enumerate(rhos):
-            sol = batch.solution(q * len(rhos) + j)
-            if sol.divergent:
+            lane = q * len(rhos) + j
+            if batch.divergent[lane]:
                 raise ExperimentError(
                     f"adaptive run diverged for seed {seed} at rho {rho:g}"
                 )
+            sol = batch.solution(lane)
             per_rho.append((bool(sol.backstop_flags.any()), sol.step_sizes))
         out.append(per_rho)
     return out

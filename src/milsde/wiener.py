@@ -43,10 +43,11 @@ int64 limbs, and the area is rounded once, to nearest. A window of
 one fine step therefore has an area of exactly zero, and any window's
 area is its exact left-point sum, correctly rounded.
 
-A window read only once (one window of :func:`integrals_over`, each
-path of :func:`moment_check`) is summed straight from its increments
-instead: the same per-step limbs, summed exactly and rounded once, so
-the same bits without writing a prefix node per step.
+A window read only once (one window of :func:`integrals_over`, the
+shorter last window of a fixed mesh, each path of :func:`moment_check`)
+is summed straight from its increments instead: the same per-step
+limbs, summed exactly and rounded once, so the same bits without
+writing a prefix node per step.
 
 A block of paths can also be drawn in slabs of consecutive fine steps
 (:class:`PathStreams`), which join into exactly the paths

@@ -14,16 +14,18 @@ from milsde import (
     SdeProblem,
     SolutionPath,
     StrategyConfig,
+    FixedSolves,
     UsageError,
     generate_path,
+    integrals_over,
     integrate_adaptive,
     integrate_adaptive_batch,
     integrate_fixed,
-    integrate_fixed_batch,
     make_builtin,
-    mesh_integrals,
     propose_step,
+    uniform_integrals,
 )
+from milsde.steppers import advance_state
 
 H_MAX = 2.0**-8
 CFG = StrategyConfig(h_max=H_MAX, rho=16.0)
@@ -331,28 +333,38 @@ def test_fixed_step_must_sit_on_the_grid():
 # ---------------------------------------------------------------------------
 
 
-def _batch_of(problem, seeds, step, level=10):
+def _batch_of(problem, seeds, level=10):
     paths = [generate_path(s, level, problem.dim_noise) for s in seeds]
-    meshes = [mesh_integrals(p, round(step * 2**level)) for p in paths]
-    h = meshes[0][0]
-    dW = np.stack([mesh[1] for mesh in meshes], axis=1)
-    I = np.stack([mesh[2] for mesh in meshes], axis=1)
-    tail = None
-    if meshes[0][3] is not None:
-        tails = [mesh[3] for mesh in meshes]
-        tail = (tails[0].h, np.stack([t.dW for t in tails]), np.stack([t.I for t in tails]))
-    return paths, (h, dW, I, tail)
+    return paths, np.stack([p.increments for p in paths])
 
 
-def _assert_batch_equals_single(problem, scheme, step, seeds):
-    paths, (h, dW, I, tail) = _batch_of(problem, seeds, step)
-    batch = integrate_fixed_batch(problem, scheme, h, dW, I, tail, record=True)
+def _solve_in_slabs(problem, jobs, increments, sizes, **kwargs):
+    """The jobs over (P, m, n) increments fed in slabs of ``sizes``
+    fine steps (cycled); returns the results and the slab ends."""
+    n = increments.shape[2]
+    solves = FixedSolves(problem, jobs, len(increments), n, 1.0 / n, **kwargs)
+    ends = []
+    while solves.fed < n:
+        size = min(sizes[len(ends) % len(sizes)], n - solves.fed)
+        solves.feed(increments[:, :, solves.fed : solves.fed + size])
+        ends.append(solves.fed)
+    return solves.results(), ends
+
+
+def _assert_rows_equal_single(problem, scheme, k, batch, paths, **kwargs):
     for p, path in enumerate(paths):
-        sol = integrate_fixed(problem, scheme, step, path)
+        sol = integrate_fixed(problem, scheme, k * path.resolution, path, **kwargs)
         assert batch.divergent[p] == sol.divergent
         assert batch.num_steps[p] == sol.num_steps
         np.testing.assert_array_equal(batch.final_states[p], sol.final_state)
         np.testing.assert_array_equal(batch.states[: sol.num_steps + 1, p], sol.states)
+
+
+def _assert_batch_equals_single(problem, scheme, step, seeds):
+    paths, increments = _batch_of(problem, seeds)
+    k = round(step * 2**10)
+    [batch], _ = _solve_in_slabs(problem, [(scheme, k)], increments, (1 << 10,), record=True)
+    _assert_rows_equal_single(problem, scheme, k, batch, paths)
     return batch
 
 
@@ -379,6 +391,76 @@ def test_batched_solve_isolates_divergent_rows():
     assert batch.divergent.all()
 
 
+def test_slab_fed_solve_equals_single_paths_bitwise():
+    # Slabs of 7, 100, 33 and 300 fine steps end inside the windows of
+    # every job but k = 1, so windows straddle two slabs or more (k =
+    # 160), and 48 and 160 leave a shorter last window. Every job reads
+    # the same slabs, and each row equals its path's one-slab solve.
+    jobs = [(scheme, k) for scheme in FIXED_SCHEMES for k in (1, 48, 160, 1024)]
+    for name in ("scalar_mult", "twod_noncommutative"):
+        problem = make_builtin(name)
+        paths, increments = _batch_of(problem, range(4))
+        for zero_area in (False, True):
+            results, ends = _solve_in_slabs(
+                problem, jobs, increments, (7, 100, 33, 300),
+                record=True, zero_levy_area=zero_area,
+            )
+            assert ends[:4] == [7, 107, 140, 440]
+            for (scheme, k), batch in zip(jobs, results):
+                _assert_rows_equal_single(
+                    problem, scheme, k, batch, paths, zero_levy_area=zero_area
+                )
+
+
+def test_fixed_steps_replay_the_mesh_windows():
+    # Whole windows carry uniform_integrals' bits and the shorter last
+    # one integrals_over's, so each step is the step map over them.
+    problem = make_builtin("twod_noncommutative")
+    path = generate_path(5, 10, 2)
+    for zero_area in (False, True):
+        sol = integrate_fixed(problem, "milstein", 48 * path.resolution, path, zero_area)
+        count, h, dW, I = uniform_integrals(path, 48, zero_area=zero_area)
+        last = integrals_over(path, count * 48, path.num_steps)
+        if zero_area:
+            last = last.without_area()
+        windows = [(h, dW[n], I[n]) for n in range(count)] + [(last.h, last.dW, last.I)]
+        assert sol.num_steps == len(windows) == 22
+        for n, window in enumerate(windows):
+            np.testing.assert_array_equal(
+                sol.states[n + 1], advance_state(problem, "milstein", sol.states[n], *window)
+            )
+
+
+def test_slab_fed_solve_stops_a_row_inside_a_slab():
+    # From y0 = 4.7 three of eight Milstein rows blow up at k = 96, on
+    # their tenth window, which ends inside a slab; the rows beside them
+    # run on, slab after slab.
+    mixed = dataclasses.replace(make_builtin("scalar_mult"), initial_state=np.array([4.7]))
+    paths, increments = _batch_of(mixed, range(8))
+    jobs = [("milstein", 96), ("euler", 96), ("tamed", 128)]
+    results, ends = _solve_in_slabs(mixed, jobs, increments, (100, 37), record=True)
+    batch = results[0]
+    assert batch.divergent.sum() == 3
+    failed_at = (batch.num_steps[batch.divergent] + 1) * 96
+    assert (failed_at == 960).all() and 960 not in ends
+    for (scheme, k), batch in zip(jobs, results):
+        _assert_rows_equal_single(mixed, scheme, k, batch, paths)
+
+
+def test_slab_fed_solve_refuses_what_does_not_fit():
+    problem = make_builtin("scalar_mult")
+    solves = FixedSolves(problem, [("euler", 4)], 2, 16, 1.0 / 16)
+    with pytest.raises(UsageError, match="increments"):
+        solves.feed(np.zeros((3, 1, 4)))
+    solves.feed(np.zeros((2, 1, 10)))
+    with pytest.raises(UsageError, match="fed"):
+        solves.results()
+    with pytest.raises(UsageError, match="increments"):
+        solves.feed(np.zeros((2, 1, 7)))
+    with pytest.raises(UsageError, match="substeps"):
+        FixedSolves(problem, [("euler", 17)], 2, 16, 1.0 / 16)
+
+
 def _custom_2d(column):
     return SdeProblem(
         dim_state=2,
@@ -401,9 +483,8 @@ def test_batched_solve_rejects_single_state_coefficients():
         lambda x, i: np.array([0.5 * x[0], 0.1 * x[1]]),
     ):
         problem = _custom_2d(column)
-        _, (h, dW, I, tail) = _batch_of(problem, range(2), 2.0**-4)
         with pytest.raises(UsageError, match=r"\(\.\.\., d\)|x\[\.\.\., k\]"):
-            integrate_fixed_batch(problem, "milstein", h, dW, I, tail)
+            FixedSolves(problem, [("milstein", 64)], 2, 1 << 10, 2.0**-10)
         with pytest.raises(UsageError, match="last axis"):
             integrate_fixed(problem, "milstein", 2.0**-4, generate_path(0, 8, 1))
     # The same columns written on the last axis are accepted.
@@ -459,12 +540,10 @@ def test_lockstep_lanes_equal_one_lane_solves_bitwise(name):
                 _assert_lane_equals_single(batch.solution(lane), one)
 
 
-def test_lockstep_divergent_lane_leaves_the_others_alone():
-    # A stiff drift that is undefined above 1.25: the coarse lane's plain
-    # steps overshoot into that region and go non-finite, the fine lanes
-    # decay to 1. The lanes beside the divergent one must end exactly
-    # where their one-lane solves do.
-    problem = SdeProblem(
+def _stiff_problem():
+    # A stiff drift that is undefined above 1.25: coarse plain steps
+    # overshoot into that region and go non-finite, fine ones decay to 1.
+    return SdeProblem(
         dim_state=1,
         dim_noise=1,
         drift=lambda x: np.where(x > 1.25, np.nan, -40.0 * (x - 1.0)),
@@ -474,17 +553,53 @@ def test_lockstep_divergent_lane_leaves_the_others_alone():
         initial_state=np.array([1.2]),
         horizon=1.0,
     )
-    configs = [
-        StrategyConfig(h_max=2.0**-8, rho=4.0),
-        StrategyConfig(h_max=2.0**-2, rho=4.0),
-        StrategyConfig(h_max=2.0**-6, rho=8.0),
-    ]
+
+
+STIFF_CONFIGS = [
+    StrategyConfig(h_max=2.0**-8, rho=4.0),
+    StrategyConfig(h_max=2.0**-2, rho=4.0),
+    StrategyConfig(h_max=2.0**-6, rho=8.0),
+]
+
+
+def test_lockstep_divergent_lane_leaves_the_others_alone():
+    # On the stiff problem the coarse lane goes non-finite; the lanes
+    # beside it must end exactly where their one-lane solves do.
+    problem, configs = _stiff_problem(), STIFF_CONFIGS
     paths, batch = _lockstep(problem, configs, range(2))
     np.testing.assert_array_equal(batch.divergent, [False, True, False] * 2)
     for lane, (path, cfg) in enumerate((p, c) for p in paths for c in configs):
         _assert_lane_equals_single(batch.solution(lane), integrate_adaptive(problem, cfg, path))
     assert np.isfinite(batch.states).all()
     assert batch.solution(1).final_time < 1.0
+
+
+def test_lockstep_keeps_only_what_is_asked():
+    # "steps" and "totals" keep less of the same solve: what they keep,
+    # and every per-lane total, equals what the full records give, bit
+    # for bit: on divergent lanes (the stiff problem) and on lanes with
+    # pinned steps (scalar_mult from 8).
+    large = dataclasses.replace(make_builtin("scalar_mult"), initial_state=np.array([8.0]))
+    for problem, configs in ((_stiff_problem(), STIFF_CONFIGS), (large, LANE_CONFIGS)):
+        _, full = _lockstep(problem, configs, range(3))
+        assert full.divergent.any() or full.flagged.all()
+        for keep in ("steps", "totals"):
+            _, batch = _lockstep(problem, configs, range(3), keep=keep)
+            assert batch.states is None
+            for name in ("ends", "final_states", "num_steps", "flagged", "divergent"):
+                np.testing.assert_array_equal(getattr(batch, name), getattr(full, name))
+            for lane in range(len(full.divergent)):
+                sol = full.solution(lane)
+                assert batch.num_steps[lane] == sol.num_steps
+                assert batch.flagged[lane] == sol.backstop_flags.sum()
+                assert batch.ends[lane] * batch.resolution == sol.final_time
+                np.testing.assert_array_equal(batch.final_states[lane], sol.final_state)
+                if keep == "steps":
+                    kept = batch.solution(lane)
+                    np.testing.assert_array_equal(kept.times, sol.times)
+                    np.testing.assert_array_equal(kept.backstop_flags, sol.backstop_flags)
+    with pytest.raises(UsageError, match="keep"):
+        _lockstep(large, LANE_CONFIGS, range(1), keep="ends")
 
 
 def test_lockstep_rejects_mismatched_lanes_and_single_state_coefficients():

@@ -240,12 +240,48 @@ def test_block_split_does_not_change_results(monkeypatch):
     # Paths are solved in contiguous blocks; one path per block must
     # give the same table as one block for all paths.
     whole = convergence_table(_structure_config())
-    monkeypatch.setattr(milsde.harness, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(
+        milsde.wiener.PathPrefixes, "stream_size", staticmethod(lambda dim_noise, widest: 1)
+    )
     split = convergence_table(_structure_config())
     for ra, rb in zip(whole.rows, split.rows):
         assert dataclasses.replace(ra, cpu_seconds=0.0) == dataclasses.replace(
             rb, cpu_seconds=0.0
         )
+
+
+def test_comparator_windows_across_slabs_do_not_change_results(monkeypatch):
+    # A cap of 1,000 bytes cuts pass 2 into slabs of 62 fine steps on
+    # scalar_mult and 22 on twod_noncommutative, so comparator windows
+    # straddle slabs, some span three or more, and matched steps that do
+    # not divide 2^12 end on a shorter last window. The rows must not
+    # change, on one worker or two.
+    configs = [
+        _structure_config(problem=problem, workers=workers)
+        for problem in ("scalar_mult", "twod_noncommutative")
+        for workers in (1, 2)
+    ]
+    wholes = [convergence_table(config) for config in configs]
+    slab_ends = []
+    feed = milsde.adaptive.FixedSolves.feed
+
+    def spy(self, increments):
+        feed(self, increments)
+        slab_ends.append((tuple(self._jobs_of), self.fed))
+
+    monkeypatch.setattr(milsde.adaptive.FixedSolves, "feed", spy)
+    monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1000)
+    for config, whole in zip(configs, wholes):
+        split = convergence_table(config)
+        for ra, rb in zip(whole.rows, split.rows):
+            assert dataclasses.replace(ra, cpu_seconds=0.0) == dataclasses.replace(
+                rb, cpu_seconds=0.0
+            )
+        units = [round(r.h_max * 2**12) for r in split.rows if r.scheme != "adaptive"]
+        assert any((1 << 12) % k for k in units)
+        assert max(units) > 62
+    assert any(end % k for ks, end in slab_ends for k in ks if end < 1 << 12)
+    assert {end for _, end in slab_ends if end < 1 << 12} >= {62, 124, 22, 44}
 
 
 def _curve_text(curve) -> str:

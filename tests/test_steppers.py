@@ -6,6 +6,7 @@ import pytest
 
 from milsde import (
     FIXED_SCHEMES,
+    FixedSolves,
     IteratedIntegrals,
     SdeProblem,
     StrategyConfig,
@@ -15,7 +16,6 @@ from milsde import (
     integrate_adaptive,
     integrate_adaptive_batch,
     integrate_fixed,
-    integrate_fixed_batch,
     make_builtin,
 )
 from milsde.steppers import advance_state, check_scheme
@@ -279,13 +279,12 @@ def test_comparator_dispatch():
     assert check_scheme("tamed") == "tamed"
     p = make_builtin("scalar_mult")
     path = generate_path(1, 4, 1)
-    dW, I = np.zeros((1, 1, 1)), np.zeros((1, 1, 1, 1))
     cfg = StrategyConfig(h_max=0.25, rho=2.0)
     solves = [
         lambda s: check_scheme(s),
         lambda s: check_scheme(s, adaptive=True),
         lambda s: integrate_fixed(p, s, 0.25, path),
-        lambda s: integrate_fixed_batch(p, s, 1.0, dW, I),
+        lambda s: FixedSolves(p, [(s, 4)], 1, 16, 2.0**-4),
         lambda s: integrate_adaptive_batch(p, [cfg], path.prefixes(), [0], s),
     ]
     for solve in solves:

@@ -4,6 +4,7 @@ sliding window of prefix arrays."""
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import numpy.random.bit_generator
@@ -233,3 +234,25 @@ def test_block_window_keeps_one_widest_window_below_the_cap(windows, monkeypatch
         for nbytes, nodes, _, paths, m in seen:
             assert nodes == widest + unit
             assert nbytes == paths * PathPrefixes.bytes_per_node(m) * nodes
+
+
+def test_table_memory_stays_below_a_whole_path():
+    # Two 2^20-step scalar_mult paths: pass 1 streams them through the
+    # prefix window and the reference, pass 2 through the comparators,
+    # so the table never holds a whole 8 MiB path or reference mesh.
+    config = milsde.ExperimentConfig(
+        problem="scalar_mult",
+        h_max_values=(2.0**-8, 2.0**-7, 2.0**-6),
+        rho=16.0,
+        schemes=("adaptive", "euler"),
+        num_paths=2,
+        reference_exponent=8,
+        fine_exponent=20,
+    )
+    tracemalloc.start()
+    try:
+        convergence_table(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20, f"traced peak {peak / 2**20:.2f} MiB"
