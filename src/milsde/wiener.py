@@ -798,7 +798,8 @@ def _uniform_windows(
     count = n // substeps
     h = substeps * resolution
     inc = increments[..., : count * substeps].reshape(*lead, m, count, substeps)
-    dW_all = np.moveaxis(inc.sum(axis=-1), -1, 0)  # (count, ..., m)
+    # (count, ..., m), contiguous: each step map reads one window's rows.
+    dW_all = np.ascontiguousarray(np.moveaxis(inc.sum(axis=-1), -1, 0))
     if m == 1 or zero_area:
         area = np.zeros(dW_all.shape + (m,))
     else:
