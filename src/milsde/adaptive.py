@@ -26,19 +26,20 @@ experiment bookkeeping relies on this. The final step is clamped to
 land on the horizon; a clamped step may be shorter than h_min, runs the
 plain scheme map, and is never flagged as a backstop.
 
-Fixed-step solves advance a block of P paths together through one
-step map per window, fed slab by slab (:class:`FixedSolves`): each row
-carries its state from one slab to the next, and several jobs (scheme,
-step) share each slab. The one-path :func:`integrate_fixed` is one job
-over one path fed as one slab. Adaptive solves advance a
-set of lanes together (:func:`integrate_adaptive_batch`), one lane per
-(path, :class:`StrategyConfig`) pair. Each lane keeps its own position,
-state and step count and reads its window integrals in O(1) from the
-prefix arrays of its path (:class:`~milsde.wiener.PathPrefixes`); a
-lane leaves the live set when it reaches the horizon or diverges. The
-prefix arrays may hold whole paths or a sliding window that streams
-them in slabs: a lane whose next window is not yet held waits, and the
-window advances when every live lane waits. The one-path
+Every solve reads its window integrals in O(1) from the prefix arrays
+of its paths (:class:`~milsde.wiener.PathPrefixes`), so fixed meshes
+and adaptive lanes see the same exact Levy areas. Fixed-step solves
+advance a block of P paths together through one step map per window
+(:class:`FixedSolves`): each call advances every job (scheme, step)
+over the windows the arrays hold so far, and each row carries its state
+to the next call. The one-path :func:`integrate_fixed` is one job over
+one path's whole arrays. Adaptive solves advance a set of lanes
+together (:func:`integrate_adaptive_batch`), one lane per (path,
+:class:`StrategyConfig`) pair. Each lane keeps its own position, state
+and step count, and leaves the live set when it reaches the horizon or
+diverges. The prefix arrays may hold whole paths or a sliding window
+that streams them in slabs: a lane whose next window is not yet held
+waits, and the window advances when every live lane waits. The one-path
 :func:`integrate_adaptive` is its one-lane call, over whole arrays.
 """
 
@@ -53,14 +54,7 @@ import numpy as np
 from .errors import UsageError
 from .problems import SdeProblem
 from .steppers import advance_state, check_scheme
-from .wiener import (
-    PathPrefixes,
-    WienerPath,
-    _pairs,
-    _uniform_windows,
-    _window_sums,
-    double_integrals,
-)
+from .wiener import PathPrefixes, WienerPath, double_integrals
 
 __all__ = [
     "StrategyConfig",
@@ -503,7 +497,7 @@ def _check_rowwise(problem: SdeProblem, count: int) -> None:
 
 
 class _FixedRun:
-    """One job's rows between slabs."""
+    """One job's rows between calls."""
 
     def __init__(self, problem, scheme, count, windows, record):
         self.problem, self.scheme = problem, scheme
@@ -514,13 +508,17 @@ class _FixedRun:
         self.states = [self.y] if record else None
 
     def advance(self, h, dW, I) -> None:
-        """Step the rows over windows ``dW`` (c, P, m), ``I`` (c, P, m, m)."""
+        """Step the rows over windows of lengths ``h`` (c,), with ``dW``
+        (c, P, m) and ``I`` (c, P, m, m)."""
         problem, scheme, states = self.problem, self.scheme, self.states
         y, dead, step = self.y, self.dead, self.step
         clean = not dead.any()  # no row has stopped: check the batch at once
+        # 0 x is 0 for every finite x and nan for inf or nan, so the batch
+        # is finite exactly when its dot with zeros is 0.
+        zeros = np.zeros(y.size)
         for s in range(0 if dead.all() else len(dW)):
-            nxt = advance_state(problem, scheme, y, h, dW[s], I[s])
-            if clean and np.isfinite(nxt).all():
+            nxt = advance_state(problem, scheme, y, h[s], dW[s], I[s])
+            if clean and nxt.ravel() @ zeros == 0.0:
                 y = nxt
             else:
                 new = ~np.isfinite(nxt).all(axis=-1) & ~dead
@@ -536,26 +534,28 @@ class _FixedRun:
 
 
 class FixedSolves:
-    """Fixed-step solves of a block of P paths, fed slab by slab.
+    """Fixed-step solves of a block of P paths, advanced as their prefix
+    arrays fill.
 
     Each job (scheme, k) steps every path from the initial state over
     windows of k fine steps, the last one shorter when k does not divide
-    the path; :meth:`feed` takes the next (P, m, s) increments of every
-    path. Per k, the windows a slab completes are built once, a window
-    that straddles slabs from the increments carried over and the head
-    of the next slab, and every job with that k advances over them.
-    Whole windows get the bits :func:`~milsde.wiener.uniform_integrals`
-    gives them and the shorter last one those of
-    :func:`~milsde.wiener.integrals_over`, whatever the slabs. Rows never
-    mix, so row p equals :func:`integrate_fixed` on path p bit for bit,
-    divergence included. The coefficients are checked once, as in
-    :func:`integrate_adaptive_batch`. ``record`` keeps every node state;
-    ``zero_levy_area`` zeroes the Levy areas. ``seconds`` holds each
-    job's CPU seconds: its steps plus an equal share of its k's windows.
+    the path. :meth:`advance` takes the block's
+    :class:`~milsde.wiener.PathPrefixes`, whole or streamed, and steps
+    every job over each window they hold up to their frontier that it
+    has not taken yet; :attr:`position` is the first node a job still
+    needs. Per k, the windows are read once, with the exact integrals
+    :func:`~milsde.wiener.integrals_over` gives them, and every job with
+    that k advances over them. Rows never mix, so row p equals
+    :func:`integrate_fixed` on path p bit for bit, divergence included,
+    whatever the arrays held at each call. The coefficients are checked
+    once, as in :func:`integrate_adaptive_batch`. ``record`` keeps every
+    node state; ``zero_levy_area`` zeroes the Levy areas. ``seconds``
+    holds each job's CPU seconds: its steps plus an equal share of its
+    k's window reads.
     """
 
     def __init__(
-        self, problem: SdeProblem, jobs, count: int, num_steps: int, resolution: float,
+        self, problem: SdeProblem, jobs, count: int, num_steps: int,
         zero_levy_area: bool = False, record: bool = False,
     ):
         jobs = [(check_scheme(scheme), int(k)) for scheme, k in jobs]
@@ -563,63 +563,57 @@ class FixedSolves:
             raise UsageError(f"need a job, a path, and 1 <= substeps <= {num_steps}")
         _check_rowwise(problem, max(count, problem.dim_state + 1))
         self.problem, self.count, self.num_steps = problem, count, num_steps
-        self.resolution, self.zero_area = resolution, zero_levy_area
-        self.fed, self.seconds = 0, [0.0] * len(jobs)
+        self.zero_area = zero_levy_area
+        self.seconds = [0.0] * len(jobs)
         self._runs = [_FixedRun(problem, s, count, -(-num_steps // k), record) for s, k in jobs]
         self._jobs_of = {}  # k: the jobs that step k fine steps
         for j, (_, k) in enumerate(jobs):
             self._jobs_of.setdefault(k, []).append(j)
-        self._carry = dict.fromkeys(self._jobs_of)  # k: increments of an open window
+        self._at = dict.fromkeys(self._jobs_of, 0)  # k: the node its jobs reached
 
-    def feed(self, increments: np.ndarray) -> None:
-        """Advance every job over the next (P, m, s) increments of every path."""
-        s, left = increments.shape[-1], self.num_steps - self.fed
-        if increments.shape != (self.count, self.problem.dim_noise, s) or not 0 < s <= left:
-            raise UsageError(f"increments {increments.shape} do not fit; {left} steps are left")
-        self.fed += s
-        clock = time.process_time
+    @property
+    def position(self) -> int:
+        """The node the job furthest behind has reached."""
+        return min(self._at.values())
+
+    def advance(self, prefixes: PathPrefixes) -> None:
+        """Advance every job over the windows ``prefixes`` hold that it
+        has not taken yet, up to their frontier.
+
+        Raises:
+            UsageError: the arrays do not fit the block, or no longer hold
+                the start of a job's next window.
+        """
+        _check_compatible(self.problem, prefixes)
+        if (len(prefixes.sums), prefixes.num_steps) != (self.count, self.num_steps):
+            raise UsageError("prefix arrays do not match the block's paths")
+        if self.position < prefixes.start:
+            raise UsageError(f"node {self.position} is no longer held")
+        # Per k, the ends of the windows held that its jobs have not
+        # taken, the last one clipped to the path; all are read at once.
+        n, frontier, clock = self.num_steps, prefixes.frontier, time.process_time
+        ends = [np.arange(at + k, frontier + k, k).clip(max=n) for k, at in self._at.items()]
+        ends = [e[e <= frontier] for e in ends]
+        starts = [np.concatenate(([at], e))[:-1] for at, e in zip(self._at.values(), ends)]
+        start, end = (np.concatenate(x)[:, None] for x in (starts, ends))
+        t0 = clock()
+        h, dW, A = prefixes.windows(np.arange(self.count), start, end, self.zero_area)
+        I = double_integrals(h[..., None], dW, A)
+        read, h, b = (clock() - t0) / max(1, len(h)), h[:, 0].tolist(), 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, jobs in self._jobs_of.items():
-                t0 = clock()
-                windows = self._windows(k, increments)
-                share = (clock() - t0) / len(jobs)
+            for (k, jobs), e in zip(self._jobs_of.items(), ends):
+                a, b = b, b + len(e)
                 for j in jobs:
                     t0 = clock()
-                    for h, dW, I in windows:
-                        self._runs[j].advance(h, dW, I)
-                    self.seconds[j] += share + clock() - t0
-
-    def _windows(self, k: int, increments: np.ndarray) -> list:
-        """(h, dW, I) of the windows of k fine steps that ``increments``
-        complete, in order; the rest is carried over to the next slab (as
-        a view: each k keeps at most the last slab alive)."""
-        out, rest, carry = [], increments, self._carry[k]
-        if carry is not None:
-            head = min(k - carry.shape[2], rest.shape[2])
-            carry = np.concatenate((carry, rest[:, :, :head]), axis=2)
-            rest = rest[:, :, head:]
-            if carry.shape[2] == k:
-                out.append(_uniform_windows(carry, self.resolution, k, self.zero_area)[1:])
-                carry = None
-        if carry is None:
-            whole = rest.shape[2] // k * k
-            if whole:
-                out.append(_uniform_windows(rest, self.resolution, k, self.zero_area)[1:])
-            if whole < rest.shape[2]:
-                carry = rest[:, :, whole:]
-        if carry is not None and self.fed == self.num_steps:
-            P, m, r = carry.shape
-            dW, area = _window_sums(carry)
-            A = 0.0 if self.zero_area else (area @ _pairs(m)[5]).reshape(P, m, m)
-            h = r * self.resolution
-            out.append((h, dW[None], double_integrals(h, dW, A)[None]))
-        self._carry[k] = carry
-        return out
+                    self._runs[j].advance(h[a:b], dW[a:b], I[a:b])
+                    self.seconds[j] += read * len(e) / len(jobs) + clock() - t0
+                if len(e):
+                    self._at[k] = int(e[-1])
 
     def results(self) -> list[FixedBatch]:
         """Every job's :class:`FixedBatch`, in the order of the jobs."""
-        if self.fed < self.num_steps:
-            raise UsageError(f"only {self.fed} of {self.num_steps} fine steps were fed")
+        if self.position < self.num_steps:
+            raise UsageError(f"only {self.position} of {self.num_steps} fine steps were taken")
         return [
             FixedBatch(r.y, r.stop, r.dead, None if r.states is None else np.array(r.states))
             for r in self._runs
@@ -634,7 +628,7 @@ def fixed_substeps(step_size: float, resolution: float, num_steps: int) -> int:
         UsageError: the step is not a whole multiple of the resolution.
     """
     u = step_size / resolution
-    k = int(round(u))
+    k = round(u) if math.isfinite(u) else 0
     if k < 1 or abs(u - k) > 1e-9 * max(u, 1.0):
         raise UsageError(
             f"step size {step_size:g} is not a whole multiple of the "
@@ -653,14 +647,12 @@ def integrate_fixed(
     """Fixed-step integration at a step that is a whole multiple of the
     path resolution; if the horizon is not a multiple of the step, the
     run finishes with one shorter step onto the horizon. This is one
-    :class:`FixedSolves` job over one path, fed as one slab.
+    :class:`FixedSolves` job over the path's prefix arrays.
     """
     _check_compatible(problem, path)
     k = fixed_substeps(step_size, path.resolution, path.num_steps)
-    solves = FixedSolves(
-        problem, [(scheme, k)], 1, path.num_steps, path.resolution, zero_levy_area, True
-    )
-    solves.feed(path.increments[None])
+    solves = FixedSolves(problem, [(scheme, k)], 1, path.num_steps, zero_levy_area, True)
+    solves.advance(path.prefixes())
     batch = solves.results()[0]
     steps = int(batch.num_steps[0])
     positions = np.minimum(np.arange(steps + 1) * k, path.num_steps)

@@ -17,43 +17,43 @@ effective resolution; their rows record that matched step in both the
 h_max and h_mean columns.
 
 Paths are processed in contiguous blocks of seeds, one block per task
-when ``workers > 1``. Pass 1 generates the block's paths together, in
-slabs of consecutive fine steps drawn from each path's open stream
-(:class:`~milsde.wiener.PathStreams`); slabs end on reference-window
-boundaries. Each slab advances the batched tamed reference of every
-path of the block over the slab's reference windows
-(:class:`~milsde.adaptive.FixedSolves`), and its prefix arrays join a
-sliding window (:class:`~milsde.wiener.PathPrefixes`) that feeds one
-lockstep adaptive solve with a lane per (path, h_max) of the block. A
-lane whose next window ends beyond the slabs drawn so far waits; when
-every lane waits, the next slab is drawn and the nodes behind the
-slowest lane are dropped. The window and one slab's increments stay
-within a fixed 2 MiB cap of the library (not an option), and a block
-is cut small enough that its slabs are at least half as wide as the
-widest lane's h_max. Only a single path whose widest window alone
-exceeds the cap holds more: that window plus one reference window. A
-whole path is held only where it fits the cap. Slabs left once every
-lane is done are drawn for the reference alone. Pass 2 draws the
-block's paths again, in slabs whose increments fit the same cap, and
-advances every (scheme, matched step) job over each slab as it
-arrives; a comparator window that straddles two slabs is joined from
-the increments carried over and the head of the next slab. So no block
-holds a whole path or a whole mesh. Rows and lanes never mix inside a
-batched solve, so results do not depend on the split into blocks or
-slabs. ``backstop_probability`` runs one task per block of paths: a
-streamed lockstep solve with a lane per (path, rho).
+when ``workers > 1``. Every solve of a block reads its windows from one
+sliding window of prefix arrays (:class:`~milsde.wiener.PathPrefixes`)
+over the block's paths, which are drawn together in slabs of
+consecutive fine steps from their open streams
+(:class:`~milsde.wiener.PathStreams`). Pass 1 feeds one lockstep
+adaptive solve with a lane per (path, h_max) of the block. A lane whose
+next window ends beyond the slabs drawn so far waits; when every lane
+waits, the next slab is drawn and the nodes behind the slowest lane are
+dropped. Slabs end on reference-window boundaries, and before each one
+is drawn the batched tamed reference of every path
+(:class:`~milsde.adaptive.FixedSolves`) advances over the reference
+windows held so far; slabs left once every lane is done are drawn for
+the reference alone. The window and one slab's increments stay within
+a fixed 2 MiB cap of the library (not an option), and a block is cut
+small enough that its slabs are at least half as wide as the widest
+lane's h_max. Only a single path whose widest window alone exceeds the
+cap holds more: that window plus one reference window. A whole path is
+held only where it fits the cap. Pass 2 draws the block's paths again,
+through a window of the same cap as wide as the widest matched step,
+and advances every (scheme, matched step) job over the windows each
+slab completes. So no block holds a whole path or a whole mesh. Rows
+and lanes never mix inside a batched solve, so results do not depend on
+the split into blocks or slabs. ``backstop_probability`` runs one task
+per block of paths: a streamed lockstep solve with a lane per (path,
+rho).
 
 ``cpu_seconds`` per row is the CPU time (``time.process_time``, taken
 in the process that did the work and summed over workers) of that
 row's own solves. An adaptive row is charged its lanes' share of each
-block's lockstep solve and prefix arrays, split between the lanes in
-proportion to the steps they tried (a failed step included). A fixed
-row is charged the steps of its batched solve plus its share of the
-window integrals of its matched step, which the jobs with that step
-split equally. Path generation (the slab draws of both passes) is
-charged once, to ``ErrorTable.generation_seconds``, and the reference
-(its window integrals and steps) to ``ErrorTable.reference_seconds``;
-neither is in any row.
+block's lockstep solve and pass-1 prefix arrays, split between the
+lanes in proportion to the steps they tried (a failed step included).
+A fixed row is charged the steps of its batched solve, its share of the
+window reads of its matched step, which the jobs with that step split
+equally, and an equal share of the pass-2 prefix arrays. Path
+generation (the slab draws of both passes) is charged once, to
+``ErrorTable.generation_seconds``, and the reference (its window reads
+and steps) to ``ErrorTable.reference_seconds``; neither is in any row.
 
 Seeds: path k uses ``base_seed ^ k``, so every experiment, pass, and
 rho value sees the same driving paths and results are reproducible
@@ -283,25 +283,22 @@ def _err_sq(ref_final: np.ndarray, final: np.ndarray) -> float:
     return float(diff @ diff)
 
 
-def _lockstep(problem, count, fine_exp, configs, draw, unit, keep):
-    """One lockstep adaptive solve over a block of ``count`` paths, a
-    lane per (path, config), path-major, keeping ``keep`` of each step.
-    The paths are streamed in slabs of whole multiples of ``unit`` fine
-    steps: ``draw(steps)`` returns the next increments of every path,
-    (count, m, steps), and the block's prefix arrays keep a sliding
-    window of them (see :meth:`PathPrefixes.streamed`)."""
-    prefixes = PathPrefixes.streamed(
-        count,
-        problem.dim_noise,
-        1 << fine_exp,
-        problem.horizon * 2.0**-fine_exp,
-        problem.horizon,
-        draw,
-        widest=_widest(problem, fine_exp, max(c.h_max for c in configs)),
-        unit=unit,
-    )
+def _window(problem, count, fine_exp, draw, widest, unit):
+    """A sliding window of prefix arrays over a block of ``count`` paths
+    (see :meth:`PathPrefixes.streamed`), streamed in slabs of whole
+    multiples of ``unit`` fine steps and holding at least ``widest``
+    nodes besides the slab: ``draw(steps)`` returns the next increments
+    of every path, (count, m, steps)."""
+    n, h_ref, horizon = 1 << fine_exp, problem.horizon * 2.0**-fine_exp, problem.horizon
+    return PathPrefixes.streamed(count, problem.dim_noise, n, h_ref, horizon, draw, widest, unit)
+
+
+def _lockstep(problem, window, configs, keep):
+    """One lockstep adaptive solve over the paths of ``window``, a lane
+    per (path, config), path-major, keeping ``keep`` of each step."""
+    count = len(window.sums)
     rows = np.repeat(np.arange(count), len(configs))
-    return integrate_adaptive_batch(problem, list(configs) * count, prefixes, rows, keep=keep)
+    return integrate_adaptive_batch(problem, list(configs) * count, window, rows, keep=keep)
 
 
 @dataclass(frozen=True)
@@ -339,34 +336,18 @@ class _Pass1:
     runs: _AdaptiveRuns
 
 
-def _feeding(streams, solves, spent):
-    """draw(steps): the next ``steps`` increments of every path of
-    ``streams``, (P, m, steps), fed to ``solves`` too; adds the CPU s of
-    the draw to spent[0] and of the feed to spent[1]."""
-    clock = time.process_time
-
-    def draw(steps):
-        t0 = clock()
-        slabs = streams.draw(steps)
-        t1 = clock()
-        solves.feed(slabs)
-        spent[0] += t1 - t0
-        spent[1] += clock() - t1
-        return slabs
-
-    return draw
-
-
 def _block_reference(task) -> _Pass1:
     """Pass 1 for a contiguous block of seeds.
 
     The block's paths are generated slab by slab from their open
-    streams. Each slab advances the batched tamed reference of every
-    path over the slab's reference windows, and its prefix arrays feed
-    one lockstep adaptive solve with a lane per (path, h_max); the slabs
-    left once every lane is done are drawn for the reference alone.
-    Slab draws are charged to generation, the reference's windows and
-    steps to the reference, and the rest of the lockstep to the lanes,
+    streams into one sliding window of prefix arrays, which feeds one
+    lockstep adaptive solve with a lane per (path, h_max). Slabs end on
+    reference-window boundaries, and before each slab is drawn the
+    batched tamed reference of every path advances over the reference
+    windows the window holds; once every lane is done, the slabs left
+    are drawn for the reference alone. Slab draws are charged to
+    generation, the reference's windows and steps to the reference, and
+    the rest of the lockstep (the prefix arrays included) to the lanes,
     split by the steps each lane tried (a failed step included).
     """
     problem, seeds, fine_exp, ref_units, h_values, rho, delta = task
@@ -374,18 +355,34 @@ def _block_reference(task) -> _Pass1:
     n = 1 << fine_exp
     streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
     t0 = clock()
-    reference = FixedSolves(
-        problem, [("tamed", ref_units)], len(seeds), n, problem.horizon * 2.0**-fine_exp
-    )
+    reference = FixedSolves(problem, [("tamed", ref_units)], len(seeds), n)
     spent = [0.0, clock() - t0]  # CPU s of slab draws and of the reference
-    draw = _feeding(streams, reference, spent)
+
+    def draw(steps):
+        t0 = clock()
+        reference.advance(window)
+        t1 = clock()
+        slab = streams.draw(steps)
+        spent[0] += clock() - t1
+        spent[1] += t1 - t0
+        return slab
+
     configs = [StrategyConfig(h_max=h, rho=rho, delta=delta) for h in h_values]
-    t0 = clock()
-    batch = _lockstep(problem, len(seeds), fine_exp, configs, draw, ref_units, "totals")
-    solve_s = clock() - t0 - sum(spent)
-    slab = PathPrefixes.slab_steps(len(seeds), problem.dim_noise, n, 0, ref_units)
-    while streams.drawn < n:
-        draw(min(slab, n - streams.drawn))
+    widest = _widest(problem, fine_exp, max(h_values))
+    window = _window(problem, len(seeds), fine_exp, draw, widest, ref_units)
+    try:
+        t0, before = clock(), sum(spent)
+        batch = _lockstep(problem, window, configs, "totals")
+        solve_s = clock() - t0 - (sum(spent) - before)
+        t0, before = clock(), sum(spent)
+        while window.frontier < n:
+            window.advance(window.frontier)
+        reference.advance(window)
+        spent[1] += clock() - t0 - (sum(spent) - before)
+    finally:
+        # The window's source refers to the window: break the cycle, so
+        # that its arrays go as soon as the block is done.
+        window.source = None
     ref = reference.results()[0]
     if ref.divergent.any():
         seed = seeds[int(np.argmax(ref.divergent))]
@@ -406,29 +403,44 @@ def _block_reference(task) -> _Pass1:
 
 def _block_fixed(task):
     """Pass 2 for a contiguous block of seeds: draw the block's paths
-    again, in slabs (cheaper than shipping them between processes), and
-    advance every (scheme, substeps) job over each slab as it arrives,
-    against the reference endpoints of pass 1.
+    again (cheaper than shipping them between processes), in slabs of
+    whole reference windows into a sliding window of prefix arrays as
+    wide as the widest matched step, and advance every (scheme,
+    substeps) job over each slab as it arrives, against the reference
+    endpoints of pass 1.
 
     Returns (generation CPU s, per-job (err_sq list, CPU s)); the CPU
-    time of a job is its steps plus its share of the windows it reads.
+    time of a job is its steps, its share of the windows of its step,
+    and an equal share of the prefix arrays.
     """
-    problem, seeds, fine_exp, jobs, ref_final = task
+    problem, seeds, fine_exp, ref_units, jobs, ref_final = task
+    clock = time.process_time
     n = 1 << fine_exp
     streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
-    solves = FixedSolves(problem, jobs, len(seeds), n, problem.horizon * 2.0**-fine_exp)
-    spent = [0.0, 0.0]
-    draw = _feeding(streams, solves, spent)
-    slab = PathPrefixes.slab_steps(len(seeds), problem.dim_noise, n, 0, 1)
-    while streams.drawn < n:
-        draw(min(slab, n - streams.drawn))
+    solves = FixedSolves(problem, jobs, len(seeds), n)
+    spent = [0.0, 0.0]  # CPU s of slab draws and of the window's advances
+
+    def draw(steps):
+        t0 = clock()
+        slab = streams.draw(steps)
+        spent[0] += clock() - t0
+        return slab
+
+    widest = max(k for _, k in jobs)
+    window = _window(problem, len(seeds), fine_exp, draw, widest, ref_units)
+    while window.frontier < n:
+        t0 = clock()
+        window.advance(solves.position)
+        spent[1] += clock() - t0
+        solves.advance(window)
+    share = (spent[1] - spent[0]) / len(jobs)
     out = []
     for sol, seconds in zip(solves.results(), solves.seconds):
         err = [
             math.nan if sol.divergent[p] else _err_sq(ref_final[p], sol.final_states[p])
             for p in range(len(seeds))
         ]
-        out.append((err, seconds))
+        out.append((err, seconds + share))
     return spent[0], out
 
 
@@ -444,12 +456,12 @@ def _run_reference(problem, seeds, fine_exp, ref_units, h_values, rho, delta, wo
     return blocks, _map_tasks(_block_reference, tasks, workers)
 
 
-def _run_fixed(problem, blocks, results, fine_exp, jobs, workers):
+def _run_fixed(problem, blocks, results, fine_exp, ref_units, jobs, workers):
     """Pass 2: the (scheme, substeps) jobs over the pass-1 blocks'
     reference endpoints. Returns (generation s, per-job (err_sq over
     all seeds in order, CPU s))."""
     tasks = [
-        (problem, block, fine_exp, tuple(jobs), r.ref_final)
+        (problem, block, fine_exp, ref_units, tuple(jobs), r.ref_final)
         for block, r in zip(blocks, results)
     ]
     out = _map_tasks(_block_fixed, tasks, workers)
@@ -527,6 +539,7 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
             blocks,
             results,
             fine_exp,
+            ref_units,
             [(scheme, round(step / h_ref)) for scheme, step in jobs],
             config.workers,
         )
@@ -603,7 +616,9 @@ def _backstop_block(task):
     problem, block, fine_exp, h_max, rhos, delta = task
     configs = [StrategyConfig(h_max=h_max, rho=rho, delta=delta) for rho in rhos]
     streams = PathStreams(block, fine_exp, problem.dim_noise, problem.horizon)
-    batch = _lockstep(problem, len(block), fine_exp, configs, streams.draw, 1, "steps")
+    widest = _widest(problem, fine_exp, h_max)
+    window = _window(problem, len(block), fine_exp, streams.draw, widest, 1)
+    batch = _lockstep(problem, window, configs, "steps")
     out = []
     for q, seed in enumerate(block):
         per_rho = []

@@ -43,11 +43,12 @@ int64 limbs, and the area is rounded once, to nearest. A window of
 one fine step therefore has an area of exactly zero, and any window's
 area is its exact left-point sum, correctly rounded.
 
-A window read only once (one window of :func:`integrals_over`, the
-shorter last window of a fixed mesh, each path of :func:`moment_check`)
-is summed straight from its increments instead: the same per-step
-limbs, summed exactly and rounded once, so the same bits without
-writing a prefix node per step.
+Every solve, adaptive or on a fixed mesh, reads its windows this way,
+so all of them see the same areas. A window read only once (one window
+of :func:`integrals_over`, each path of :func:`moment_check`) is summed
+straight from its increments instead: the same per-step limbs, summed
+exactly and rounded once, so the same bits without writing a prefix
+node per step.
 
 A block of paths can also be drawn in slabs of consecutive fine steps
 (:class:`PathStreams`), which join into exactly the paths
@@ -196,9 +197,10 @@ def _pairs(
     return i, j, np.concatenate([i, j]), np.concatenate([j, i]), halves, spread
 
 
-#: Fine steps converted per pass (over all paths written at once) when
-#: prefix arrays are written, which bounds their temporary arrays.
-_FILL_CHUNK = 1 << 12
+#: Increments (fine steps times noise components, over all paths written
+#: at once) converted per pass when prefix arrays are written or a window
+#: is summed, which bounds their temporary arrays.
+_FILL_CHUNK = 1 << 14
 
 #: Cap on the prefix arrays one group or block of paths holds at a time;
 #: see :meth:`PathPrefixes.group_size` and :meth:`PathPrefixes.streamed`.
@@ -356,7 +358,9 @@ class PathPrefixes:
 
     def advance(self, keep_from: int) -> None:
         """Drop the nodes before ``keep_from`` (a held node) and append
-        the next slab of every path from ``source``.
+        the next slab of every path from ``source``. ``source`` is called
+        before any node is dropped, so it may still read every window
+        held up to the frontier.
 
         Raises:
             UsageError: every node is already held, or the nodes kept
@@ -371,12 +375,13 @@ class PathPrefixes:
                 f"cannot keep nodes {keep_from}..{self.frontier} and a slab of "
                 f"{steps} in a window of {self.sums.shape[2]} nodes"
             )
+        increments = self.source(steps)
         drop = keep_from - self.start
         if drop:
             self.sums[:, :, :kept] = self.sums[:, :, drop : drop + kept]
             self.low[:, :, :kept] = self.low[:, :, drop : drop + kept]
             self.start = keep_from
-        self._append(slice(None), kept - 1, self.source(steps))
+        self._append(slice(None), kept - 1, increments)
         self.frontier += steps
 
     def _append(self, rows: slice, col: int, increments: np.ndarray) -> None:
@@ -385,14 +390,17 @@ class PathPrefixes:
         m, s = increments.shape[1:]
         sums, c_lo = self.sums[rows], self.low[rows]
         w, c_hi = sums[:, :m], sums[:, m:]
-        chunk = max(1, _FILL_CHUNK // len(sums))
+        chunk = max(1, _FILL_CHUNK // (len(sums) * m))
         for a in range(col, col + s, chunk):
             b = min(col + s, a + chunk)
             d = _grid_units(increments[:, :, a - col : b - col])
+            # W at the chunk's start rides on its first increment, and is
+            # taken off again before the cross terms read the increments.
+            d[:, :, 0] += w[:, :, a]
             np.cumsum(d, axis=2, out=w[:, :, a + 1 : b + 1])
-            w[:, :, a + 1 : b + 1] += w[:, :, a : a + 1]
             if m == 1:
                 continue
+            d[:, :, 0] -= w[:, :, a]
             # Cross terms from W at each step's left point; the low limb's
             # running sum is carried into the high one.
             for p, (hi, lo) in enumerate(_cross_terms(w[:, :, a:b], d, self.num_steps)):
@@ -411,24 +419,24 @@ class PathPrefixes:
         zero_area: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integrals of the windows [start, end) of paths ``rows``, one
-        window per entry: (h (L,), dW (L, m), A (L, m, m)). Every node
-        of a window must be held. ``zero_area`` returns A = 0 instead of
-        the Levy areas."""
+        window per entry of the arrays broadcast together, of shape S:
+        (h S, dW S + (m,), A S + (m, m)). Every node of a window must be
+        held. ``zero_area`` returns A = 0 instead of the Levy areas."""
         m = self.dim_noise
         h = (end - start) * self.resolution
         if self.start:
             start, end = start - self.start, end - self.start
         at_start = self.sums[rows, :, start]
         diff = self.sums[rows, :, end] - at_start
-        dW = diff[:, :m] * INCREMENT_GRID
+        dW = diff[..., :m] * INCREMENT_GRID
         if m == 1 or zero_area:
             return h, dW, np.zeros(dW.shape + (m,))
         _, _, ij, ji, halves, spread = _pairs(m)
         # W_i(a) dW_j - W_j(a) dW_i as limbs, per pair.
-        prod_hi, prod_lo = _exact_product(at_start[:, ij], diff[:, ji])
+        prod_hi, prod_lo = _exact_product(at_start[..., ij], diff[..., ji])
         lo = self.low[rows, :, end] - self.low[rows, :, start] - prod_lo @ halves
-        area = _round_areas(diff[:, m:] - prod_hi @ halves, lo)
-        return h, dW, (area @ spread).reshape(-1, m, m)
+        area = _round_areas(diff[..., m:] - prod_hi @ halves, lo)
+        return h, dW, (area @ spread).reshape(dW.shape + (m,))
 
 
 def _grid_units(increments: np.ndarray) -> np.ndarray:
@@ -501,9 +509,10 @@ def _window_sums(increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # row of at most 2**30 steps stays below 2**54.
     hi = np.zeros((count, m * (m - 1) // 2), dtype=np.int64)
     lo = np.zeros_like(hi)
+    chunk = max(1, _FILL_CHUNK // m)
     for g in range(count):
-        for a in range(0, s, _FILL_CHUNK):
-            d = _grid_units(increments[g : g + 1, :, a : a + _FILL_CHUNK])
+        for a in range(0, s, chunk):
+            d = _grid_units(increments[g : g + 1, :, a : a + chunk])
             if m > 1:
                 left = np.cumsum(d, axis=2)
                 left -= d
@@ -769,45 +778,26 @@ def integrals_over(path: WienerPath, start: int, end: int) -> IteratedIntegrals:
 def uniform_integrals(
     path: WienerPath, substeps: int, zero_area: bool = False
 ) -> tuple[int, float, np.ndarray, np.ndarray]:
-    """Vectorized window integrals for a uniform mesh of ``substeps``-sized windows.
+    """Window integrals of a uniform mesh of ``substeps``-sized windows,
+    read from the path's prefix arrays.
 
     Covers the first ``(num_steps // substeps) * substeps`` fine steps;
     a shorter trailing remainder (if any) is the caller's business.
 
     Returns:
         (count, h, dW_all, I_all) where dW_all has shape (count, m) and
-        I_all has shape (count, m, m). The increments are exact, as in
-        :func:`integrals_over`, but each window's Levy areas are summed
-        in floats, so they may differ from the exact areas that
-        :func:`integrals_over` and the adaptive solves read in their
-        last bits.
+        I_all has shape (count, m, m), with the bits
+        :func:`integrals_over` gives each window. ``zero_area`` zeroes
+        the Levy areas.
     """
     if substeps < 1 or substeps > path.num_steps:
         raise UsageError("substeps must be in [1, num_steps]")
-    return _uniform_windows(path.increments, path.resolution, substeps, zero_area)
-
-
-def _uniform_windows(
-    increments: np.ndarray, resolution: float, substeps: int, zero_area: bool = False
-) -> tuple[int, float, np.ndarray, np.ndarray]:
-    """:func:`uniform_integrals` of (m, n) ``increments``, or of a stack
-    (P, m, n) of them with dW (count, P, m) and I (count, P, m, m). A run
-    of increments that starts on a window boundary gives its windows the
-    same bits as the whole path does."""
-    *lead, m, n = increments.shape
-    count = n // substeps
-    h = substeps * resolution
-    inc = increments[..., : count * substeps].reshape(*lead, m, count, substeps)
-    # (count, ..., m), contiguous: each step map reads one window's rows.
-    dW_all = np.ascontiguousarray(np.moveaxis(inc.sum(axis=-1), -1, 0))
-    if m == 1 or zero_area:
-        area = np.zeros(dW_all.shape + (m,))
-    else:
-        w_excl = np.cumsum(inc, axis=-1)
-        w_excl -= inc
-        s = np.einsum("...isk,...jsk->s...ij", w_excl, inc)
-        area = 0.5 * (s - np.swapaxes(s, -1, -2))
-    return count, h, dW_all, double_integrals(h, dW_all, area)
+    count = path.num_steps // substeps
+    start = np.arange(count) * substeps
+    rows = np.zeros(count, np.intp)
+    _, dW, A = path.prefixes().windows(rows, start, start + substeps, zero_area)
+    h = substeps * path.resolution
+    return count, h, dW, double_integrals(h, dW, A)
 
 
 # ---------------------------------------------------------------------------

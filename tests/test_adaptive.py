@@ -11,6 +11,7 @@ from milsde import (
     BUILTIN_NAMES,
     FIXED_SCHEMES,
     PathPrefixes,
+    PathStreams,
     SdeProblem,
     SolutionPath,
     StrategyConfig,
@@ -324,6 +325,11 @@ def test_fixed_step_must_sit_on_the_grid():
     path = generate_path(4, 4, 1)
     with pytest.raises(UsageError, match="multiple"):
         integrate_fixed(problem, "milstein", 0.1, path)
+    # A non-finite step used to escape as ValueError (nan) and
+    # OverflowError (inf) from rounding it to fine steps.
+    for step in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError, match="multiple"):
+            integrate_fixed(problem, "euler", step, path)
     with pytest.raises(UsageError, match="scheme"):
         integrate_fixed(problem, "rk4", 0.25, path)
 
@@ -333,21 +339,27 @@ def test_fixed_step_must_sit_on_the_grid():
 # ---------------------------------------------------------------------------
 
 
-def _batch_of(problem, seeds, level=10):
-    paths = [generate_path(s, level, problem.dim_noise) for s in seeds]
-    return paths, np.stack([p.increments for p in paths])
+def _paths(problem, seeds, level=10):
+    return [generate_path(s, level, problem.dim_noise) for s in seeds]
 
 
-def _solve_in_slabs(problem, jobs, increments, sizes, **kwargs):
-    """The jobs over (P, m, n) increments fed in slabs of ``sizes``
-    fine steps (cycled); returns the results and the slab ends."""
-    n = increments.shape[2]
-    solves = FixedSolves(problem, jobs, len(increments), n, 1.0 / n, **kwargs)
+def _solve_in_slabs(problem, jobs, seeds, sizes, level=10, **kwargs):
+    """The jobs over the paths of ``seeds``, streamed through a sliding
+    window of prefix arrays in slabs of ``sizes`` fine steps (cycled);
+    returns the results and the slab ends."""
+    n = 1 << level
+    streams = PathStreams(seeds, level, problem.dim_noise)
+    widest = max(k for _, k in jobs) + max(sizes)
+    window = PathPrefixes.streamed(
+        len(seeds), problem.dim_noise, n, 1.0 / n, 1.0, streams.draw, widest
+    )
+    solves = FixedSolves(problem, jobs, len(seeds), n, **kwargs)
     ends = []
-    while solves.fed < n:
-        size = min(sizes[len(ends) % len(sizes)], n - solves.fed)
-        solves.feed(increments[:, :, solves.fed : solves.fed + size])
-        ends.append(solves.fed)
+    while window.frontier < n:
+        window.slab = sizes[len(ends) % len(sizes)]
+        window.advance(solves.position)
+        solves.advance(window)
+        ends.append(window.frontier)
     return solves.results(), ends
 
 
@@ -361,10 +373,9 @@ def _assert_rows_equal_single(problem, scheme, k, batch, paths, **kwargs):
 
 
 def _assert_batch_equals_single(problem, scheme, step, seeds):
-    paths, increments = _batch_of(problem, seeds)
     k = round(step * 2**10)
-    [batch], _ = _solve_in_slabs(problem, [(scheme, k)], increments, (1 << 10,), record=True)
-    _assert_rows_equal_single(problem, scheme, k, batch, paths)
+    [batch], _ = _solve_in_slabs(problem, [(scheme, k)], seeds, (1 << 10,), record=True)
+    _assert_rows_equal_single(problem, scheme, k, batch, _paths(problem, seeds))
     return batch
 
 
@@ -399,10 +410,10 @@ def test_slab_fed_solve_equals_single_paths_bitwise():
     jobs = [(scheme, k) for scheme in FIXED_SCHEMES for k in (1, 48, 160, 1024)]
     for name in ("scalar_mult", "twod_noncommutative"):
         problem = make_builtin(name)
-        paths, increments = _batch_of(problem, range(4))
+        paths = _paths(problem, range(4))
         for zero_area in (False, True):
             results, ends = _solve_in_slabs(
-                problem, jobs, increments, (7, 100, 33, 300),
+                problem, jobs, range(4), (7, 100, 33, 300),
                 record=True, zero_levy_area=zero_area,
             )
             assert ends[:4] == [7, 107, 140, 440]
@@ -436,9 +447,9 @@ def test_slab_fed_solve_stops_a_row_inside_a_slab():
     # their tenth window, which ends inside a slab; the rows beside them
     # run on, slab after slab.
     mixed = dataclasses.replace(make_builtin("scalar_mult"), initial_state=np.array([4.7]))
-    paths, increments = _batch_of(mixed, range(8))
+    paths = _paths(mixed, range(8))
     jobs = [("milstein", 96), ("euler", 96), ("tamed", 128)]
-    results, ends = _solve_in_slabs(mixed, jobs, increments, (100, 37), record=True)
+    results, ends = _solve_in_slabs(mixed, jobs, range(8), (100, 37), record=True)
     batch = results[0]
     assert batch.divergent.sum() == 3
     failed_at = (batch.num_steps[batch.divergent] + 1) * 96
@@ -449,16 +460,70 @@ def test_slab_fed_solve_stops_a_row_inside_a_slab():
 
 def test_slab_fed_solve_refuses_what_does_not_fit():
     problem = make_builtin("scalar_mult")
-    solves = FixedSolves(problem, [("euler", 4)], 2, 16, 1.0 / 16)
-    with pytest.raises(UsageError, match="increments"):
-        solves.feed(np.zeros((3, 1, 4)))
-    solves.feed(np.zeros((2, 1, 10)))
-    with pytest.raises(UsageError, match="fed"):
+    streams = PathStreams((0, 1), 4, 1)
+    window = PathPrefixes.streamed(2, 1, 16, 1.0 / 16, 1.0, streams.draw, 4)
+    window.slab = 10
+    solves = FixedSolves(problem, [("euler", 4)], 2, 16)
+    with pytest.raises(UsageError, match="prefix arrays"):
+        FixedSolves(problem, [("euler", 4)], 3, 16).advance(window)
+    with pytest.raises(UsageError, match="prefix arrays"):
+        FixedSolves(problem, [("euler", 4)], 2, 32).advance(window)
+    with pytest.raises(UsageError, match="noise components"):
+        FixedSolves(make_builtin("twod_noncommutative"), [("euler", 4)], 2, 16).advance(window)
+    window.advance(0)
+    solves.advance(window)
+    assert solves.position == 8
+    with pytest.raises(UsageError, match="taken"):
         solves.results()
-    with pytest.raises(UsageError, match="increments"):
-        solves.feed(np.zeros((2, 1, 7)))
+    # A window that dropped the start of a job's next window is refused.
+    window.advance(window.frontier)
+    with pytest.raises(UsageError, match="no longer held"):
+        solves.advance(window)
     with pytest.raises(UsageError, match="substeps"):
-        FixedSolves(problem, [("euler", 17)], 2, 16, 1.0 / 16)
+        FixedSolves(problem, [("euler", 17)], 2, 16)
+
+
+def _three_noise_problem():
+    # Three noise columns that do not commute: each rotates the state's
+    # components, so the Milstein correction reads every Levy area.
+    def column(x, i):
+        return 0.2 * np.roll(x, i + 1, axis=-1)
+
+    def jacobian(x, i):
+        return 0.2 * np.roll(np.eye(3), i + 1, axis=0)
+
+    return SdeProblem(
+        dim_state=3,
+        dim_noise=3,
+        drift=lambda x: x - x**3,
+        diffusion_column=column,
+        diffusion_jacobian=jacobian,
+        structure="general",
+        initial_state=np.array([1.0, -0.5, 0.25]),
+        horizon=1.0,
+        name="three_noise",
+    )
+
+
+def test_fixed_meshes_read_the_exact_levy_areas():
+    # Fixed meshes used to sum each window's area in floats: on these
+    # paths hundreds of the 1,024 windows of 16 fine steps differed from
+    # integrals_over in their last bits. Every window, and every step of
+    # a fixed solve, now carries integrals_over's bits.
+    for problem in (make_builtin("twod_noncommutative"), _three_noise_problem()):
+        m = problem.dim_noise
+        path = generate_path(31, 14, m)
+        count, h, dW, I = uniform_integrals(path, 16)
+        exact = [integrals_over(path, 16 * n, 16 * (n + 1)) for n in range(count)]
+        assert count == 1024 and h == 16 * path.resolution
+        np.testing.assert_array_equal(dW, [w.dW for w in exact])
+        np.testing.assert_array_equal(I, [w.I for w in exact])
+        assert np.count_nonzero([w.A for w in exact]) > 0
+        sol = integrate_fixed(problem, "milstein", h, path)
+        assert sol.num_steps == count and not sol.divergent
+        for n, w in enumerate(exact):
+            step = advance_state(problem, "milstein", sol.states[n], w.h, w.dW, w.I)
+            np.testing.assert_array_equal(sol.states[n + 1], step)
 
 
 def _custom_2d(column):

@@ -188,6 +188,15 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["convergence", "--config", str(noeq)] + out) == 2
 
 
+def test_single_path_non_finite_step_exits_2(tmp_path, capsys):
+    # A fixed scheme steps at h_max; nan and inf used to escape the step
+    # check as ValueError and OverflowError, with a traceback and exit 1.
+    out = ["--out-dir", str(tmp_path), "--scheme", "euler"]
+    for h_max in ("nan", "inf"):
+        assert main(["single-path", "--h-max", h_max] + out) == 2, h_max
+        assert "error:" in capsys.readouterr().err
+
+
 def test_argparse_surface():
     with pytest.raises(SystemExit) as info:
         main(["--help"])

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -251,11 +253,11 @@ def test_block_split_does_not_change_results(monkeypatch):
 
 
 def test_comparator_windows_across_slabs_do_not_change_results(monkeypatch):
-    # A cap of 1,000 bytes cuts pass 2 into slabs of 62 fine steps on
-    # scalar_mult and 22 on twod_noncommutative, so comparator windows
-    # straddle slabs, some span three or more, and matched steps that do
-    # not divide 2^12 end on a shorter last window. The rows must not
-    # change, on one worker or two.
+    # A cap of 1,000 bytes cuts pass 2 into slabs of one reference
+    # window, 16 fine steps, so comparator windows straddle slabs, some
+    # span three or more, and matched steps that do not divide 2^12 end
+    # on a shorter last window. The rows must not change, on one worker
+    # or two.
     configs = [
         _structure_config(problem=problem, workers=workers)
         for problem in ("scalar_mult", "twod_noncommutative")
@@ -263,13 +265,13 @@ def test_comparator_windows_across_slabs_do_not_change_results(monkeypatch):
     ]
     wholes = [convergence_table(config) for config in configs]
     slab_ends = []
-    feed = milsde.adaptive.FixedSolves.feed
+    advance = milsde.adaptive.FixedSolves.advance
 
-    def spy(self, increments):
-        feed(self, increments)
-        slab_ends.append((tuple(self._jobs_of), self.fed))
+    def spy(self, prefixes):
+        advance(self, prefixes)
+        slab_ends.append((tuple(self._jobs_of), prefixes.frontier))
 
-    monkeypatch.setattr(milsde.adaptive.FixedSolves, "feed", spy)
+    monkeypatch.setattr(milsde.adaptive.FixedSolves, "advance", spy)
     monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1000)
     for config, whole in zip(configs, wholes):
         split = convergence_table(config)
@@ -279,9 +281,39 @@ def test_comparator_windows_across_slabs_do_not_change_results(monkeypatch):
             )
         units = [round(r.h_max * 2**12) for r in split.rows if r.scheme != "adaptive"]
         assert any((1 << 12) % k for k in units)
-        assert max(units) > 62
-    assert any(end % k for ks, end in slab_ends for k in ks if end < 1 << 12)
-    assert {end for _, end in slab_ends if end < 1 << 12} >= {62, 124, 22, 44}
+        assert max(units) > 2 * 16
+    comparators = [(ks, end) for ks, end in slab_ends if ks != (16,)]
+    assert any(end % k for ks, end in comparators for k in ks if end < 1 << 12)
+    assert {end for _, end in comparators if end < 1 << 12} >= {16, 32, 48}
+
+
+def test_blocks_free_their_windows_without_the_cyclic_collector(monkeypatch):
+    # A window whose source refers back to it would keep its prefix
+    # arrays alive until the cyclic collector runs, raising the peak
+    # memory of every block. With the collector off, every window a
+    # table or a backstop curve streams through is gone once it returns.
+    made = []
+    streamed = milsde.wiener.PathPrefixes.streamed.__func__
+
+    def spy(cls, *args, **kwargs):
+        window = streamed(cls, *args, **kwargs)
+        made.append(weakref.ref(window))
+        return window
+
+    monkeypatch.setattr(milsde.wiener.PathPrefixes, "streamed", classmethod(spy))
+    gc.collect()
+    gc.disable()
+    try:
+        convergence_table(_structure_config(problem="twod_noncommutative"))
+        backstop_probability(
+            "scalar_probe", (2.0, 4.0), h_max=2.0**-6, num_paths=4, fine_exponent=10
+        )
+        windows = {id(w()) for w in made if w() is not None}
+        left = [o for o in gc.get_objects() if id(o) in windows]
+    finally:
+        gc.enable()
+    assert len(made) >= 3
+    assert not left
 
 
 def _curve_text(curve) -> str:

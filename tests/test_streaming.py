@@ -56,21 +56,30 @@ def test_chunked_draws_equal_generate_path():
 
 
 def test_uniform_integrals_over_slabs_equal_the_whole_path():
-    # Slabs that are whole numbers of windows give each window, of each
-    # path of the stack, the bits uniform_integrals gives the whole path.
+    # The windows a streamed block's prefix arrays hold, slab after slab
+    # of whole windows, have, for each path of the block, the bits
+    # uniform_integrals gives the whole path.
     for level, m, substeps in [(14, 2, 16), (12, 3, 8), (10, 1, 4), (10, 2, 1)]:
         seeds = (5, 6, 7)
         streams = PathStreams(seeds, level, m)
         sizes = [substeps * k for k in (1, 3, 50, 9)]
+        window = PathPrefixes.streamed(
+            3, m, 1 << level, 2.0**-level, 1.0, streams.draw, max(sizes), substeps
+        )
         parts = [[], []]
-        while streams.drawn < streams.num_steps:
-            steps = min(sizes[len(parts[0]) % 4], streams.num_steps - streams.drawn)
-            count, h, dW, I = milsde.wiener._uniform_windows(
-                streams.draw(steps), 2.0**-level, substeps
-            )
-            assert count == steps // substeps and h == substeps * 2.0**-level
-            parts[0].append(dW)
-            parts[1].append(I)
+        while window.frontier < window.num_steps:
+            window.slab = sizes[len(parts[0]) % 4]
+            first = window.frontier
+            window.advance(first)
+            steps = window.frontier - first
+            count = steps // substeps
+            start = np.repeat(first + substeps * np.arange(count), 3)
+            rows = np.tile(np.arange(3), count)
+            h, dW, A = window.windows(rows, start, start + substeps)
+            assert steps % substeps == 0 and (h == substeps * 2.0**-level).all()
+            parts[0].append(dW.reshape(count, 3, m))
+            I = milsde.wiener.double_integrals(h[:, None], dW, A)
+            parts[1].append(I.reshape(count, 3, m, m))
         dW, I = (np.concatenate(p) for p in parts)
         for g, seed in enumerate(seeds):
             _, _, whole_dW, whole_I = uniform_integrals(generate_path(seed, level, m), substeps)

@@ -326,9 +326,7 @@ def test_uniform_integrals_match_per_window():
     for s in (0, 1, 63, 127):
         ii = integrals_over(path, s * 8, (s + 1) * 8)
         np.testing.assert_array_equal(dw_all[s], ii.dW)
-        # batched accumulation may differ from the per-window one in
-        # summation order, not in value
-        np.testing.assert_allclose(ii_all[s], ii.I, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(ii_all[s], ii.I)
 
 
 def test_uniform_integrals_scalar_and_zeroed():
