@@ -589,9 +589,11 @@ class FixedSolves:
             raise UsageError("prefix arrays do not match the block's paths")
         if self.position < prefixes.start:
             raise UsageError(f"node {self.position} is no longer held")
+        n, frontier, clock = self.num_steps, prefixes.frontier, time.process_time
+        if not any(at < frontier and min(at + k, n) <= frontier for k, at in self._at.items()):
+            return  # no job has a new window
         # Per k, the ends of the windows held that its jobs have not
         # taken, the last one clipped to the path; all are read at once.
-        n, frontier, clock = self.num_steps, prefixes.frontier, time.process_time
         ends = [np.arange(at + k, frontier + k, k).clip(max=n) for k, at in self._at.items()]
         ends = [e[e <= frontier] for e in ends]
         starts = [np.concatenate(([at], e))[:-1] for at, e in zip(self._at.values(), ends)]

@@ -17,43 +17,43 @@ effective resolution; their rows record that matched step in both the
 h_max and h_mean columns.
 
 Paths are processed in contiguous blocks of seeds, one block per task
-when ``workers > 1``. Every solve of a block reads its windows from one
-sliding window of prefix arrays (:class:`~milsde.wiener.PathPrefixes`)
-over the block's paths, which are drawn together in slabs of
-consecutive fine steps from their open streams
-(:class:`~milsde.wiener.PathStreams`). Pass 1 feeds one lockstep
-adaptive solve with a lane per (path, h_max) of the block. A lane whose
-next window ends beyond the slabs drawn so far waits; when every lane
-waits, the next slab is drawn and the nodes behind the slowest lane are
-dropped. Slabs end on reference-window boundaries, and before each one
-is drawn the batched tamed reference of every path
-(:class:`~milsde.adaptive.FixedSolves`) advances over the reference
-windows held so far; slabs left once every lane is done are drawn for
-the reference alone. The window and one slab's increments stay within
-a fixed 2 MiB cap of the library (not an option), and a block is cut
-small enough that its slabs are at least half as wide as the widest
-lane's h_max. Only a single path whose widest window alone exceeds the
-cap holds more: that window plus one reference window. A whole path is
-held only where it fits the cap. Pass 2 draws the block's paths again,
-through a window of the same cap as wide as the widest matched step,
-and advances every (scheme, matched step) job over the windows each
-slab completes. So no block holds a whole path or a whole mesh. Rows
-and lanes never mix inside a batched solve, so results do not depend on
-the split into blocks or slabs. ``backstop_probability`` runs one task
-per block of paths: a streamed lockstep solve with a lane per (path,
-rho).
+when ``workers > 1``. Every task runs the same block solve: the block's
+paths are drawn together in slabs of consecutive fine steps from their
+open streams (:class:`~milsde.wiener.PathStreams`) into one sliding
+window of prefix arrays (:class:`~milsde.wiener.PathPrefixes`), from
+which every solve of the block reads its windows. Adaptive lanes, one
+per (path, config), run in one lockstep solve: a lane whose next window
+ends beyond the slabs drawn so far waits; when every lane waits, the
+next slab is drawn and the nodes behind the slowest lane are dropped.
+Fixed-step jobs (:class:`~milsde.adaptive.FixedSolves`) advance over the
+windows held before each slab is drawn, and over the slabs left once
+the lanes are done. A table runs two such passes over the same blocks:
+pass 1 has a lane per (path, h_max) and the tamed reference as its one
+job, with slabs ending on reference-window boundaries; pass 2 has the
+(scheme, matched step) comparators as its jobs. A backstop curve runs
+one pass with a lane per (path, rho). The window and one slab's
+increments stay within a fixed 2 MiB cap of the library (not an
+option), and a block is cut small enough that its slabs are at least
+half as wide as its widest window. Only a single path whose widest
+window alone exceeds the cap holds more: that window plus one slab
+unit. So no block holds a whole path or a whole mesh unless it fits the
+cap. Rows and lanes never mix inside a batched solve, so results do not
+depend on the split into blocks or slabs. Errors, divergence checks and
+curve statistics are computed in the parent process from the blocks'
+endpoints and steps.
 
 ``cpu_seconds`` per row is the CPU time (``time.process_time``, taken
 in the process that did the work and summed over workers) of that
-row's own solves. An adaptive row is charged its lanes' share of each
-block's lockstep solve and pass-1 prefix arrays, split between the
-lanes in proportion to the steps they tried (a failed step included).
-A fixed row is charged the steps of its batched solve, its share of the
-window reads of its matched step, which the jobs with that step split
-equally, and an equal share of the pass-2 prefix arrays. Path
-generation (the slab draws of both passes) is charged once, to
-``ErrorTable.generation_seconds``, and the reference (its window reads
-and steps) to ``ErrorTable.reference_seconds``; neither is in any row.
+row's own solves, under one rule for every block. Slab draws are
+charged to path generation. The lockstep solve, its prefix fills
+included, is split between its lanes in proportion to the steps they
+tried (a failed step included); an adaptive row is charged its lanes.
+A job is charged its steps and its share of the window reads of its
+step, which the jobs with that step split equally, plus an equal share
+of the rest of its block; a fixed row is charged its job. The reference
+is pass 1's only job. Path generation (both passes) is reported once,
+in ``ErrorTable.generation_seconds``, and the reference in
+``ErrorTable.reference_seconds``; neither is in any row.
 
 Seeds: path k uses ``base_seed ^ k``, so every experiment, pass, and
 rho value sees the same driving paths and results are reproducible
@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,10 +133,6 @@ class ExperimentConfig:
             check_scheme(s, adaptive=True)
         if not self.h_max_values:
             raise UsageError("at least one h_max value is required")
-        if self.num_paths < 2:
-            raise UsageError("num_paths must be at least 2")
-        if self.workers < 1:
-            raise UsageError("workers must be at least 1")
         if not (1 <= self.reference_exponent < self.fine_exponent <= _MAX_EXPONENT):
             raise UsageError(
                 f"need 1 <= reference_exponent < fine_exponent <= {_MAX_EXPONENT}, "
@@ -146,24 +142,17 @@ class ExperimentConfig:
             raise UsageError(
                 "fine_exponent must exceed reference_exponent by at least 4"
             )
-        if not self.rho > 1.0:
-            raise UsageError(f"rho must exceed 1, got {self.rho}")
-        horizon = self.problem.horizon
-        ref_step = horizon * 2.0 ** -self.reference_exponent
-        h_ref = horizon * 2.0 ** -self.fine_exponent
+        _check_run(
+            self.problem, self.h_max_values, (self.rho,), self.num_paths,
+            self.fine_exponent, self.workers,
+        )
+        ref_step = self.reference_step
         for h in self.h_max_values:
-            if not (0.0 < h <= horizon):
-                raise UsageError(f"h_max {h} must lie in (0, horizon]")
             u = h / ref_step
             if abs(u - round(u)) > 1e-9 * max(u, 1.0) or round(u) < 1:
                 raise UsageError(
                     f"h_max {h:g} is not a whole multiple of the reference step "
                     f"{ref_step:g}"
-                )
-            if h / self.rho < h_ref:
-                raise UsageError(
-                    f"h_max {h:g} with rho {self.rho:g} puts the floor below the "
-                    f"fine resolution {h_ref:g}; raise fine_exponent or lower rho"
                 )
         if self.delta is not None:
             lo = min(self.h_max_values)
@@ -258,7 +247,10 @@ def _rms_stats(err_sq) -> tuple[float, float, int]:
 
 
 def _map_tasks(fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
+    """``fn`` over ``tasks`` in order, on a pool of at most one worker
+    per task (a forked pool starts every worker at once)."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -278,198 +270,115 @@ def _widest(problem: SdeProblem, fine_exp: int, h_max: float) -> int:
     return math.ceil(h_max / (problem.horizon * 2.0**-fine_exp))
 
 
-def _err_sq(ref_final: np.ndarray, final: np.ndarray) -> float:
-    diff = ref_final - final
-    return float(diff @ diff)
+def _err_sq(ref_final: np.ndarray, final: np.ndarray, divergent: np.ndarray) -> np.ndarray:
+    """Squared endpoint error of each row of ``final`` against the same
+    row of ``ref_final``, nan where ``divergent``."""
+    rows = zip(ref_final, final, divergent)
+    return np.array([math.nan if bad else float((r - y) @ (r - y)) for r, y, bad in rows])
 
 
-def _window(problem, count, fine_exp, draw, widest, unit):
-    """A sliding window of prefix arrays over a block of ``count`` paths
-    (see :meth:`PathPrefixes.streamed`), streamed in slabs of whole
-    multiples of ``unit`` fine steps and holding at least ``widest``
-    nodes besides the slab: ``draw(steps)`` returns the next increments
-    of every path, (count, m, steps)."""
-    n, h_ref, horizon = 1 << fine_exp, problem.horizon * 2.0**-fine_exp, problem.horizon
-    return PathPrefixes.streamed(count, problem.dim_noise, n, h_ref, horizon, draw, widest, unit)
+def _check_run(problem, h_values, rhos, num_paths, fine_exponent, workers) -> None:
+    """The checks a table and a backstop curve share: every rho exceeds
+    1, at least two paths and one worker, and every h_max lies in (0, T]
+    with its floor h_max / rho on or above the fine resolution."""
+    for rho in rhos:
+        if not rho > 1.0:
+            raise UsageError(f"rho must exceed 1, got {rho}")
+    if num_paths < 2:
+        raise UsageError("num_paths must be at least 2")
+    if workers < 1:
+        raise UsageError("workers must be at least 1")
+    h_ref = problem.horizon * 2.0**-fine_exponent
+    for h in h_values:
+        if not (0.0 < h <= problem.horizon):
+            raise UsageError(f"h_max {h} must lie in (0, horizon]")
+        if h / max(rhos) < h_ref:
+            raise UsageError(
+                f"h_max {h:g} with rho {max(rhos):g} puts the floor below the "
+                f"fine resolution {h_ref:g}; raise fine_exponent or lower rho"
+            )
 
 
-def _lockstep(problem, window, configs, keep):
-    """One lockstep adaptive solve over the paths of ``window``, a lane
-    per (path, config), path-major, keeping ``keep`` of each step."""
-    count = len(window.sums)
-    rows = np.repeat(np.arange(count), len(configs))
-    return integrate_adaptive_batch(problem, list(configs) * count, window, rows, keep=keep)
+def _block(task):
+    """Every solve of a contiguous block of seeds, over one sliding window
+    of prefix arrays that streams the block's paths in slabs of whole
+    multiples of ``unit`` fine steps.
 
+    With lane ``configs``, one lockstep adaptive solve runs a lane per
+    (path, config), path-major, keeping ``keep`` of each step. With
+    ``jobs``, their :class:`~milsde.adaptive.FixedSolves` advance over the
+    windows held before each slab is drawn, and then over the slabs left
+    once the lanes are done; with lanes, a job's step must divide
+    ``unit``, so that it has taken every window before the lanes drop it.
 
-@dataclass(frozen=True)
-class _AdaptiveRuns:
-    """The adaptive solves of pass 1 as named (paths, h_max) arrays.
-
-    ``err_sq`` is the squared endpoint error against the reference (nan
-    for a divergent lane), ``mean_step`` the mean step (nan when
-    divergent), ``steps`` and ``flagged`` the completed and backstop
-    steps, and ``cpu_seconds`` the lane's share of its block's solve.
+    Returns the CPU s of the slab draws; the lanes'
+    :class:`~milsde.adaptive.AdaptiveBatch` and each lane's CPU s (None
+    without lanes); and per job its :class:`~milsde.adaptive.FixedBatch`
+    and CPU s, charged as the module docstring says.
     """
-
-    err_sq: np.ndarray
-    mean_step: np.ndarray
-    steps: np.ndarray
-    flagged: np.ndarray
-    cpu_seconds: np.ndarray
-
-    @classmethod
-    def concat(cls, parts) -> "_AdaptiveRuns":
-        """The runs of consecutive blocks, stacked along the paths."""
-        return cls(
-            *(np.concatenate([getattr(r, f.name) for r in parts]) for f in fields(cls))
-        )
-
-
-@dataclass(frozen=True)
-class _Pass1:
-    """One block's pass 1: CPU s of generation and of the reference, the
-    reference endpoints (P, d), and the adaptive runs."""
-
-    generation_seconds: float
-    reference_seconds: float
-    ref_final: np.ndarray
-    runs: _AdaptiveRuns
-
-
-def _block_reference(task) -> _Pass1:
-    """Pass 1 for a contiguous block of seeds.
-
-    The block's paths are generated slab by slab from their open
-    streams into one sliding window of prefix arrays, which feeds one
-    lockstep adaptive solve with a lane per (path, h_max). Slabs end on
-    reference-window boundaries, and before each slab is drawn the
-    batched tamed reference of every path advances over the reference
-    windows the window holds; once every lane is done, the slabs left
-    are drawn for the reference alone. Slab draws are charged to
-    generation, the reference's windows and steps to the reference, and
-    the rest of the lockstep (the prefix arrays included) to the lanes,
-    split by the steps each lane tried (a failed step included).
-    """
-    problem, seeds, fine_exp, ref_units, h_values, rho, delta = task
+    problem, seeds, fine_exp, unit, configs, keep, jobs = task
     clock = time.process_time
-    n = 1 << fine_exp
+    began, n, count = clock(), 1 << fine_exp, len(seeds)
     streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
-    t0 = clock()
-    reference = FixedSolves(problem, [("tamed", ref_units)], len(seeds), n)
-    spent = [0.0, clock() - t0]  # CPU s of slab draws and of the reference
+    solves = FixedSolves(problem, jobs, count, n) if jobs else None
+    spent = [0.0, 0.0]  # CPU s of the slab draws, and of the draw calls whole
 
     def draw(steps):
         t0 = clock()
-        reference.advance(window)
+        if solves is not None:
+            solves.advance(window)
         t1 = clock()
         slab = streams.draw(steps)
-        spent[0] += clock() - t1
-        spent[1] += t1 - t0
+        t2 = clock()
+        spent[0] += t2 - t1
+        spent[1] += t2 - t0
         return slab
 
-    configs = [StrategyConfig(h_max=h, rho=rho, delta=delta) for h in h_values]
-    widest = _widest(problem, fine_exp, max(h_values))
-    window = _window(problem, len(seeds), fine_exp, draw, widest, ref_units)
+    widest = max([_widest(problem, fine_exp, c.h_max) for c in configs] + [k for _, k in jobs])
+    h_ref = problem.horizon * 2.0**-fine_exp
+    window = PathPrefixes.streamed(
+        count, problem.dim_noise, n, h_ref, problem.horizon, draw, widest, unit
+    )
+    batch = lane_cpu = None
+    lockstep_s = 0.0
     try:
-        t0, before = clock(), sum(spent)
-        batch = _lockstep(problem, window, configs, "totals")
-        solve_s = clock() - t0 - (sum(spent) - before)
-        t0, before = clock(), sum(spent)
-        while window.frontier < n:
-            window.advance(window.frontier)
-        reference.advance(window)
-        spent[1] += clock() - t0 - (sum(spent) - before)
+        if configs:
+            t0, before = clock(), spent[1]
+            rows = np.repeat(np.arange(count), len(configs))
+            batch = integrate_adaptive_batch(
+                problem, list(configs) * count, window, rows, keep=keep
+            )
+            lockstep_s = clock() - t0 - (spent[1] - before)
+        if solves is not None:
+            while window.frontier < n:
+                # The node to keep from is read once the jobs have taken
+                # every window held.
+                solves.advance(window)
+                window.advance(solves.position)
+            solves.advance(window)
     finally:
         # The window's source refers to the window: break the cycle, so
         # that its arrays go as soon as the block is done.
         window.source = None
-    ref = reference.results()[0]
-    if ref.divergent.any():
-        seed = seeds[int(np.argmax(ref.divergent))]
-        raise ExperimentError(f"reference solution diverged for seed {seed}")
-    ok = ~batch.divergent
-    # A lane's share of the solve: the steps it tried, the failed one
-    # included; on a finite lane, that is its steps.
-    tried = batch.num_steps + ~ok
-    err_sq = np.full(len(ok), math.nan)
-    for lane in np.flatnonzero(ok):
-        err_sq[lane] = _err_sq(ref.final_states[lane // len(configs)], batch.final_states[lane])
-    mean_step = np.where(ok, batch.ends * batch.resolution / tried, math.nan)
-    steps, flagged = np.where(ok, batch.num_steps, 0), np.where(ok, batch.flagged, 0)
-    cpu_s, shape = solve_s * tried / tried.sum(), (len(seeds), len(configs))
-    runs = _AdaptiveRuns(*(a.reshape(shape) for a in (err_sq, mean_step, steps, flagged, cpu_s)))
-    return _Pass1(spent[0], spent[1], ref.final_states, runs)
+    if batch is not None:
+        tried = batch.num_steps + batch.divergent  # a failed step included
+        lane_cpu = lockstep_s * tried / tried.sum()
+    fixed = []
+    if solves is not None:
+        rest = (clock() - began - spent[0] - lockstep_s - sum(solves.seconds)) / len(jobs)
+        fixed = [(b, s + rest) for b, s in zip(solves.results(), solves.seconds)]
+    return spent[0], batch, lane_cpu, fixed
 
 
-def _block_fixed(task):
-    """Pass 2 for a contiguous block of seeds: draw the block's paths
-    again (cheaper than shipping them between processes), in slabs of
-    whole reference windows into a sliding window of prefix arrays as
-    wide as the widest matched step, and advance every (scheme,
-    substeps) job over each slab as it arrives, against the reference
-    endpoints of pass 1.
-
-    Returns (generation CPU s, per-job (err_sq list, CPU s)); the CPU
-    time of a job is its steps, its share of the windows of its step,
-    and an equal share of the prefix arrays.
-    """
-    problem, seeds, fine_exp, ref_units, jobs, ref_final = task
-    clock = time.process_time
-    n = 1 << fine_exp
-    streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
-    solves = FixedSolves(problem, jobs, len(seeds), n)
-    spent = [0.0, 0.0]  # CPU s of slab draws and of the window's advances
-
-    def draw(steps):
-        t0 = clock()
-        slab = streams.draw(steps)
-        spent[0] += clock() - t0
-        return slab
-
-    widest = max(k for _, k in jobs)
-    window = _window(problem, len(seeds), fine_exp, draw, widest, ref_units)
-    while window.frontier < n:
-        t0 = clock()
-        window.advance(solves.position)
-        spent[1] += clock() - t0
-        solves.advance(window)
-    share = (spent[1] - spent[0]) / len(jobs)
-    out = []
-    for sol, seconds in zip(solves.results(), solves.seconds):
-        err = [
-            math.nan if sol.divergent[p] else _err_sq(ref_final[p], sol.final_states[p])
-            for p in range(len(seeds))
-        ]
-        out.append((err, seconds + share))
-    return spent[0], out
-
-
-def _run_reference(problem, seeds, fine_exp, ref_units, h_values, rho, delta, workers):
-    """Pass 1 over every seed, in contiguous blocks whose streamed
-    window fits the prefix cap with slabs at least half as wide as the
-    widest lane's window."""
-    size = PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exp, max(h_values)))
-    blocks = _seed_blocks(seeds, workers, size)
-    tasks = [
-        (problem, block, fine_exp, ref_units, h_values, rho, delta) for block in blocks
-    ]
-    return blocks, _map_tasks(_block_reference, tasks, workers)
-
-
-def _run_fixed(problem, blocks, results, fine_exp, ref_units, jobs, workers):
-    """Pass 2: the (scheme, substeps) jobs over the pass-1 blocks'
-    reference endpoints. Returns (generation s, per-job (err_sq over
-    all seeds in order, CPU s))."""
-    tasks = [
-        (problem, block, fine_exp, ref_units, tuple(jobs), r.ref_final)
-        for block, r in zip(blocks, results)
-    ]
-    out = _map_tasks(_block_fixed, tasks, workers)
-    per_job = [
-        ([e for r in out for e in r[1][j][0]], sum(r[1][j][1] for r in out))
-        for j in range(len(jobs))
-    ]
-    return sum(r[0] for r in out), per_job
+def _joined(results, j):
+    """Job ``j`` of every block's :func:`_block` result, joined over the
+    seeds: its endpoints (P, d), divergent flags (P,) and CPU s."""
+    parts = [r[3][j] for r in results]
+    return (
+        np.concatenate([b.final_states for b, _ in parts]),
+        np.concatenate([b.divergent for b, _ in parts]),
+        sum(s for _, s in parts),
+    )
 
 
 def convergence_table(config: ExperimentConfig) -> ErrorTable:
@@ -479,42 +388,50 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
     comparator steps) but appear as rows only if "adaptive" is among
     the requested schemes.
     """
-    problem = config.problem
-    fine_exp = config.fine_exponent
+    problem, fine_exp, h_values = config.problem, config.fine_exponent, config.h_max_values
     ref_units = 1 << (fine_exp - config.reference_exponent)
-    blocks, results = _run_reference(
-        problem,
-        config.seeds,
-        fine_exp,
-        ref_units,
-        config.h_max_values,
-        config.rho,
-        config.delta,
-        config.workers,
+    h_ref = problem.horizon * 2.0**-fine_exp
+    size = PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exp, max(h_values)))
+    blocks = _seed_blocks(config.seeds, config.workers, size)
+
+    def run(configs, jobs):
+        tasks = [(problem, b, fine_exp, ref_units, configs, "totals", jobs) for b in blocks]
+        return _map_tasks(_block, tasks, config.workers)
+
+    configs = tuple(StrategyConfig(h_max=h, rho=config.rho, delta=config.delta) for h in h_values)
+    pass1 = run(configs, (("tamed", ref_units),))
+    gen_total = sum(r[0] for r in pass1)
+    ref_final, ref_bad, ref_total = _joined(pass1, 0)
+    if ref_bad.any():
+        seed = config.seeds[int(np.argmax(ref_bad))]
+        raise ExperimentError(f"reference solution diverged for seed {seed}")
+    final, ends, num_steps, flagged, bad = (
+        np.concatenate([getattr(r[1], f) for r in pass1])
+        for f in ("final_states", "ends", "num_steps", "flagged", "divergent")
     )
-    gen_total = sum(r.generation_seconds for r in results)
-    ref_total = sum(r.reference_seconds for r in results)
-    runs = _AdaptiveRuns.concat([r.runs for r in results])
+    shape = (len(config.seeds), len(h_values))
+    err_sq = _err_sq(np.repeat(ref_final, len(h_values), axis=0), final, bad).reshape(shape)
+    mean_step = np.where(bad, math.nan, ends * h_ref / (num_steps + bad)).reshape(shape)
+    steps, flagged = (np.where(bad, 0, a).reshape(shape) for a in (num_steps, flagged))
+    lane_cpu = np.concatenate([r[2] for r in pass1]).reshape(shape)
     rows: list[ErrorRow] = []
     adaptive_rows: dict[float, ErrorRow] = {}
     matched_step: dict[float, float] = {}
-    h_ref = problem.horizon * 2.0 ** -fine_exp
-    for j, h_max in enumerate(config.h_max_values):
-        rms, se, bad = _rms_stats(runs.err_sq[:, j])
-        means = runs.mean_step[:, j]
+    for j, h_max in enumerate(h_values):
+        rms, se, bad_count = _rms_stats(err_sq[:, j])
+        means = mean_step[:, j]
         means = means[~np.isnan(means)]
         h_mean = float(np.mean(means)) if means.size else math.nan
-        steps = int(runs.steps[:, j].sum())
-        flagged = int(runs.flagged[:, j].sum())
+        total_steps = int(steps[:, j].sum())
         adaptive_rows[h_max] = ErrorRow(
             scheme="adaptive",
             h_max=h_max,
             rms_error=rms,
             rms_std_error=se,
             h_mean=h_mean,
-            cpu_seconds=float(runs.cpu_seconds[:, j].sum()),
-            backstop_rate=flagged / steps if steps else math.nan,
-            divergent_count=bad,
+            cpu_seconds=float(lane_cpu[:, j].sum()),
+            backstop_rate=int(flagged[:, j].sum()) / total_steps if total_steps else math.nan,
+            divergent_count=bad_count,
         )
         if math.isnan(h_mean):
             matched_step[h_max] = math.nan
@@ -526,7 +443,7 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
     if fixed_schemes:
         jobs = []
         for scheme in fixed_schemes:
-            for h_max in config.h_max_values:
+            for h_max in h_values:
                 step = matched_step[h_max]
                 if math.isnan(step):
                     raise ExperimentError(
@@ -534,31 +451,24 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
                         f"diverged at h_max {h_max:g}"
                     )
                 jobs.append((scheme, step))
-        gen_b, per_job = _run_fixed(
-            problem,
-            blocks,
-            results,
-            fine_exp,
-            ref_units,
-            [(scheme, round(step / h_ref)) for scheme, step in jobs],
-            config.workers,
-        )
-        gen_total += gen_b
-        for (scheme, step), (err_sq, run_total) in zip(jobs, per_job):
-            rms, se, bad = _rms_stats(err_sq)
+        pass2 = run((), tuple((scheme, round(step / h_ref)) for scheme, step in jobs))
+        gen_total += sum(r[0] for r in pass2)
+        for j, (scheme, step) in enumerate(jobs):
+            final, bad, cpu = _joined(pass2, j)
+            rms, se, bad_count = _rms_stats(_err_sq(ref_final, final, bad))
             fixed_rows[(scheme, step)] = ErrorRow(
                 scheme=scheme,
                 h_max=step,
                 rms_error=rms,
                 rms_std_error=se,
                 h_mean=step,
-                cpu_seconds=run_total,
+                cpu_seconds=cpu,
                 backstop_rate=0.0,
-                divergent_count=bad,
+                divergent_count=bad_count,
             )
 
     for scheme in config.schemes:
-        for h_max in config.h_max_values:
+        for h_max in h_values:
             if scheme == "adaptive":
                 rows.append(adaptive_rows[h_max])
             else:
@@ -610,30 +520,6 @@ class BackstopCurve:
                 )
 
 
-def _backstop_block(task):
-    """One lockstep solve over a block of seeds, a lane per (seed, rho).
-    Returns per seed, per rho: (backstop engaged, step sizes)."""
-    problem, block, fine_exp, h_max, rhos, delta = task
-    configs = [StrategyConfig(h_max=h_max, rho=rho, delta=delta) for rho in rhos]
-    streams = PathStreams(block, fine_exp, problem.dim_noise, problem.horizon)
-    widest = _widest(problem, fine_exp, h_max)
-    window = _window(problem, len(block), fine_exp, streams.draw, widest, 1)
-    batch = _lockstep(problem, window, configs, "steps")
-    out = []
-    for q, seed in enumerate(block):
-        per_rho = []
-        for j, rho in enumerate(rhos):
-            lane = q * len(rhos) + j
-            if batch.divergent[lane]:
-                raise ExperimentError(
-                    f"adaptive run diverged for seed {seed} at rho {rho:g}"
-                )
-            sol = batch.solution(lane)
-            per_rho.append((bool(sol.backstop_flags.any()), sol.step_sizes))
-        out.append(per_rho)
-    return out
-
-
 def backstop_probability(
     problem: SdeProblem | str,
     rho_values,
@@ -653,39 +539,35 @@ def backstop_probability(
     rhos = tuple(float(r) for r in rho_values)
     if not rhos:
         raise UsageError("at least one rho value is required")
-    for rho in rhos:
-        if not rho > 1.0:
-            raise UsageError(f"rho must exceed 1, got {rho}")
-    if num_paths < 2:
-        raise UsageError("num_paths must be at least 2")
     _check_exponent("fine_exponent", fine_exponent)
-    h_ref = problem.horizon * 2.0 ** -fine_exponent
-    if not (0.0 < h_max <= problem.horizon):
-        raise UsageError(f"h_max {h_max} must lie in (0, horizon]")
-    if h_max / max(rhos) < h_ref:
-        raise UsageError(
-            f"h_max {h_max:g} with rho {max(rhos):g} puts the floor below the "
-            f"fine resolution {h_ref:g}; raise fine_exponent or lower rho"
-        )
+    _check_run(problem, (h_max,), rhos, num_paths, fine_exponent, workers)
     seeds = [base_seed ^ k for k in range(num_paths)]
+    configs = tuple(StrategyConfig(h_max=h_max, rho=rho, delta=delta) for rho in rhos)
+    size = PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exponent, h_max))
     tasks = [
-        (problem, block, fine_exponent, h_max, rhos, delta)
-        for block in _seed_blocks(
-            seeds,
-            workers,
-            PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exponent, h_max)),
-        )
+        (problem, block, fine_exponent, 1, configs, "steps", ())
+        for block in _seed_blocks(seeds, workers, size)
     ]
-    results = [r for out in _map_tasks(_backstop_block, tasks, workers) for r in out]
+    # Lanes are path-major: lane i is seed i // len(rhos) at rho i % len(rhos).
+    sols = [
+        r[1].solution(lane)
+        for r in _map_tasks(_block, tasks, workers)
+        for lane in range(len(r[1].ends))
+    ]
+    for i, sol in enumerate(sols):
+        if sol.divergent:
+            seed, rho = seeds[i // len(rhos)], rhos[i % len(rhos)]
+            raise ExperimentError(f"adaptive run diverged for seed {seed} at rho {rho:g}")
 
     points = []
     profiles = []
     for j, rho in enumerate(rhos):
-        hits = np.array([r[j][0] for r in results], dtype=float)
+        mine = sols[j :: len(rhos)]
+        hits = np.array([bool(sol.backstop_flags.any()) for sol in mine], dtype=float)
         p = float(hits.mean())
         se = math.sqrt(p * (1.0 - p) / num_paths)
         points.append(BackstopPoint(rho=rho, prob=p, prob_std_error=se))
-        series = [r[j][1] for r in results]
+        series = [sol.step_sizes for sol in mine]
         width = max(len(s) for s in series)
         padded = np.full((num_paths, width), np.nan)
         for i, s in enumerate(series):

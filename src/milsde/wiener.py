@@ -213,11 +213,11 @@ class PathPrefixes:
     integrals of any window of any of them are read in O(1).
 
     The arrays hold the fine nodes ``start .. frontier`` of every path,
-    column c holding node ``start + c``. Whole-path arrays (:meth:`of`,
-    or :meth:`empty` then :meth:`fill` per path) hold every node: start
-    0, frontier ``num_steps``. Streamed arrays (:meth:`streamed`) hold a
-    sliding window: each :meth:`advance` drops the nodes behind a given
-    one and appends the next slab of every path, drawn from ``source``.
+    column c holding node ``start + c``. Whole-path arrays (:meth:`of`)
+    hold every node: start 0, frontier ``num_steps``. Streamed arrays
+    (:meth:`streamed`) hold a sliding window: each :meth:`advance` drops
+    the nodes behind a given one and appends the next slab of every
+    path, drawn from ``source``.
 
     Attributes:
         sums: (G, m + P, C) int64 with P = m(m-1)/2. ``sums[g, i, c]``
@@ -295,15 +295,6 @@ class PathPrefixes:
         return cls(sums, low, resolution, horizon, num_steps, frontier, **kw)
 
     @classmethod
-    def empty(
-        cls, count: int, dim_noise: int, num_steps: int, resolution: float, horizon: float
-    ) -> "PathPrefixes":
-        """Room for ``count`` whole paths, to be filled with :meth:`fill`."""
-        return cls._alloc(
-            count, dim_noise, num_steps + 1, resolution, horizon, num_steps, num_steps
-        )
-
-    @classmethod
     def streamed(
         cls,
         count: int,
@@ -333,28 +324,23 @@ class PathPrefixes:
 
     @classmethod
     def of(cls, increments: np.ndarray, resolution: float, horizon: float) -> "PathPrefixes":
-        """The prefix arrays of one path's (m, n) increments."""
-        m, n = increments.shape
-        prefixes = cls.empty(1, m, n, resolution, horizon)
-        prefixes.fill(0, increments)
+        """The whole-path prefix arrays of a stack of paths' (G, m, n)
+        increments, or of one path's (m, n).
+
+        Raises:
+            UsageError: the increments are off the 2**-32 grid, or (for
+                m > 1) so large that the exact cross sums could overflow
+                their limbs.
+        """
+        stack = increments if increments.ndim == 3 else increments[None]
+        count, m, n = stack.shape
+        prefixes = cls._alloc(count, m, n + 1, resolution, horizon, n, n)
+        prefixes._append(slice(None), 0, stack)
         return prefixes
 
     @property
     def dim_noise(self) -> int:
         return self.sums.shape[1] - self.low.shape[1]
-
-    def fill(self, g: int, increments: np.ndarray) -> None:
-        """Write the prefix arrays of a whole path with (m, n)
-        ``increments`` into row g.
-
-        Raises:
-            UsageError: the increments do not fit the arrays, are off
-                the 2**-32 grid, or (for m > 1) are so large that the
-                exact cross sums could overflow their limbs.
-        """
-        if self.source is not None or increments.shape != (self.dim_noise, self.num_steps):
-            raise UsageError("path does not match the prefix arrays' grid")
-        self._append(slice(g, g + 1), 0, increments[None])
 
     def advance(self, keep_from: int) -> None:
         """Drop the nodes before ``keep_from`` (a held node) and append
@@ -497,11 +483,11 @@ def _window_sums(increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arrays accumulate, summed exactly and rounded once, so every value
     has the bits :meth:`PathPrefixes.windows` gives the window [0, s).
     Each row is walked alone, in chunks of fine steps as
-    :meth:`PathPrefixes.fill` writes it, so the temporaries stay as small
-    and in cache.
+    :meth:`PathPrefixes.of` writes a single path, so the temporaries stay
+    as small and in cache.
 
     Raises:
-        UsageError: as :meth:`PathPrefixes.fill`, with n = s.
+        UsageError: as :meth:`PathPrefixes.of`, with n = s.
     """
     count, m, s = increments.shape
     w = np.zeros((count, m, 1), dtype=np.int64)

@@ -579,9 +579,7 @@ def _assert_lane_equals_single(sol, one):
 def _lockstep(problem, configs, seeds, level=12, **kwargs):
     """Every (seed, config) lane in one lockstep solve, seed-major."""
     paths = [generate_path(s, level, problem.dim_noise) for s in seeds]
-    pref = PathPrefixes.empty(len(paths), problem.dim_noise, 1 << level, 2.0**-level, 1.0)
-    for g, path in enumerate(paths):
-        pref.fill(g, path.increments)
+    pref = PathPrefixes.of(np.stack([path.increments for path in paths]), 2.0**-level, 1.0)
     rows = np.repeat(np.arange(len(paths)), len(configs))
     batch = integrate_adaptive_batch(problem, configs * len(paths), pref, rows, **kwargs)
     return paths, batch

@@ -188,6 +188,15 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["convergence", "--config", str(noeq)] + out) == 2
 
 
+def test_backstop_prob_fewer_than_one_worker_exits_2(tmp_path, capsys):
+    # backstop-prob ran serially on --workers 0 or -3 and exited 0, where
+    # the tables exit 2.
+    out = ["--out-dir", str(tmp_path), "--paths", "4", "--fine-exponent", "12"]
+    for workers in ("0", "-3"):
+        assert main(["backstop-prob", f"--workers={workers}"] + out) == 2, workers
+        assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_single_path_non_finite_step_exits_2(tmp_path, capsys):
     # A fixed scheme steps at h_max; nan and inf used to escape the step
     # check as ValueError and OverflowError, with a traceback and exit 1.

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import io
 import math
+import time
 import weakref
 
 import numpy as np
@@ -238,6 +239,38 @@ def test_worker_pool_matches_serial():
         assert ra.divergent_count == rb.divergent_count
 
 
+def test_worker_pool_is_no_larger_than_its_tasks(monkeypatch):
+    # A forked pool starts every worker at its first submit, so a pool of
+    # 4,096 for two blocks would fork 4,096 processes. The stand-in pool
+    # records its size and runs the tasks in this process.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    serial = convergence_table(_structure_config(num_paths=2))
+    monkeypatch.setattr(milsde.harness, "ProcessPoolExecutor", Pool)
+    pooled = convergence_table(_structure_config(num_paths=2, workers=4096))
+    backstop_probability(
+        "scalar_probe", (2.0, 4.0), h_max=2.0**-6, num_paths=3, fine_exponent=10, workers=4096
+    )
+    assert sizes == [2, 2, 3]
+    for ra, rb in zip(serial.rows, pooled.rows):
+        assert dataclasses.replace(ra, cpu_seconds=0.0) == dataclasses.replace(
+            rb, cpu_seconds=0.0
+        )
+
+
 def test_block_split_does_not_change_results(monkeypatch):
     # Paths are solved in contiguous blocks; one path per block must
     # give the same table as one block for all paths.
@@ -359,11 +392,21 @@ def test_backstop_curve_worker_pool_matches_serial():
 
 def test_shared_costs_are_charged_once():
     # Path generation and the reference run once per table and are
-    # reported beside the rows, not inside them.
-    table = convergence_table(_structure_config())
-    assert table.generation_seconds > 0.0
-    assert table.reference_seconds > 0.0
-    assert all(r.cpu_seconds > 0.0 for r in table.rows)
+    # reported beside the rows, not inside them. On one worker every
+    # charge is positive and all of them together stay within the CPU
+    # time the table took, also where two comparator schemes share a
+    # matched step and split the reads of its windows.
+    for problem in ("scalar_mult", "twod_noncommutative"):
+        t0 = time.process_time()
+        table = convergence_table(_structure_config(problem=problem))
+        spent = time.process_time() - t0
+        shared = {r.h_max for r in table.rows_for("euler")}
+        assert shared & {r.h_max for r in table.rows_for("tamed")}
+        assert table.generation_seconds > 0.0
+        assert table.reference_seconds > 0.0
+        assert all(r.cpu_seconds > 0.0 for r in table.rows)
+        rows = sum(r.cpu_seconds for r in table.rows)
+        assert table.generation_seconds + table.reference_seconds + rows <= spent
 
 
 def test_efficiency_view():
@@ -455,6 +498,17 @@ def test_backstop_curve_csv():
     buf2 = io.StringIO()
     curve.profiles_to_csv(buf2)
     assert buf2.getvalue().startswith("rho,step_index,h_mean,h_var,num_paths\n")
+
+
+def test_backstop_curve_refuses_fewer_than_one_worker():
+    # The curve used to run serially on 0 or -3 workers; it refuses them
+    # as a table does.
+    for workers in (0, -3):
+        with pytest.raises(UsageError, match="workers must be at least 1"):
+            backstop_probability(
+                "scalar_probe", (2.0,), h_max=2.0**-6, num_paths=4, fine_exponent=10,
+                workers=workers,
+            )
 
 
 def test_backstop_validation():

@@ -122,10 +122,8 @@ def _lockstep(problem, configs, prefixes, **kwargs):
 
 
 def _whole(problem, seeds, level):
-    prefixes = PathPrefixes.empty(len(seeds), problem.dim_noise, 1 << level, 2.0**-level, 1.0)
-    for g, seed in enumerate(seeds):
-        prefixes.fill(g, generate_path(seed, level, problem.dim_noise).increments)
-    return prefixes
+    paths = [generate_path(seed, level, problem.dim_noise).increments for seed in seeds]
+    return PathPrefixes.of(np.stack(paths), 2.0**-level, 1.0)
 
 
 def _streamed(problem, seeds, level, configs, unit):

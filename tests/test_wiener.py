@@ -262,9 +262,8 @@ def test_whole_window_sums_refuse_what_the_prefix_arrays_refuse(inc, match):
 
 
 def test_prefix_arrays_refuse_off_grid_increments():
-    pref = milsde.wiener.PathPrefixes.empty(1, 2, 4, 0.25, 1.0)
     with pytest.raises(UsageError, match="grid"):
-        pref.fill(0, np.full((2, 4), 0.1))
+        milsde.wiener.PathPrefixes.of(np.full((1, 2, 4), 0.1), 0.25, 1.0)
 
 
 def test_scalar_noise_has_no_area():
