@@ -34,10 +34,10 @@ job, with slabs ending on reference-window boundaries; pass 2 has the
 one pass with a lane per (path, rho). The window and one slab's
 increments stay within a fixed 2 MiB cap of the library (not an
 option), and a block is cut small enough that its slabs are at least
-half as wide as its widest window. Only a single path whose widest
-window alone exceeds the cap holds more: that window plus one slab
-unit. So no block holds a whole path or a whole mesh unless it fits the
-cap. Rows and lanes never mix inside a batched solve, so results do not
+half as wide as the widest lane's window. Only a single path whose
+widest window alone exceeds the cap holds more: that window plus one
+slab unit. So a block holds a whole path only where it fits the cap,
+and never a whole mesh. Rows and lanes never mix inside a batched solve, so results do not
 depend on the split into blocks or slabs. Errors, divergence checks and
 curve statistics are computed in the parent process from the blocks'
 endpoints and steps.
@@ -352,7 +352,8 @@ def _block(task):
         if solves is not None:
             while window.frontier < n:
                 # The node to keep from is read once the jobs have taken
-                # every window held.
+                # every window held; read before, the nodes kept and the
+                # next slab can overflow the window.
                 solves.advance(window)
                 window.advance(solves.position)
             solves.advance(window)
