@@ -6,8 +6,8 @@ The pieces, bottom up:
   problems (cubic drifts with additive, diagonal, commutative, and
   non-commutative noise).
 - :mod:`milsde.wiener`: grid-quantized Wiener paths, iterated
-  integrals and Levy areas over arbitrary windows, dyadic refinement,
-  and the Levy-area moment constants.
+  integrals and Levy areas over arbitrary windows, and the Levy-area
+  moment constants.
 - :mod:`milsde.steppers`: the one step map, ``advance_state``, for
   Milstein, tamed Milstein, and Euler-Maruyama, and the check of
   scheme names.
@@ -47,7 +47,6 @@ from .harness import (
 from .problems import (
     BUILTIN_NAMES,
     SdeProblem,
-    check_jacobian,
     commutator_defect,
     make_builtin,
 )
@@ -63,10 +62,7 @@ from .wiener import (
     integrals_over,
     moment_check,
     moment_constant,
-    read_path,
-    refine_path,
     uniform_integrals,
-    write_path,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +92,6 @@ __all__ = [
     "UsageError",
     "WienerPath",
     "backstop_probability",
-    "check_jacobian",
     "commutator_defect",
     "convergence_table",
     "euler_number",
@@ -111,9 +106,6 @@ __all__ = [
     "moment_check",
     "moment_constant",
     "propose_step",
-    "read_path",
-    "refine_path",
     "uniform_integrals",
-    "write_path",
     "__version__",
 ]

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .problems import SdeProblem
+from .problems import SdeProblem, _check_structure
 from .steppers import advance_state, check_scheme
 from .wiener import PathPrefixes, WienerPath, double_integrals
 
@@ -170,15 +170,6 @@ class SolutionPath:
     @property
     def step_sizes(self) -> np.ndarray:
         return np.diff(self.times)
-
-    @property
-    def backstop_rate(self) -> float:
-        n = self.num_steps
-        return float(self.backstop_flags.sum()) / n if n else 0.0
-
-    @property
-    def mean_step(self) -> float:
-        return float(self.step_sizes.mean()) if self.num_steps else math.nan
 
     def to_csv(self, stream) -> None:
         """Write "t,y0,...,backstop" rows; node 0 carries flag 0."""
@@ -474,7 +465,9 @@ def _check_rowwise(problem: SdeProblem, count: int) -> None:
     """UsageError unless the coefficients on a batch of ``count`` distinct
     states near the initial state equal the same callables evaluated
     row by row. With more rows than components, a callable that indexes
-    x[k] (picking rows of the batch) cannot pass by accident."""
+    x[k] (picking rows of the batch) cannot pass by accident. Then the
+    structure label is checked on the first d + 1 of those states, so
+    that check costs the same however many rows there are."""
     d = problem.dim_state
     spread = np.arange(count)[:, None] / count
     calls = [(problem.drift, (), (d,))]
@@ -494,6 +487,7 @@ def _check_rowwise(problem: SdeProblem, count: int) -> None:
                 ) from exc
             if not np.array_equal(batched, single, equal_nan=True):
                 raise UsageError(f"problem {problem.name!r}: {_BATCH_CONTRACT}")
+        _check_structure(problem, rows[: d + 1])
 
 
 class _FixedRun:

@@ -14,7 +14,8 @@ from the statistics and surface in ``divergent_count``.
 Fixed-step comparators run at the adaptive scheme's realized mean step
 (rounded to the fine grid), so error and cost are compared at equal
 effective resolution; their rows record that matched step in both the
-h_max and h_mean columns.
+h_max and h_mean columns. Each distinct (scheme, matched step) runs
+once, so two h_max values that match the same step print the same row.
 
 Paths are processed in contiguous blocks of seeds, one block per task
 when ``workers > 1``. Every task runs the same block solve: the block's
@@ -102,11 +103,11 @@ PROFILE_CSV_HEADER = "rho,step_index,h_mean,h_var,num_paths"
 class ExperimentConfig:
     """Everything a convergence/efficiency experiment needs.
 
-    The problem may be given as a builtin name or an SdeProblem. Every
-    h_max must be a whole multiple of the reference step
-    T 2^-reference_exponent, and the fine exponent must exceed the
-    reference exponent by at least 4 so the reference is effectively
-    exact relative to the coarse runs.
+    The problem may be given as a builtin name or an SdeProblem. No
+    scheme or h_max may be given twice. Every h_max must be a whole
+    multiple of the reference step T 2^-reference_exponent, and the fine
+    exponent must exceed the reference exponent by at least 4 so the
+    reference is effectively exact relative to the coarse runs.
     """
 
     problem: SdeProblem | str
@@ -133,6 +134,9 @@ class ExperimentConfig:
             check_scheme(s, adaptive=True)
         if not self.h_max_values:
             raise UsageError("at least one h_max value is required")
+        for name, values in (("schemes", self.schemes), ("h_max values", self.h_max_values)):
+            if len(set(values)) < len(values):
+                raise UsageError(f"the {name} {values} repeat a value; give each once")
         if not (1 <= self.reference_exponent < self.fine_exponent <= _MAX_EXPONENT):
             raise UsageError(
                 f"need 1 <= reference_exponent < fine_exponent <= {_MAX_EXPONENT}, "
@@ -452,6 +456,8 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
                         f"diverged at h_max {h_max:g}"
                     )
                 jobs.append((scheme, step))
+        # Distinct h_max values can match the same step: run each job once.
+        jobs = list(dict.fromkeys(jobs))
         pass2 = run((), tuple((scheme, round(step / h_ref)) for scheme, step in jobs))
         gen_total += sum(r[0] for r in pass2)
         for j, (scheme, step) in enumerate(jobs):

@@ -25,14 +25,14 @@ __all__ = [
     "SdeProblem",
     "BUILTIN_NAMES",
     "make_builtin",
-    "JacobianCheck",
-    "check_jacobian",
     "commutator_defect",
 ]
 
-#: Noise structure labels, ordered roughly by how much of the Milstein
-#: correction survives: "additive" kills it entirely, "diagonal" and
-#: "commutative" kill the Levy-area part, "general" keeps everything.
+#: Noise structure labels. Only "additive" changes what is computed: the
+#: steps skip the Milstein correction, which is identically zero there.
+#: Under "diagonal" and "commutative" noise the Levy-area part of the
+#: correction vanishes, but the steps still compute it; "general" claims
+#: nothing. The solves refuse a label that their probe states contradict.
 STRUCTURES = ("additive", "diagonal", "commutative", "general")
 
 
@@ -54,7 +54,8 @@ class SdeProblem:
         diffusion_jacobian: jac(x, i) -> (d, d) or (..., d, d) array, the
             Jacobian of g_i.
         structure: one of STRUCTURES; integrators use "additive" to skip
-            the identically-zero Milstein correction.
+            the identically-zero Milstein correction, and refuse a label
+            the coefficients contradict (see ``STRUCTURES``).
         initial_state: X(0), shape (d,).
         horizon: final time T > 0.
         name: short identifier used in logs and CSV output.
@@ -85,17 +86,6 @@ class SdeProblem:
         if not np.all(np.isfinite(state)):
             raise UsageError("initial_state must be finite")
         object.__setattr__(self, "initial_state", state)
-
-    def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Convenience (..., d, m) matrix view; columns are g_i(x)."""
-        shape = np.shape(x)
-        return np.stack(
-            [
-                np.broadcast_to(self.diffusion_column(x, i), shape)
-                for i in range(self.dim_noise)
-            ],
-            axis=-1,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -295,84 +285,46 @@ def make_builtin(name: str, **parameters: float) -> SdeProblem:
     return _BUILDERS[name](float(parameters.get("noise_scale", 0.2)))
 
 
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JacobianCheck:
-    """Finite-difference validation report for the diffusion Jacobians."""
-
-    max_deviation: float
-    per_point: tuple  # (point, max deviation at that point)
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-
-def check_jacobian(
-    problem: SdeProblem,
-    points,
-    tolerance: float = 1e-6,
-    fd_step: float = 1e-5,
-) -> JacobianCheck:
-    """Compare diffusion_jacobian against central differences of the columns.
-
-    Args:
-        problem: the problem to check.
-        points: iterable of states, each shape (d,).
-        tolerance: max absolute deviation for ``passed``.
-        fd_step: central-difference step.
-
-    Returns:
-        JacobianCheck with the worst deviation overall and per point.
-    """
-    if tolerance <= 0.0 or fd_step <= 0.0:
-        raise UsageError("tolerance and fd_step must be positive")
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise UsageError("at least one check point is required")
-    d, m = problem.dim_state, problem.dim_noise
-    per_point = []
-    worst = 0.0
-    for x in pts:
-        if x.shape != (d,):
-            raise UsageError(f"check point has shape {x.shape}, expected ({d},)")
-        dev = 0.0
-        for i in range(m):
-            jac = np.asarray(problem.diffusion_jacobian(x, i), dtype=float)
-            fd = np.empty((d, d))
-            for k in range(d):
-                xp = x.copy()
-                xm = x.copy()
-                xp[k] += fd_step
-                xm[k] -= fd_step
-                fd[:, k] = (
-                    np.asarray(problem.diffusion_column(xp, i))
-                    - np.asarray(problem.diffusion_column(xm, i))
-                ) / (2.0 * fd_step)
-            dev = max(dev, float(np.max(np.abs(jac - fd))))
-        per_point.append((x, dev))
-        worst = max(worst, dev)
-    return JacobianCheck(max_deviation=worst, per_point=tuple(per_point), tolerance=tolerance)
-
-
 def commutator_defect(problem: SdeProblem, points) -> float:
     """Max over points and pairs (i, j) of ||Dg_i g_j - Dg_j g_i||_inf.
 
     Zero (up to rounding) exactly when the noise is commutative, in which
     case the Levy-area part of the Milstein correction vanishes.
     """
-    worst = 0.0
+    return _commutators(problem, points)[0]
+
+
+def _commutators(problem: SdeProblem, points) -> tuple[float, float]:
+    """The commutator defect over ``points``, and the largest |Dg_i g_j|
+    entry there, the scale the defect is measured against."""
+    m = problem.dim_noise
+    defect = scale = 0.0
     for x in points:
         x = np.asarray(x, dtype=float)
-        cols = [problem.diffusion_column(x, i) for i in range(problem.dim_noise)]
-        jacs = [problem.diffusion_jacobian(x, i) for i in range(problem.dim_noise)]
-        for i in range(problem.dim_noise):
-            for j in range(i + 1, problem.dim_noise):
-                defect = jacs[i] @ cols[j] - jacs[j] @ cols[i]
-                worst = max(worst, float(np.max(np.abs(defect))))
-    return worst
+        cols = [problem.diffusion_column(x, i) for i in range(m)]
+        jacs = [problem.diffusion_jacobian(x, i) for i in range(m)]
+        products = np.array([[jacs[i] @ cols[j] for j in range(m)] for i in range(m)])
+        scale = max(scale, float(np.abs(products).max()))
+        defect = max(defect, float(np.abs(products - products.swapaxes(0, 1)).max()))
+    return defect, scale
+
+
+def _check_structure(problem: SdeProblem, points) -> None:
+    """UsageError when the structure label contradicts the coefficients
+    at ``points``: "additive" with a nonzero Jacobian entry, or
+    "diagonal" or "commutative" (with m > 1) with a commutator defect
+    above 1e-12 (1 + the largest |Dg_i g_j| entry)."""
+    label, m = problem.structure, problem.dim_noise
+    if label == "additive":
+        if any(np.any(problem.diffusion_jacobian(x, i)) for x in points for i in range(m)):
+            raise UsageError(
+                f"problem {problem.name!r} is labelled 'additive', but a diffusion "
+                "Jacobian is nonzero; additive noise has constant columns"
+            )
+    elif label != "general" and m > 1:
+        defect, scale = _commutators(problem, points)
+        if defect > 1e-12 * (1.0 + scale):
+            raise UsageError(
+                f"problem {problem.name!r} is labelled {label!r}, but its noise does not "
+                f"commute (max |Dg_i g_j - Dg_j g_i| = {defect:.3g}); label it 'general'"
+            )

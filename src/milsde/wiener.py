@@ -64,11 +64,10 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import BinaryIO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,7 +80,6 @@ __all__ = [
     "IteratedIntegrals",
     "double_integrals",
     "generate_path",
-    "refine_path",
     "integrals_over",
     "uniform_integrals",
     "euler_number",
@@ -89,8 +87,6 @@ __all__ = [
     "moment_constant",
     "MomentCheckRow",
     "moment_check",
-    "write_path",
-    "read_path",
 ]
 
 #: Quantization grid for fine increments; see module docstring.
@@ -108,14 +104,6 @@ _MAX_EXPONENT = 30
 
 _SEED_MASK = (1 << 64) - 1
 
-#: Key-space offset separating bridge-refinement streams from the
-#: per-component generation streams (which use key[1] = component index).
-_REFINE_STREAM_BASE = 1 << 32
-
-_DUMP_MAGIC = b"WIENPATH"
-_DUMP_VERSION = 1
-_DUMP_HEADER = struct.Struct("<8sIIIdQ")  # magic, version, m, L, T, seed
-
 
 @dataclass(frozen=True)
 class WienerPath:
@@ -127,14 +115,12 @@ class WienerPath:
         resolution: fine step h_ref = T * 2**-L.
         resolution_exponent: L.
         horizon: T.
-        seed: the seed the per-component streams were keyed with.
     """
 
     increments: np.ndarray
     resolution: float
     resolution_exponent: int
     horizon: float
-    seed: int
     _prefixes: "PathPrefixes | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -161,11 +147,6 @@ class WienerPath:
             pref = PathPrefixes.of(self.increments, self.resolution, self.horizon)
             object.__setattr__(self, "_prefixes", pref)
         return self._prefixes
-
-    def increment_sum(self, start: int, end: int) -> np.ndarray:
-        """Exact sum of fine increments over [start, end), shape (m,)."""
-        w = self.prefixes().sums[0, : self.dim_noise]
-        return (w[:, end] - w[:, start]) * INCREMENT_GRID
 
 
 def _exact_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -545,10 +526,6 @@ def _generator_at(state: dict) -> np.random.Generator:
     return gen
 
 
-def _component_stream(seed: int, stream: int) -> np.random.Generator:
-    return _generator_at(_stream_state(seed, stream))
-
-
 class PathStreams:
     """The open generation streams of a block of paths.
 
@@ -640,51 +617,6 @@ def generate_path(
         resolution=horizon * 2.0**-resolution_exponent,
         resolution_exponent=resolution_exponent,
         horizon=horizon,
-        seed=seed & _SEED_MASK,
-    )
-
-
-def refine_path(path: WienerPath, extra_levels: int) -> WienerPath:
-    """Brownian-bridge midpoint refinement of an existing path.
-
-    Each fine increment over a step of length h splits into two halves
-    inc/2 + xi and inc/2 - xi with xi ~ N(0, h/4), drawn from streams
-    keyed by (seed, refinement level, component) so refinement is as
-    reproducible as generation. The refined increments are re-quantized,
-    so refined window sums match the coarse ones to within one grid unit
-    per split rather than bitwise.
-
-    Intended for resolution-consistency checks; experiments pick the
-    fine grid up front instead.
-    """
-    if extra_levels < 1:
-        raise UsageError("extra_levels must be >= 1")
-    m = path.dim_noise
-    inc = path.increments
-    level = path.resolution_exponent
-    h = path.resolution
-    for _ in range(extra_levels):
-        level += 1
-        h *= 0.5
-        n = inc.shape[1]
-        if m * 2 * n * 8 > _MAX_PATH_BYTES:
-            raise ResourceError("refined path would exceed the memory budget")
-        halves = np.empty((m, 2 * n))
-        for comp in range(m):
-            stream = _component_stream(
-                path.seed, _REFINE_STREAM_BASE + level * m + comp
-            )
-            xi = stream.standard_normal(n) * math.sqrt(h / 2.0) * 0.5
-            mid = 0.5 * inc[comp]
-            halves[comp, 0::2] = mid + xi
-            halves[comp, 1::2] = mid - xi
-        inc = _quantize(halves)
-    return WienerPath(
-        increments=inc,
-        resolution=path.horizon * 2.0**-level,
-        resolution_exponent=level,
-        horizon=path.horizon,
-        seed=path.seed,
     )
 
 
@@ -719,13 +651,6 @@ class IteratedIntegrals:
         if not h > 0.0:
             raise UsageError("window length h must be positive")
         return cls(h=h, dW=dW, A=A, I=double_integrals(h, dW, A))
-
-    def without_area(self) -> "IteratedIntegrals":
-        """Same window with the Levy areas zeroed (off-diagonals keep
-        only the symmetric half product). Used for commutativity checks."""
-        return IteratedIntegrals.from_components(
-            self.h, self.dW, np.zeros_like(self.A)
-        )
 
 
 def double_integrals(h, dW: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -951,56 +876,3 @@ def moment_check(
             )
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Binary path dump
-# ---------------------------------------------------------------------------
-
-
-def write_path(path: WienerPath, stream: BinaryIO) -> None:
-    """Serialize a path: fixed header, then raw little-endian float64
-    increments, component-major."""
-    header = _DUMP_HEADER.pack(
-        _DUMP_MAGIC,
-        _DUMP_VERSION,
-        path.dim_noise,
-        path.resolution_exponent,
-        path.horizon,
-        path.seed,
-    )
-    stream.write(header)
-    stream.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
-
-
-def read_path(stream: BinaryIO) -> WienerPath:
-    """Inverse of :func:`write_path`.
-
-    Raises:
-        UsageError: bad magic, unsupported version, a header with no
-            noise component or no fine step, or truncated data.
-        ResourceError: the header's path would exceed the memory budget.
-    """
-    raw = stream.read(_DUMP_HEADER.size)
-    if len(raw) != _DUMP_HEADER.size:
-        raise UsageError("truncated path dump header")
-    magic, version, m, level, horizon, seed = _DUMP_HEADER.unpack(raw)
-    if magic != _DUMP_MAGIC:
-        raise UsageError("not a path dump (bad magic)")
-    if version != _DUMP_VERSION:
-        raise UsageError(f"unsupported path dump version {version}")
-    if m < 1 or level < 1:
-        raise UsageError(f"path dump header has m = {m} and L = {level}; both must be >= 1")
-    _check_path_bytes(m, level)
-    n = 1 << level
-    data = stream.read(m * n * 8)
-    if len(data) != m * n * 8:
-        raise UsageError("truncated path dump data")
-    inc = np.frombuffer(data, dtype="<f8").astype(float).reshape(m, n)
-    return WienerPath(
-        increments=inc,
-        resolution=horizon * 2.0**-level,
-        resolution_exponent=level,
-        horizon=horizon,
-        seed=seed,
-    )

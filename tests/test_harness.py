@@ -58,6 +58,8 @@ def test_config_validation():
         (dict(reference_exponent=10), "at least 4"),
         (dict(reference_exponent=0), "reference_exponent"),
         (dict(fine_exponent=31), "reference_exponent"),
+        (dict(h_max_values=(2.0**-4, 2.0**-4)), "repeat"),
+        (dict(schemes=("euler", "adaptive", "euler")), "repeat"),
     ]
     for overrides, match in cases:
         with pytest.raises(UsageError, match=match):
@@ -78,6 +80,13 @@ def test_rms_error_rejects_bad_scheme_names():
             convergence_table(ExperimentConfig(**common, schemes=("adaptive", bad)))
         with pytest.raises(UsageError, match=match):
             dataclasses.replace(good, schemes=(bad,))
+
+
+def test_a_table_refuses_a_label_its_problem_contradicts():
+    problem = dataclasses.replace(make_builtin("scalar_mult"), structure="additive")
+    config = ExperimentConfig(problem=problem, h_max_values=(2.0**-4,), rho=8.0, **SMALL)
+    with pytest.raises(UsageError, match="labelled 'additive'"):
+        convergence_table(config)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +198,33 @@ def test_table_layout_and_matched_steps():
         assert rows[2 + k].rms_error != rows[4 + k].rms_error
     assert all(r.divergent_count == 0 for r in rows)
     assert all(r.cpu_seconds > 0.0 for r in rows)
+
+
+def test_a_step_matched_by_two_h_max_values_runs_once(monkeypatch):
+    # Here h_max 2^-4 and 2^-3 both match euler to 202 fine steps; the
+    # job was queued twice and the first run's CPU was charged nowhere.
+    queued = []
+    solves = milsde.harness.FixedSolves
+
+    def recording(problem, jobs, *args):
+        queued.append(tuple(jobs))
+        return solves(problem, jobs, *args)
+
+    monkeypatch.setattr(milsde.harness, "FixedSolves", recording)
+    config = ExperimentConfig(
+        problem="scalar_mult",
+        h_max_values=(2.0**-4, 2.0**-3),
+        rho=64.0,
+        delta=2.0**-6,
+        schemes=("adaptive", "euler"),
+        num_paths=6,
+        reference_exponent=8,
+        fine_exponent=14,
+    )
+    euler = convergence_table(config).rows_for("euler")
+    assert ("euler", 202) in {job for jobs in queued for job in jobs}
+    assert all(len(set(jobs)) == len(jobs) for jobs in queued), queued
+    assert euler[0] == euler[1] and euler[0].h_max == 202 * 2.0**-14
 
 
 def test_table_csv_round_trip():

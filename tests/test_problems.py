@@ -8,7 +8,6 @@ from milsde import (
     BUILTIN_NAMES,
     SdeProblem,
     UsageError,
-    check_jacobian,
     commutator_defect,
     make_builtin,
 )
@@ -116,15 +115,6 @@ def test_initial_states_and_horizons():
         assert p.dim_state == p.dim_noise
 
 
-def test_diffusion_matrix_stacks_columns():
-    p = make_builtin("twod_noncommutative")
-    x = np.array([1.0, -2.0])
-    G = p.diffusion_matrix(x)
-    assert G.shape == (2, 2)
-    np.testing.assert_array_equal(G[:, 0], p.diffusion_column(x, 0))
-    np.testing.assert_array_equal(G[:, 1], p.diffusion_column(x, 1))
-
-
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_coefficients_act_row_by_row_on_a_batch(name):
     # One callable serves one state or a (P, d) batch: row p of the
@@ -147,10 +137,26 @@ def test_builtin_coefficients_act_row_by_row_on_a_batch(name):
             np.broadcast_to(p.diffusion_jacobian(batch, i), (7, d, d)),
             rows(p.diffusion_jacobian, i),
         )
-    matrices = p.diffusion_matrix(batch)
-    assert matrices.shape == (7, d, p.dim_noise)
-    for k, x in enumerate(batch):
-        np.testing.assert_array_equal(matrices[k], p.diffusion_matrix(x))
+
+
+def _jacobian_deviation(problem, points, fd_step=1e-5):
+    """Largest entry of |Dg_i(x) - central difference of g_i at x| over
+    the points and noise components."""
+    d = problem.dim_state
+    worst = 0.0
+    for x in points:
+        for i in range(problem.dim_noise):
+            fd = np.empty((d, d))
+            for k in range(d):
+                e = np.zeros(d)
+                e[k] = fd_step
+                fd[:, k] = (
+                    np.asarray(problem.diffusion_column(x + e, i))
+                    - np.asarray(problem.diffusion_column(x - e, i))
+                ) / (2.0 * fd_step)
+            dev = np.abs(problem.diffusion_jacobian(x, i) - fd)
+            worst = max(worst, float(np.max(dev)))
+    return worst
 
 
 def test_jacobian_consistency_all_builtins():
@@ -158,29 +164,20 @@ def test_jacobian_consistency_all_builtins():
     # rounding; 1e-6 is the advertised tolerance.
     for name in BUILTIN_NAMES:
         p = make_builtin(name)
-        report = check_jacobian(p, random_points(p.dim_state), tolerance=1e-6)
-        assert report.passed, f"{name}: deviation {report.max_deviation}"
-        assert report.max_deviation < 1e-6
+        deviation = _jacobian_deviation(p, random_points(p.dim_state))
+        assert deviation < 1e-6, f"{name}: deviation {deviation}"
 
 
 def test_jacobian_check_detects_perturbation():
+    # The central-difference check above can fail: a Jacobian off by
+    # 1e-3 shows a deviation of 1e-3.
     base = make_builtin("scalar_mult")
     wrong = dataclasses.replace(
         base, diffusion_jacobian=lambda x, i: np.array([[-0.2 + 1e-3]])
     )
-    report = check_jacobian(wrong, [np.array([2.0])])
-    assert report.max_deviation == pytest.approx(1e-3, abs=1e-6)
-    assert not report.passed
-
-
-def test_check_jacobian_validation():
-    p = make_builtin("scalar_mult")
-    with pytest.raises(UsageError):
-        check_jacobian(p, [])
-    with pytest.raises(UsageError):
-        check_jacobian(p, [np.array([1.0])], tolerance=0.0)
-    with pytest.raises(UsageError):
-        check_jacobian(p, [np.array([1.0, 2.0])])
+    deviation = _jacobian_deviation(wrong, [np.array([2.0])])
+    assert deviation == pytest.approx(1e-3, abs=1e-6)
+    assert deviation > 1e-6
 
 
 def test_commutator_defect_flag_soundness():

@@ -24,7 +24,6 @@ from milsde import (
     integrate_adaptive_batch,
     make_builtin,
     moment_check,
-    refine_path,
     uniform_integrals,
 )
 
@@ -96,8 +95,7 @@ def test_generating_a_path_draws_no_os_entropy(monkeypatch):
     monkeypatch.setattr(numpy.random.bit_generator, "randbits", refuse, raising=False)
     monkeypatch.setattr(random, "_urandom", refuse, raising=False)
     monkeypatch.setattr(os, "urandom", refuse)
-    path = generate_path(11, 10, 2)
-    refine_path(path, 1)
+    generate_path(11, 10, 2)
     PathStreams([1, 2], 8, 2).draw(100)
     moment_check(orders=(2,), num_windows=100, resolution_exponent=6)
 

@@ -15,6 +15,28 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("adaptive", "cli", "errors", "harness", "problems", "steppers", "wiener")
 
 
+#: Every name ``milsde`` exports. A name joins or leaves the public
+#: surface only by an edit here.
+PUBLIC = {
+    "AdaptiveBatch", "BACKSTOP_CSV_HEADER", "BUILTIN_NAMES", "BackstopCurve",
+    "BackstopPoint", "CSV_HEADER", "DEFAULT_BASE_SEED", "ErrorRow", "ErrorTable",
+    "ExperimentConfig", "ExperimentError", "FIXED_SCHEMES", "FixedBatch",
+    "FixedSolves", "INCREMENT_GRID", "IteratedIntegrals", "PathPrefixes",
+    "PathStreams", "ResourceError", "SdeProblem", "SolutionPath", "StepProfile",
+    "StrategyConfig", "UsageError", "WienerPath", "__version__",
+    "backstop_probability", "commutator_defect", "convergence_table",
+    "euler_number", "generate_path", "integrals_over", "integrate_adaptive",
+    "integrate_adaptive_batch", "integrate_fixed", "make_builtin", "moment_check",
+    "moment_constant", "propose_step", "uniform_integrals",
+}
+
+
+def test_the_package_exports_exactly_the_public_names():
+    assert len(PUBLIC) == 40
+    assert len(milsde.__all__) == len(PUBLIC)
+    assert set(milsde.__all__) == PUBLIC
+
+
 @pytest.mark.parametrize("name", ("milsde",) + tuple(f"milsde.{m}" for m in MODULES))
 def test_every_exported_name_resolves_once(name):
     module = importlib.import_module(name)

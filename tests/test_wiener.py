@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -16,10 +15,7 @@ from milsde import (
     integrals_over,
     moment_check,
     moment_constant,
-    read_path,
-    refine_path,
     uniform_integrals,
-    write_path,
 )
 
 # ---------------------------------------------------------------------------
@@ -62,7 +58,7 @@ def test_endpoint_variance():
     # W(1) ~ N(0, 1) across seeds.
     n = 2000
     finals = np.array(
-        [generate_path(seed, 8, 1).increment_sum(0, 256)[0] for seed in range(n)]
+        [integrals_over(generate_path(seed, 8, 1), 0, 256).dW[0] for seed in range(n)]
     )
     assert abs(finals.mean()) <= 4.0 / math.sqrt(n)
     assert abs(finals.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (n - 1))
@@ -82,9 +78,9 @@ def test_window_sums_add_bit_exactly():
         a, b, c = sorted(rng.integers(0, n + 1, size=3))
         if a == b or b == c:
             continue
-        left = path.increment_sum(a, b)
-        right = path.increment_sum(b, c)
-        total = path.increment_sum(a, c)
+        left = integrals_over(path, a, b).dW
+        right = integrals_over(path, b, c).dW
+        total = integrals_over(path, a, c).dW
         np.testing.assert_array_equal(left + right, total)
         # and both agree with direct summation of the slice
         np.testing.assert_array_equal(
@@ -240,7 +236,7 @@ def test_whole_window_sums_near_the_limb_bounds():
     signs = np.where(rng.random((3, 64)) < 0.5, -1.0, 1.0)
     signs[0] = 1.0
     inc = signs * (16.0 - grid * rng.integers(1, 1000, size=(3, 64)))
-    path = milsde.wiener.WienerPath(inc, 1.0 / 64, 6, 1.0, 0)
+    path = milsde.wiener.WienerPath(inc, 1.0 / 64, 6, 1.0)
     dW, area = milsde.wiener._window_sums(inc[None])
     want_dW, want_area = _prefix_windows(inc, 0, 64)
     np.testing.assert_array_equal(dW[0], want_dW)
@@ -310,7 +306,7 @@ def test_area_sign_convention():
 def test_without_area_zeroes_only_the_antisymmetric_part():
     path = generate_path(13, 9, 2)
     ii = integrals_over(path, 0, 512)
-    stripped = ii.without_area()
+    stripped = IteratedIntegrals.from_components(ii.h, ii.dW, np.zeros((2, 2)))
     np.testing.assert_array_equal(stripped.A, np.zeros((2, 2)))
     assert stripped.I[0, 0] == ii.I[0, 0]
     assert stripped.I[0, 1] == stripped.I[1, 0]
@@ -341,55 +337,6 @@ def test_uniform_integrals_scalar_and_zeroed():
         uniform_integrals(path, 0)
     with pytest.raises(UsageError):
         uniform_integrals(path, 500)
-
-
-# ---------------------------------------------------------------------------
-# Refinement
-# ---------------------------------------------------------------------------
-
-
-def test_refinement_is_deterministic_and_composes():
-    path = generate_path(17, 6, 2)
-    once = refine_path(refine_path(path, 1), 1)
-    twice = refine_path(path, 2)
-    np.testing.assert_array_equal(once.increments, twice.increments)
-    assert twice.resolution_exponent == 8
-    assert twice.resolution == 2.0**-8
-
-
-def test_refinement_preserves_coarse_increments_to_grid_rounding():
-    path = generate_path(23, 8, 2)
-    fine = refine_path(path, 1)
-    pairs = fine.increments.reshape(2, -1, 2).sum(axis=2)
-    # each half is re-quantized, so a pair can drift by one grid unit
-    assert np.abs(pairs - path.increments).max() <= INCREMENT_GRID
-
-
-def test_refinement_consistency_order():
-    # rms gap between the Levy area at level L and its refinement by 4
-    # levels scales like 2^(-L/2): measure the decay rate between L=6
-    # and L=10 over many seeds and check it is near one half.
-    def gap(level, seeds):
-        out = np.empty(len(seeds))
-        for k, seed in enumerate(seeds):
-            coarse = generate_path(seed, level, 2)
-            fine = refine_path(coarse, 4)
-            a0 = integrals_over(coarse, 0, coarse.num_steps).A[0, 1]
-            a1 = integrals_over(fine, 0, fine.num_steps).A[0, 1]
-            out[k] = a0 - a1
-        return math.sqrt(float(np.mean(out**2)))
-
-    seeds = range(400)
-    d6 = gap(6, seeds)
-    d10 = gap(10, seeds)
-    order = math.log2(d6 / d10) / 4.0
-    assert 0.35 <= order <= 0.65, f"observed refinement order {order:.3f}"
-
-
-def test_refine_validation():
-    path = generate_path(1, 4, 1)
-    with pytest.raises(UsageError):
-        refine_path(path, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -533,52 +480,6 @@ def test_moment_check_validation():
         moment_check(num_windows=50)
     with pytest.raises(UsageError):
         moment_check(orders=(9,))
-
-
-# ---------------------------------------------------------------------------
-# Binary dump
-# ---------------------------------------------------------------------------
-
-
-def test_dump_round_trip():
-    path = generate_path(123, 9, 3, horizon=1.0)
-    buf = io.BytesIO()
-    write_path(path, buf)
-    buf.seek(0)
-    back = read_path(buf)
-    np.testing.assert_array_equal(back.increments, path.increments)
-    assert back.resolution_exponent == path.resolution_exponent
-    assert back.horizon == path.horizon
-    assert back.seed == path.seed
-    assert back.resolution == path.resolution
-
-
-def test_dump_rejects_garbage():
-    with pytest.raises(UsageError, match="magic"):
-        read_path(io.BytesIO(b"NOTAPATH" + b"\0" * 64))
-    path = generate_path(5, 4, 1)
-    buf = io.BytesIO()
-    write_path(path, buf)
-    data = buf.getvalue()
-    with pytest.raises(UsageError, match="truncated"):
-        read_path(io.BytesIO(data[:10]))
-    with pytest.raises(UsageError, match="truncated"):
-        read_path(io.BytesIO(data[:-8]))
-
-
-def test_dump_rejects_impossible_headers():
-    # The header is checked before any data is read: no noise component,
-    # and paths far beyond the memory budget (2**40 and 2**62 steps).
-    def header(m, level):
-        return io.BytesIO(milsde.wiener._DUMP_HEADER.pack(b"WIENPATH", 1, m, level, 1.0, 7))
-
-    with pytest.raises(UsageError, match="m = 0"):
-        read_path(header(0, 4))
-    with pytest.raises(UsageError, match="L = 0"):
-        read_path(header(1, 0))
-    for level in (40, 62):
-        with pytest.raises(ResourceError):
-            read_path(header(1, level))
 
 
 def test_iterated_integrals_validation():
