@@ -37,10 +37,10 @@ one path's whole arrays. Adaptive solves advance a set of lanes
 together (:func:`integrate_adaptive_batch`), one lane per (path,
 :class:`StrategyConfig`) pair. Each lane keeps its own position, state
 and step count, and leaves the live set when it reaches the horizon or
-diverges. The prefix arrays may hold whole paths or a sliding window
-that streams them in slabs: a lane whose next window is not yet held
-waits, and the window advances when every live lane waits. The one-path
-:func:`integrate_adaptive` is its one-lane call, over whole arrays.
+diverges. The one-path :func:`integrate_adaptive` is its one-lane call;
+both run over whole arrays. Their rounds (:func:`_lockstep`) also run
+over a streamed window: when every live lane waits for a window not yet
+held, they yield the slowest lane's node, and the caller draws a slab.
 """
 
 from __future__ import annotations
@@ -278,24 +278,36 @@ def integrate_adaptive_batch(
     """Run the adaptive controller on a set of lanes in lockstep.
 
     Lane l drives the problem with ``configs[l]`` over path ``rows[l]``
-    of ``prefixes``. Every live lane whose next window is held takes one
-    step per round: the controller plans each lane's next window as soon
-    as it has stepped, each lane reads its window's integrals from the
-    prefix arrays, and pinned lanes run the tamed backstop while the
-    others run ``scheme``. A lane whose next window ends beyond the
-    arrays' frontier waits; when every live lane waits, the arrays
-    advance by a slab, dropping the nodes behind the slowest lane (see
-    :meth:`~milsde.wiener.PathPrefixes.advance`). Lanes never mix, so
-    lane l equals the one-lane solve of its path and config bit for bit,
-    whether the arrays hold whole paths or stream them. A lane leaves the
-    live set when it reaches the horizon or goes non-finite; a divergent
-    lane keeps its last finite state without touching the others. The
-    coefficients are checked on a batch of distinct states against
-    row-by-row calls before the first step. ``zero_levy_area`` replaces
-    every window's Levy areas with zero. ``keep`` is what the result
-    holds per step beyond the per-lane totals: "states" (everything),
-    "steps" (positions and flags) or "totals" (nothing).
+    of ``prefixes``, which must hold every node of their paths (a
+    UsageError otherwise). Every live lane takes one step per round: the
+    controller plans each lane's next window as soon as it has stepped,
+    each lane reads its window's integrals from the prefix arrays, and
+    pinned lanes run the tamed backstop while the others run ``scheme``.
+    Lanes never mix, so lane l equals the one-lane solve of its path and
+    config bit for bit. A lane leaves the live set when it reaches the
+    horizon or goes non-finite; a divergent lane keeps its last finite
+    state without touching the others. The coefficients are checked on a
+    batch of distinct states against row-by-row calls before the first
+    step. ``zero_levy_area`` replaces every window's Levy areas with
+    zero. ``keep`` is what the result holds per step beyond the per-lane
+    totals: "states" (everything), "steps" (positions and flags) or
+    "totals" (nothing).
     """
+    if prefixes.start or prefixes.frontier < prefixes.num_steps:
+        raise UsageError("the prefix arrays must hold every node of their paths")
+    try:
+        next(_lockstep(problem, configs, prefixes, rows, scheme, zero_levy_area, keep))
+    except StopIteration as done:
+        return done.value
+
+
+def _lockstep(
+    problem, configs, prefixes, rows, scheme="milstein", zero_levy_area=False, keep="states"
+):
+    """The rounds of :func:`integrate_adaptive_batch`, over arrays that
+    may stream their paths: when every live lane waits for a window that
+    ends beyond the frontier, yields the slowest lane's node, and resumes
+    once the caller has advanced the arrays. Returns the batch."""
     check_scheme(scheme)
     if keep not in ("states", "steps", "totals"):
         raise UsageError(f"keep must be 'states', 'steps' or 'totals', got {keep!r}")
@@ -348,69 +360,66 @@ def integrate_adaptive_batch(
     at = np.zeros(count, dtype=np.int64)
     y = np.tile(problem.initial_state, (count, 1))
     rounds = []  # per round: lanes, pinned, finite, and kept ends and states
-    # Overflow inside a step is the divergence signal, not a warning.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # Overflow inside a step is the divergence signal, not a warning. No
+    # yield sits inside errstate: the caller would see its context variable.
+    quiet = dict(divide="ignore", over="ignore", invalid="ignore")
+    with np.errstate(**quiet):
         end, pinned = plan(live, y, at)
-        while live.size:
-            lanes = live
-            if prefixes.frontier < n_total:
-                held = end[live] <= prefixes.frontier
-                if not held.any():
-                    prefixes.advance(int(at[live].min()))
-                    continue
-                if not held.all():
-                    lanes = live[held]
-            lane_end, lane_pinned = end[lanes], pinned[lanes]
-            hw, dW, A = prefixes.windows(rows[lanes], at[lanes], lane_end, strip_area)
-            hw = hw[:, None]
-            nxt = _advance_lanes(
-                problem, scheme, y[lanes], hw, dW, double_integrals(hw, dW, A), lane_pinned
-            )
-            finite = np.isfinite(nxt).all(axis=1)
-            kept = (lane_end if keep != "totals" else None, nxt if keep == "states" else None)
-            rounds.append((lanes, lane_pinned, finite) + kept)
-            if not finite.all():
-                live = live[~np.isin(live, lanes[~finite])]
-                lanes, lane_end, nxt = lanes[finite], lane_end[finite], nxt[finite]
-            at[lanes], y[lanes] = lane_end, nxt
-            going = lane_end < n_total
-            if not going.all():
-                live = live[~np.isin(live, lanes[~going])]
-                lanes, lane_end, nxt = lanes[going], lane_end[going], nxt[going]
-            end[lanes], pinned[lanes] = plan(lanes, nxt, lane_end)
-    return _collect(rounds, at, y, problem.initial_state, h_ref)
+    while True:
+        with np.errstate(**quiet):
+            while live.size:
+                lanes = live
+                if prefixes.frontier < n_total:
+                    held = end[live] <= prefixes.frontier
+                    if not held.any():
+                        break
+                    if not held.all():
+                        lanes = live[held]
+                lane_end, lane_pinned = end[lanes], pinned[lanes]
+                hw, dW, A = prefixes.windows(rows[lanes], at[lanes], lane_end, strip_area)
+                hw = hw[:, None]
+                nxt = _advance_lanes(
+                    problem, scheme, y[lanes], hw, dW, double_integrals(hw, dW, A), lane_pinned
+                )
+                finite = np.isfinite(nxt).all(axis=1)
+                kept = (lane_end if keep != "totals" else None, nxt if keep == "states" else None)
+                rounds.append((lanes, lane_pinned, finite) + kept)
+                if not finite.all():
+                    live = live[~np.isin(live, lanes[~finite])]
+                    lanes, lane_end, nxt = lanes[finite], lane_end[finite], nxt[finite]
+                at[lanes], y[lanes] = lane_end, nxt
+                going = lane_end < n_total
+                if not going.all():
+                    live = live[~np.isin(live, lanes[~going])]
+                    lanes, lane_end, nxt = lanes[going], lane_end[going], nxt[going]
+                end[lanes], pinned[lanes] = plan(lanes, nxt, lane_end)
+        if not live.size:
+            return _collect(rounds, at, y, problem.initial_state, h_ref)
+        yield int(at[live].min())
 
 
 def _collect(rounds, at, y, initial_state, h_ref) -> AdaptiveBatch:
     """Per-lane totals from the per-round records (``at`` and ``y`` hold
     each lane's last finite node and state), and the kept records of the
-    finite steps, grouped by lane in the order taken. Each record is
-    copied once, into its place; ``rounds`` is emptied as it is read."""
+    finite steps, grouped by lane in the order taken."""
     count = len(at)
-    lanes, pinned, finite = (np.concatenate([r[f] for r in rounds]) for f in range(3))
+    lanes, pinned, finite, ends, states = (
+        None if rounds[0][f] is None else np.concatenate([r[f] for r in rounds])
+        for f in range(5)
+    )
     divergent = np.zeros(count, dtype=bool)
     divergent[lanes[~finite]] = True
     num_steps = np.bincount(lanes[finite], minlength=count)
     flagged = np.bincount(lanes[finite & pinned], minlength=count)
     totals = (at, y, num_steps, flagged, divergent, initial_state, h_ref)
-    if rounds[0][3] is None:
-        rounds.clear()
+    if ends is None:
         return AdaptiveBatch(*totals)
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(num_steps, out=offsets[1:])
     order = np.flatnonzero(finite)[np.argsort(lanes[finite], kind="stable")]
-    place = np.empty(len(lanes), dtype=np.int64)  # of each finite record
-    place[order] = np.arange(len(order))
-    positions = np.empty(len(order), dtype=np.int64)
-    states = None if rounds[0][4] is None else np.empty((len(order), y.shape[1]))
-    a = 0
-    for r, (_, _, fin, ends, nxt) in enumerate(rounds):
-        rounds[r], to, a = None, place[a : a + len(fin)][fin], a + len(fin)
-        positions[to] = ends[fin]
-        if states is not None:
-            states[to] = nxt[fin]
-    rounds.clear()
-    return AdaptiveBatch(*totals, offsets, positions, pinned[order], states)
+    if states is not None:
+        states = states[order]
+    return AdaptiveBatch(*totals, offsets, ends[order], pinned[order], states)
 
 
 def integrate_adaptive(

@@ -23,32 +23,33 @@ paths are drawn together in slabs of consecutive fine steps from their
 open streams (:class:`~milsde.wiener.PathStreams`) into one sliding
 window of prefix arrays (:class:`~milsde.wiener.PathPrefixes`), from
 which every solve of the block reads its windows. Adaptive lanes, one
-per (path, config), run in one lockstep solve: a lane whose next window
-ends beyond the slabs drawn so far waits; when every lane waits, the
-next slab is drawn and the nodes behind the slowest lane are dropped.
-Fixed-step jobs (:class:`~milsde.adaptive.FixedSolves`) advance over the
-windows held before each slab is drawn, and over the slabs left once
-the lanes are done. A table runs two such passes over the same blocks:
-pass 1 has a lane per (path, h_max) and the tamed reference as its one
-job, with slabs ending on reference-window boundaries; pass 2 has the
-(scheme, matched step) comparators as its jobs. A backstop curve runs
-one pass with a lane per (path, rho). The window and one slab's
-increments stay within a fixed 2 MiB cap of the library (not an
-option), and a block is cut small enough that its slabs are at least
-half as wide as the widest lane's window. Only a single path whose
-widest window alone exceeds the cap holds more: that window plus one
-slab unit. So a block holds a whole path only where it fits the cap,
-and never a whole mesh. Rows and lanes never mix inside a batched solve, so results do not
+per (path, config), run in one lockstep solve, and fixed-step jobs
+(:class:`~milsde.adaptive.FixedSolves`) beside them. One loop drives the
+block: the lanes step until every live lane waits, because its next
+window ends beyond the slabs drawn so far; the jobs then take every
+window held; then the next slab is drawn and the nodes behind the
+slowest lane or job are dropped. It stops at the horizon, or as soon as
+no lane or job is left to step. A table runs two such passes over the
+same blocks: pass 1 has a lane per (path, h_max) and the tamed reference
+as its one job, with slabs ending on reference-window boundaries; pass 2
+has the (scheme, matched step) comparators as its jobs. A backstop curve
+runs one pass with a lane per (path, rho). The window and one slab's
+increments stay within a fixed 2 MiB cap of the library (not an option),
+and a block is cut small enough that its slabs are at least half as wide
+as the widest lane's window. Only a single path whose widest window
+alone exceeds the cap holds more: that window plus one slab unit. So a
+block holds a whole path only where it fits the cap, and never a whole
+mesh. Rows and lanes never mix inside a batched solve, so results do not
 depend on the split into blocks or slabs. Errors, divergence checks and
 curve statistics are computed in the parent process from the blocks'
 endpoints and steps.
 
 ``cpu_seconds`` per row is the CPU time (``time.process_time``, taken
 in the process that did the work and summed over workers) of that
-row's own solves, under one rule for every block. Slab draws are
-charged to path generation. The lockstep solve, its prefix fills
-included, is split between its lanes in proportion to the steps they
-tried (a failed step included); an adaptive row is charged its lanes.
+row's own solves, under one rule for every block. Drawing a slab and
+writing its prefix nodes are path generation. The lockstep solve is
+split between its lanes in proportion to the steps they tried (a
+failed step included); an adaptive row is charged its lanes.
 A job is charged its steps and its share of the window reads of its
 step, which the jobs with that step split equally, plus an equal share
 of the rest of its block; a fixed row is charged its job. The reference
@@ -70,11 +71,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import FixedSolves, StrategyConfig, integrate_adaptive_batch
+from .adaptive import FixedSolves, StrategyConfig, _lockstep
 from .errors import ExperimentError, UsageError
 from .problems import SdeProblem, make_builtin
 from .steppers import check_scheme
-from .wiener import _MAX_EXPONENT, PathPrefixes, PathStreams, _check_exponent
+from .wiener import _MAX_EXPONENT, PathPrefixes, PathStreams, _check_exponent, _path_seeds
 
 __all__ = [
     "DEFAULT_BASE_SEED",
@@ -134,9 +135,8 @@ class ExperimentConfig:
             check_scheme(s, adaptive=True)
         if not self.h_max_values:
             raise UsageError("at least one h_max value is required")
-        for name, values in (("schemes", self.schemes), ("h_max values", self.h_max_values)):
-            if len(set(values)) < len(values):
-                raise UsageError(f"the {name} {values} repeat a value; give each once")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise UsageError(f"the schemes {self.schemes} repeat a value; give each once")
         if not (1 <= self.reference_exponent < self.fine_exponent <= _MAX_EXPONENT):
             raise UsageError(
                 f"need 1 <= reference_exponent < fine_exponent <= {_MAX_EXPONENT}, "
@@ -171,7 +171,7 @@ class ExperimentConfig:
 
     @property
     def seeds(self) -> tuple[int, ...]:
-        return tuple(self.base_seed ^ k for k in range(self.num_paths))
+        return _path_seeds(self.base_seed, range(self.num_paths))
 
 
 @dataclass(frozen=True)
@@ -282,9 +282,13 @@ def _err_sq(ref_final: np.ndarray, final: np.ndarray, divergent: np.ndarray) -> 
 
 
 def _check_run(problem, h_values, rhos, num_paths, fine_exponent, workers) -> None:
-    """The checks a table and a backstop curve share: every rho exceeds
-    1, at least two paths and one worker, and every h_max lies in (0, T]
-    with its floor h_max / rho on or above the fine resolution."""
+    """The checks a table and a backstop curve share: no h_max or rho is
+    given twice, every rho exceeds 1, at least two paths and one worker,
+    and every h_max lies in (0, T] with its floor h_max / rho on or above
+    the fine resolution."""
+    for name, values in (("h_max values", h_values), ("rho values", rhos)):
+        if len(set(values)) < len(values):
+            raise UsageError(f"the {name} {values} repeat a value; give each once")
     for rho in rhos:
         if not rho > 1.0:
             raise UsageError(f"rho must exceed 1, got {rho}")
@@ -309,70 +313,55 @@ def _block(task):
     multiples of ``unit`` fine steps.
 
     With lane ``configs``, one lockstep adaptive solve runs a lane per
-    (path, config), path-major, keeping ``keep`` of each step. With
-    ``jobs``, their :class:`~milsde.adaptive.FixedSolves` advance over the
-    windows held before each slab is drawn, and then over the slabs left
-    once the lanes are done; with lanes, a job's step must divide
-    ``unit``, so that it has taken every window before the lanes drop it.
+    (path, config), path-major, keeping ``keep`` of each step; with
+    ``jobs``, their :class:`~milsde.adaptive.FixedSolves`. One loop
+    drives both, as the module docstring says.
 
-    Returns the CPU s of the slab draws; the lanes'
-    :class:`~milsde.adaptive.AdaptiveBatch` and each lane's CPU s (None
-    without lanes); and per job its :class:`~milsde.adaptive.FixedBatch`
-    and CPU s, charged as the module docstring says.
+    Returns the CPU s of path generation (the slab draws and their prefix
+    fills); the lanes' :class:`~milsde.adaptive.AdaptiveBatch` and each
+    lane's CPU s (None without lanes); and per job its
+    :class:`~milsde.adaptive.FixedBatch` and CPU s, charged as the module
+    docstring says.
     """
     problem, seeds, fine_exp, unit, configs, keep, jobs = task
     clock = time.process_time
     began, n, count = clock(), 1 << fine_exp, len(seeds)
-    streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
-    solves = FixedSolves(problem, jobs, count, n) if jobs else None
-    spent = [0.0, 0.0]  # CPU s of the slab draws, and of the draw calls whole
-
-    def draw(steps):
-        t0 = clock()
-        if solves is not None:
-            solves.advance(window)
-        t1 = clock()
-        slab = streams.draw(steps)
-        t2 = clock()
-        spent[0] += t2 - t1
-        spent[1] += t2 - t0
-        return slab
-
     widest = max([_widest(problem, fine_exp, c.h_max) for c in configs] + [k for _, k in jobs])
     h_ref = problem.horizon * 2.0**-fine_exp
+    streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
     window = PathPrefixes.streamed(
-        count, problem.dim_noise, n, h_ref, problem.horizon, draw, widest, unit
+        count, problem.dim_noise, n, h_ref, problem.horizon, widest, unit
     )
+    rows = np.repeat(np.arange(count), len(configs))
+    lanes = _lockstep(problem, list(configs) * count, window, rows, keep=keep) if configs else None
+    solves = FixedSolves(problem, jobs, count, n) if jobs else None
     batch = lane_cpu = None
-    lockstep_s = 0.0
-    try:
-        if configs:
-            t0, before = clock(), spent[1]
-            rows = np.repeat(np.arange(count), len(configs))
-            batch = integrate_adaptive_batch(
-                problem, list(configs) * count, window, rows, keep=keep
-            )
-            lockstep_s = clock() - t0 - (spent[1] - before)
+    generation_s = lockstep_s = 0.0
+    while True:
+        waiting = []  # the first node each lane or job still needs
+        if lanes is not None:
+            t0 = clock()
+            try:
+                waiting.append(next(lanes))
+            except StopIteration as done:
+                batch, lanes = done.value, None
+            lockstep_s += clock() - t0
         if solves is not None:
-            while window.frontier < n:
-                # The node to keep from is read once the jobs have taken
-                # every window held; read before, the nodes kept and the
-                # next slab can overflow the window.
-                solves.advance(window)
-                window.advance(solves.position)
             solves.advance(window)
-    finally:
-        # The window's source refers to the window: break the cycle, so
-        # that its arrays go as soon as the block is done.
-        window.source = None
+            waiting.append(solves.position)
+        if not waiting or window.frontier == n:
+            break
+        t0 = clock()
+        window.advance(min(waiting), streams.draw)
+        generation_s += clock() - t0
     if batch is not None:
         tried = batch.num_steps + batch.divergent  # a failed step included
         lane_cpu = lockstep_s * tried / tried.sum()
     fixed = []
     if solves is not None:
-        rest = (clock() - began - spent[0] - lockstep_s - sum(solves.seconds)) / len(jobs)
+        rest = (clock() - began - generation_s - lockstep_s - sum(solves.seconds)) / len(jobs)
         fixed = [(b, s + rest) for b, s in zip(solves.results(), solves.seconds)]
-    return spent[0], batch, lane_cpu, fixed
+    return generation_s, batch, lane_cpu, fixed
 
 
 def _joined(results, j):
@@ -548,42 +537,42 @@ def backstop_probability(
         raise UsageError("at least one rho value is required")
     _check_exponent("fine_exponent", fine_exponent)
     _check_run(problem, (h_max,), rhos, num_paths, fine_exponent, workers)
-    seeds = [base_seed ^ k for k in range(num_paths)]
+    seeds = _path_seeds(base_seed, range(num_paths))
     configs = tuple(StrategyConfig(h_max=h_max, rho=rho, delta=delta) for rho in rhos)
     size = PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exponent, h_max))
     tasks = [
         (problem, block, fine_exponent, 1, configs, "steps", ())
         for block in _seed_blocks(seeds, workers, size)
     ]
+    batches = [r[1] for r in _map_tasks(_block, tasks, workers)]
+    num_steps, flagged, bad, positions = (
+        np.concatenate([getattr(b, f) for b in batches])
+        for f in ("num_steps", "flagged", "divergent", "positions")
+    )
     # Lanes are path-major: lane i is seed i // len(rhos) at rho i % len(rhos).
-    sols = [
-        r[1].solution(lane)
-        for r in _map_tasks(_block, tasks, workers)
-        for lane in range(len(r[1].ends))
-    ]
-    for i, sol in enumerate(sols):
-        if sol.divergent:
-            seed, rho = seeds[i // len(rhos)], rhos[i % len(rhos)]
-            raise ExperimentError(f"adaptive run diverged for seed {seed} at rho {rho:g}")
-
-    points = []
-    profiles = []
+    if bad.any():
+        i = int(np.argmax(bad))
+        seed, rho = seeds[i // len(rhos)], rhos[i % len(rhos)]
+        raise ExperimentError(f"adaptive run diverged for seed {seed} at rho {rho:g}")
+    h_ref = problem.horizon * 2.0**-fine_exponent
+    points, profiles = [], []
     for j, rho in enumerate(rhos):
-        mine = sols[j :: len(rhos)]
-        hits = np.array([bool(sol.backstop_flags.any()) for sol in mine], dtype=float)
-        p = float(hits.mean())
+        p = float(np.mean(flagged[j :: len(rhos)] > 0))
         se = math.sqrt(p * (1.0 - p) / num_paths)
         points.append(BackstopPoint(rho=rho, prob=p, prob_std_error=se))
-        series = [sol.step_sizes for sol in mine]
-        width = max(len(s) for s in series)
-        padded = np.full((num_paths, width), np.nan)
-        for i, s in enumerate(series):
-            padded[i, : len(s)] = s
-        counts = (~np.isnan(padded)).sum(axis=0)
-        with np.errstate(invalid="ignore"):
-            h_mean = np.nanmean(padded, axis=0)
-            h_var = np.nanvar(padded, axis=0, ddof=0)
-        profiles.append(
-            StepProfile(rho=rho, h_mean=h_mean, h_var=h_var, num_paths=counts)
-        )
+        # The step records of this rho's lanes in path order: each one's
+        # size, the difference of its end and start times, and its index
+        # among its lane's steps. Sums then run down the paths in order.
+        mine = np.repeat(np.arange(len(num_steps)) % len(rhos) == j, num_steps)
+        steps = num_steps[j :: len(rhos)]
+        first = np.cumsum(steps) - steps
+        times = positions[mine] * h_ref
+        h = np.diff(times, prepend=0.0)
+        h[first] = times[first]
+        at = np.arange(len(times)) - np.repeat(first, steps)
+        counts = np.bincount(at)
+        h_mean = np.bincount(at, h) / counts
+        deviation = h - h_mean[at]
+        h_var = np.bincount(at, deviation * deviation) / counts
+        profiles.append(StepProfile(rho=rho, h_mean=h_mean, h_var=h_var, num_paths=counts))
     return BackstopCurve(h_max=h_max, points=tuple(points), profiles=tuple(profiles))

@@ -54,7 +54,9 @@ A block of paths can also be drawn in slabs of consecutive fine steps
 (:class:`PathStreams`), which join into exactly the paths
 :func:`generate_path` gives; prefix arrays can then hold a sliding
 window of the block instead of whole paths
-(:meth:`PathPrefixes.streamed`).
+(:meth:`PathPrefixes.streamed`), and each :meth:`PathPrefixes.advance`
+appends the next slab, drawn by a callable its caller passes. Path k of
+an experiment is drawn from seed ``base_seed ^ k``.
 
 Moment constants of the Levy area come from the Taylor series of sech
 (Euler numbers), computed in exact rational arithmetic.
@@ -198,7 +200,7 @@ class PathPrefixes:
     hold every node: start 0, frontier ``num_steps``. Streamed arrays
     (:meth:`streamed`) hold a sliding window: each :meth:`advance` drops
     the nodes behind a given one and appends the next slab of every
-    path, drawn from ``source``.
+    path, drawn by the callable it is passed.
 
     Attributes:
         sums: (G, m + P, C) int64 with P = m(m-1)/2. ``sums[g, i, c]``
@@ -216,8 +218,6 @@ class PathPrefixes:
         start: the node in column 0.
         slab: fine steps appended per :meth:`advance` (the last slab
             may be shorter); 0 for whole-path arrays.
-        source: ``source(steps)`` returns the next ``steps`` increments
-            of every path, (G, m, steps); None for whole-path arrays.
 
     A node of a path takes :meth:`bytes_per_node` bytes here; the raw
     increments are not kept.
@@ -231,7 +231,6 @@ class PathPrefixes:
     frontier: int
     start: int = 0
     slab: int = 0
-    source: Callable[[int], np.ndarray] | None = None
 
     @staticmethod
     def bytes_per_node(dim_noise: int) -> int:
@@ -283,7 +282,6 @@ class PathPrefixes:
         num_steps: int,
         resolution: float,
         horizon: float,
-        source: Callable[[int], np.ndarray],
         widest: int,
         unit: int = 1,
     ) -> "PathPrefixes":
@@ -299,8 +297,7 @@ class PathPrefixes:
         slab = cls.slab_steps(count, dim_noise, num_steps, widest, unit)
         nodes = min(num_steps + 1, widest + slab)
         return cls._alloc(
-            count, dim_noise, nodes, resolution, horizon, num_steps, 0,
-            slab=slab, source=source,
+            count, dim_noise, nodes, resolution, horizon, num_steps, 0, slab=slab
         )
 
     @classmethod
@@ -323,11 +320,10 @@ class PathPrefixes:
     def dim_noise(self) -> int:
         return self.sums.shape[1] - self.low.shape[1]
 
-    def advance(self, keep_from: int) -> None:
+    def advance(self, keep_from: int, draw: Callable[[int], np.ndarray]) -> None:
         """Drop the nodes before ``keep_from`` (a held node) and append
-        the next slab of every path from ``source``. ``source`` is called
-        before any node is dropped, so it may still read every window
-        held up to the frontier.
+        the next slab of every path: ``draw(steps)`` returns the next
+        ``steps`` increments of every path, (G, m, steps).
 
         Raises:
             UsageError: every node is already held, or the nodes kept
@@ -335,14 +331,14 @@ class PathPrefixes:
         """
         steps = min(self.slab, self.num_steps - self.frontier)
         kept = self.frontier - keep_from + 1
-        if self.source is None or steps < 1:
+        if steps < 1:
             raise UsageError("the prefix arrays already hold every node")
         if not (self.start <= keep_from <= self.frontier and kept + steps <= self.sums.shape[2]):
             raise UsageError(
                 f"cannot keep nodes {keep_from}..{self.frontier} and a slab of "
                 f"{steps} in a window of {self.sums.shape[2]} nodes"
             )
-        increments = self.source(steps)
+        increments = draw(steps)
         drop = keep_from - self.start
         if drop:
             self.sums[:, :, :kept] = self.sums[:, :, drop : drop + kept]
@@ -497,6 +493,11 @@ def _quantize(values: np.ndarray) -> np.ndarray:
     np.rint(values, out=values)
     values *= INCREMENT_GRID
     return values
+
+
+def _path_seeds(base_seed: int, paths: range) -> tuple[int, ...]:
+    """The seeds of an experiment's ``paths``: path k uses base_seed ^ k."""
+    return tuple(base_seed ^ k for k in paths)
 
 
 def _stream_state(seed: int, stream: int) -> dict:
@@ -856,7 +857,7 @@ def moment_check(
     n = 1 << resolution_exponent
     size = PathPrefixes.group_size(2, n)
     for first in range(0, num_windows, size):
-        seeds = [base_seed ^ k for k in range(first, min(num_windows, first + size))]
+        seeds = _path_seeds(base_seed, range(first, min(num_windows, first + size)))
         increments = PathStreams(seeds, resolution_exponent, 2).draw(n)
         samples[first : first + len(seeds)] = _window_sums(increments)[1][:, 0]
     rows = []

@@ -351,14 +351,12 @@ def _solve_in_slabs(problem, jobs, seeds, sizes, level=10, **kwargs):
     n = 1 << level
     streams = PathStreams(seeds, level, problem.dim_noise)
     widest = max(k for _, k in jobs) + max(sizes)
-    window = PathPrefixes.streamed(
-        len(seeds), problem.dim_noise, n, 1.0 / n, 1.0, streams.draw, widest
-    )
+    window = PathPrefixes.streamed(len(seeds), problem.dim_noise, n, 1.0 / n, 1.0, widest)
     solves = FixedSolves(problem, jobs, len(seeds), n, **kwargs)
     ends = []
     while window.frontier < n:
         window.slab = sizes[len(ends) % len(sizes)]
-        window.advance(solves.position)
+        window.advance(solves.position, streams.draw)
         solves.advance(window)
         ends.append(window.frontier)
     return solves.results(), ends
@@ -462,7 +460,7 @@ def test_slab_fed_solve_stops_a_row_inside_a_slab():
 def test_slab_fed_solve_refuses_what_does_not_fit():
     problem = make_builtin("scalar_mult")
     streams = PathStreams((0, 1), 4, 1)
-    window = PathPrefixes.streamed(2, 1, 16, 1.0 / 16, 1.0, streams.draw, 4)
+    window = PathPrefixes.streamed(2, 1, 16, 1.0 / 16, 1.0, 4)
     window.slab = 10
     solves = FixedSolves(problem, [("euler", 4)], 2, 16)
     with pytest.raises(UsageError, match="prefix arrays"):
@@ -471,13 +469,13 @@ def test_slab_fed_solve_refuses_what_does_not_fit():
         FixedSolves(problem, [("euler", 4)], 2, 32).advance(window)
     with pytest.raises(UsageError, match="noise components"):
         FixedSolves(make_builtin("twod_noncommutative"), [("euler", 4)], 2, 16).advance(window)
-    window.advance(0)
+    window.advance(0, streams.draw)
     solves.advance(window)
     assert solves.position == 8
     with pytest.raises(UsageError, match="taken"):
         solves.results()
     # A window that dropped the start of a job's next window is refused.
-    window.advance(window.frontier)
+    window.advance(window.frontier, streams.draw)
     with pytest.raises(UsageError, match="no longer held"):
         solves.advance(window)
     with pytest.raises(UsageError, match="substeps"):

@@ -180,6 +180,8 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["convergence", "--schemes", "pmil"] + out) == 2
     assert main(["convergence", "--h-max", "2^-12..0.3"] + out) == 2
     assert main(["convergence", "--h-max", "2^-4,2^-4"] + out) == 2
+    small = ["--paths", "4", "--fine-exponent", "12"]
+    assert main(["backstop-prob", "--rho", "2,3,2"] + small + out) == 2
     assert main(["convergence", "--config", str(tmp_path / "missing.cfg")] + out) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("colour = blue\n")

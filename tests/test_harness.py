@@ -357,10 +357,10 @@ def test_comparator_windows_across_slabs_do_not_change_results(monkeypatch):
 
 
 def test_blocks_free_their_windows_without_the_cyclic_collector(monkeypatch):
-    # A window whose source refers back to it would keep its prefix
-    # arrays alive until the cyclic collector runs, raising the peak
-    # memory of every block. With the collector off, every window a
-    # table or a backstop curve streams through is gone once it returns.
+    # A window caught in a reference cycle would keep its prefix arrays
+    # alive until the cyclic collector runs, raising the peak memory of
+    # every block. With the collector off, every window a table or a
+    # backstop curve streams through is gone once it returns.
     made = []
     streamed = milsde.wiener.PathPrefixes.streamed.__func__
 
@@ -560,3 +560,7 @@ def test_backstop_validation():
         )
     with pytest.raises(UsageError, match=r"\(0, horizon\]"):
         backstop_probability("scalar_mult", (2.0,), h_max=2.0, num_paths=10)
+    with pytest.raises(UsageError, match="repeat"):
+        backstop_probability(
+            "scalar_probe", (2.0, 3.0, 2.0), h_max=2.0**-8, num_paths=4, fine_exponent=12
+        )

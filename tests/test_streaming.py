@@ -10,6 +10,7 @@ import numpy as np
 import numpy.random.bit_generator
 import pytest
 
+import milsde.adaptive
 import milsde.wiener
 from milsde import (
     BUILTIN_NAMES,
@@ -62,14 +63,12 @@ def test_uniform_integrals_over_slabs_equal_the_whole_path():
         seeds = (5, 6, 7)
         streams = PathStreams(seeds, level, m)
         sizes = [substeps * k for k in (1, 3, 50, 9)]
-        window = PathPrefixes.streamed(
-            3, m, 1 << level, 2.0**-level, 1.0, streams.draw, max(sizes), substeps
-        )
+        window = PathPrefixes.streamed(3, m, 1 << level, 2.0**-level, 1.0, max(sizes), substeps)
         parts = [[], []]
         while window.frontier < window.num_steps:
             window.slab = sizes[len(parts[0]) % 4]
             first = window.frontier
-            window.advance(first)
+            window.advance(first, streams.draw)
             steps = window.frontier - first
             count = steps // substeps
             start = np.repeat(first + substeps * np.arange(count), 3)
@@ -114,9 +113,21 @@ LANE_CONFIGS = [
 WHOLE_HORIZON = StrategyConfig(h_max=1.0, rho=8.0)
 
 
-def _lockstep(problem, configs, prefixes, **kwargs):
+def _lockstep(problem, configs, prefixes, draw=None, **kwargs):
+    """The lanes over whole arrays, or, given the ``draw`` of a streamed
+    window, driven as the harness's block solve drives them: resumed
+    until every lane waits, then the window advanced by a slab."""
     rows = np.repeat(np.arange(len(prefixes.sums)), len(configs))
-    return integrate_adaptive_batch(problem, configs * len(prefixes.sums), prefixes, rows, **kwargs)
+    lanes = configs * len(prefixes.sums)
+    if draw is None:
+        return integrate_adaptive_batch(problem, lanes, prefixes, rows, **kwargs)
+    rounds = milsde.adaptive._lockstep(problem, lanes, prefixes, rows, **kwargs)
+    while True:
+        try:
+            keep_from = next(rounds)
+        except StopIteration as done:
+            return done.value
+        prefixes.advance(keep_from, draw)
 
 
 def _whole(problem, seeds, level):
@@ -125,11 +136,13 @@ def _whole(problem, seeds, level):
 
 
 def _streamed(problem, seeds, level, configs, unit):
+    """A streamed window over the paths of ``seeds``, and its draw."""
     streams = PathStreams(seeds, level, problem.dim_noise)
     widest = max(math.ceil(c.h_max * 2**level) for c in configs)
-    return PathPrefixes.streamed(
-        len(seeds), problem.dim_noise, 1 << level, 2.0**-level, 1.0, streams.draw, widest, unit
+    window = PathPrefixes.streamed(
+        len(seeds), problem.dim_noise, 1 << level, 2.0**-level, 1.0, widest, unit
     )
+    return window, streams.draw
 
 
 def _assert_batches_equal(a, b):
@@ -149,8 +162,8 @@ def test_streamed_lockstep_equals_the_whole_path_lockstep_bitwise(name, monkeypa
         for scheme in FIXED_SCHEMES:
             for zero_area in (False, True):
                 kwargs = dict(scheme=scheme, zero_levy_area=zero_area)
-                streamed = _streamed(problem, seeds, level, configs, 37)
-                batch = _lockstep(problem, configs, streamed, **kwargs)
+                streamed, draw = _streamed(problem, seeds, level, configs, 37)
+                batch = _lockstep(problem, configs, streamed, draw, **kwargs)
                 _assert_batches_equal(batch, _lockstep(problem, configs, whole, **kwargs))
                 assert streamed.slab == 37
                 assert streamed.frontier == streamed.num_steps
@@ -173,9 +186,25 @@ def test_lockstep_groups_records_by_lane():
 def test_streamed_window_refuses_a_lane_wider_than_it_holds(monkeypatch):
     problem = make_builtin("scalar_mult")
     monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1)
-    narrow = _streamed(problem, (0,), 10, [StrategyConfig(h_max=2.0**-8, rho=2.0)], 4)
+    narrow, draw = _streamed(problem, (0,), 10, [StrategyConfig(h_max=2.0**-8, rho=2.0)], 4)
     with pytest.raises(UsageError, match="window"):
-        _lockstep(problem, [StrategyConfig(h_max=2.0**-2, rho=2.0)], narrow)
+        _lockstep(problem, [StrategyConfig(h_max=2.0**-2, rho=2.0)], narrow, draw)
+
+
+def test_the_public_lockstep_refuses_a_window_without_every_node(monkeypatch):
+    # Only whole arrays run to the end in one call. A streamed window is
+    # refused before its first slab, part way, and at the horizon once it
+    # has dropped node 0.
+    problem = make_builtin("scalar_mult")
+    monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1)
+    window, draw = _streamed(problem, (0, 1), 10, LANE_CONFIGS, 8)
+    while True:
+        with pytest.raises(UsageError, match="every node"):
+            _lockstep(problem, LANE_CONFIGS, window)
+        if window.frontier == window.num_steps:
+            break
+        window.advance(window.frontier, draw)
+    assert window.start > 0
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +218,8 @@ def windows(monkeypatch):
     seen = []
     advance = PathPrefixes.advance
 
-    def spy(self, keep_from):
-        advance(self, keep_from)
+    def spy(self, keep_from, draw):
+        advance(self, keep_from, draw)
         seen.append(
             (self.sums.nbytes + self.low.nbytes, self.sums.shape[2], self.num_steps,
              len(self.sums), self.dim_noise)
@@ -239,6 +268,25 @@ def test_block_window_keeps_one_widest_window_below_the_cap(windows, monkeypatch
         for nbytes, nodes, _, paths, m in seen:
             assert nodes == widest + unit
             assert nbytes == paths * PathPrefixes.bytes_per_node(m) * nodes
+
+
+def test_slabs_are_drawn_and_filled_under_the_callers_error_state(monkeypatch):
+    # numpy's error state is a context variable: a slab drawn while the
+    # lockstep sits suspended inside its errstate block would be drawn,
+    # and its prefix nodes written, with the caller's warnings silenced.
+    seen = []
+    for cls, name in ((PathStreams, "draw"), (PathPrefixes, "_append")):
+        def spy(self, *args, _original=getattr(cls, name)):
+            seen.append(np.geterr())
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, spy)
+    with np.errstate(all="warn"):
+        caller = np.geterr()
+        _table(num_paths=2, schemes=("adaptive", "euler"))
+        backstop_probability("scalar_probe", (2.0, 4.0), h_max=2.0**-8, num_paths=2, fine_exponent=12)
+    assert len(seen) > 4
+    assert all(state == caller for state in seen)
 
 
 def test_table_memory_stays_below_a_whole_path():
