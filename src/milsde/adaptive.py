@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import UsageError
 from .problems import SdeProblem, _check_structure
-from .steppers import advance_state, check_scheme
+from .steppers import _step_map, check_scheme
 from .wiener import PathPrefixes, WienerPath, double_integrals
 
 __all__ = [
@@ -253,16 +253,17 @@ class AdaptiveBatch:
         )
 
 
-def _advance_lanes(problem, scheme, y, h, dW, I, pinned):
-    """One step of every lane: the tamed map on pinned lanes, ``scheme``
-    on the others."""
+def _advance_lanes(step, backstop, y, h, dW, I, pinned):
+    """One step of every lane, with ``dW`` (L, m) and ``I`` (L, m, m):
+    the map ``backstop`` on pinned lanes, ``step`` on the others."""
+    dW, I = dW.T[:, :, None], I.transpose(1, 2, 0)[..., None]
     if not pinned.any():
-        return advance_state(problem, scheme, y, h, dW, I)
+        return step(y, h, dW, I)
     if pinned.all():
-        return advance_state(problem, "tamed", y, h, dW, I)
+        return backstop(y, h, dW, I)
     out = np.empty_like(y)
-    for kind, lanes in (("tamed", pinned), (scheme, ~pinned)):
-        out[lanes] = advance_state(problem, kind, y[lanes], h[lanes], dW[lanes], I[lanes])
+    for fn, lanes in ((backstop, pinned), (step, ~pinned)):
+        out[lanes] = fn(y[lanes], h[lanes], dW[:, lanes], I[:, :, lanes])
     return out
 
 
@@ -337,6 +338,7 @@ def _lockstep(
             "increase the resolution exponent or rho"
         )
     _check_rowwise(problem, max(len(rows), problem.dim_state + 1))
+    step, backstop = _step_map(problem, scheme), _step_map(problem, "tamed")
 
     def plan(lanes, y, at):
         """The next window's end and pinned flag of ``lanes`` from their
@@ -379,7 +381,7 @@ def _lockstep(
                 hw, dW, A = prefixes.windows(rows[lanes], at[lanes], lane_end, strip_area)
                 hw = hw[:, None]
                 nxt = _advance_lanes(
-                    problem, scheme, y[lanes], hw, dW, double_integrals(hw, dW, A), lane_pinned
+                    step, backstop, y[lanes], hw, dW, double_integrals(hw, dW, A), lane_pinned
                 )
                 finite = np.isfinite(nxt).all(axis=1)
                 kept = (lane_end if keep != "totals" else None, nxt if keep == "states" else None)
@@ -503,24 +505,50 @@ class _FixedRun:
     """One job's rows between calls."""
 
     def __init__(self, problem, scheme, count, windows, record):
-        self.problem, self.scheme = problem, scheme
+        self.map = _step_map(problem, scheme)
         self.y = np.tile(problem.initial_state, (count, 1))
         self.stop = np.full(count, windows)  # the window each row stopped at
         self.dead = np.zeros(count, dtype=bool)  # rows stopped so far
         self.step = 0  # windows taken
         self.states = [self.y] if record else None
 
+    def _unchecked(self, h, dW, I) -> bool:
+        """Step every window without checks, and keep the end states if
+        they are finite; whether it kept them."""
+        y, step_map = self.y, self.map
+        try:
+            for window in zip(h, dW, I):
+                y = step_map(y, *window)
+        except Exception:
+            return False
+        if not np.isfinite(y).all():
+            return False
+        self.y, self.step = y, self.step + len(h)
+        return True
+
     def advance(self, h, dW, I) -> None:
-        """Step the rows over windows of lengths ``h`` (c,), with ``dW``
-        (c, P, m) and ``I`` (c, P, m, m)."""
-        problem, scheme, states = self.problem, self.scheme, self.states
+        """Step the rows over c windows of lengths ``h`` (0-d arrays),
+        with ``dW`` (c, m, P, 1) and ``I`` (c, m, m, P, 1), component
+        axes first.
+
+        Unless it records, a job none of whose rows has stopped steps
+        every window unchecked and is done if it ends finite. Otherwise
+        it replays them from the saved states, checking each step. That
+        is exact: every map adds ``y`` to its increments, so a component
+        that went non-finite stays so; and a pass that raised (a
+        coefficient may refuse a non-finite state) is replayed the same
+        way, where an error raised on finite states surfaces again.
+        """
+        step_map, states = self.map, self.states
         y, dead, step = self.y, self.dead, self.step
+        if states is None and not dead.any() and self._unchecked(h, dW, I):
+            return
         clean = not dead.any()  # no row has stopped: check the batch at once
         # 0 x is 0 for every finite x and nan for inf or nan, so the batch
         # is finite exactly when its dot with zeros is 0.
         zeros = np.zeros(y.size)
         for s in range(0 if dead.all() else len(dW)):
-            nxt = advance_state(problem, scheme, y, h[s], dW[s], I[s])
+            nxt = step_map(y, h[s], dW[s], I[s])
             if clean and nxt.ravel() @ zeros == 0.0:
                 y = nxt
             else:
@@ -551,8 +579,11 @@ class FixedSolves:
     that k advances over them. Rows never mix, so row p equals
     :func:`integrate_fixed` on path p bit for bit, divergence included,
     whatever the arrays held at each call. The coefficients are checked
-    once, as in :func:`integrate_adaptive_batch`. ``record`` keeps every
-    node state; ``zero_levy_area`` zeroes the Levy areas. ``seconds``
+    once, as in :func:`integrate_adaptive_batch`, and each job's step
+    map is built once. ``record`` keeps every node state, checking each
+    step; without it, a call checks each job's slab of steps at its end
+    (see :meth:`_FixedRun.advance`). ``zero_levy_area`` zeroes the Levy
+    areas. ``seconds``
     holds each job's CPU seconds: its steps plus an equal share of its
     k's window reads.
     """
@@ -605,6 +636,12 @@ class FixedSolves:
         h, dW, A = prefixes.windows(np.arange(self.count), start, end, self.zero_area)
         I = double_integrals(h[..., None], dW, A)
         read, h, b = (clock() - t0) / max(1, len(h)), h[:, 0].tolist(), 0
+        # Window lengths as 0-d arrays, which the maps multiply by faster
+        # than by floats; the windows of one k share one or two lengths.
+        zero_d = {x: np.array(x) for x in set(h)}
+        h = [zero_d[x] for x in h]
+        # Component axes first, as the step maps take them; views.
+        dW, I = dW.transpose(0, 2, 1)[..., None], I.transpose(0, 2, 3, 1)[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
             for (k, jobs), e in zip(self._jobs_of.items(), ends):
                 a, b = b, b + len(e)

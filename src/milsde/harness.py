@@ -34,9 +34,11 @@ same blocks: pass 1 has a lane per (path, h_max) and the tamed reference
 as its one job, with slabs ending on reference-window boundaries; pass 2
 has the (scheme, matched step) comparators as its jobs. A backstop curve
 runs one pass with a lane per (path, rho). The window and one slab's
-increments stay within a fixed 2 MiB cap of the library (not an option),
-and a block is cut small enough that its slabs are at least half as wide
-as the widest lane's window. Only a single path whose widest window
+increments stay within a cap of the library (not an option) of 2 MiB
+per 25 paths of the block, rounded up. Where 25 paths fit that cap with
+slabs at least half as wide as the widest lane's window, each worker
+runs one block; otherwise blocks are cut to fewer paths, small enough
+that their slabs are that wide. Only a single path whose widest window
 alone exceeds the cap holds more: that window plus one slab unit. So a
 block holds a whole path only where it fits the cap, and never a whole
 mesh. Rows and lanes never mix inside a batched solve, so results do not
@@ -261,10 +263,15 @@ def _map_tasks(fn, tasks, workers: int):
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-def _seed_blocks(seeds, workers: int, size: int) -> list[tuple]:
-    """Contiguous blocks of seeds: at least one per worker, and at most
-    ``size`` seeds each."""
-    count = min(len(seeds), max(workers, -(-len(seeds) // max(1, size))))
+def _seed_blocks(
+    seeds, workers: int, problem: SdeProblem, fine_exp: int, h_max: float
+) -> list[tuple]:
+    """Contiguous blocks of seeds: one per worker, or more where a block
+    of that many paths would not let its slabs span half the widest
+    window of ``h_max`` (:meth:`~milsde.wiener.PathPrefixes.stream_size`)."""
+    size = PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exp, h_max))
+    needed = 1 if size is None else -(-len(seeds) // max(1, size))
+    count = min(len(seeds), max(workers, needed))
     bounds = [len(seeds) * b // count for b in range(count + 1)]
     return [tuple(seeds[a:b]) for a, b in zip(bounds, bounds[1:])]
 
@@ -385,8 +392,7 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
     problem, fine_exp, h_values = config.problem, config.fine_exponent, config.h_max_values
     ref_units = 1 << (fine_exp - config.reference_exponent)
     h_ref = problem.horizon * 2.0**-fine_exp
-    size = PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exp, max(h_values)))
-    blocks = _seed_blocks(config.seeds, config.workers, size)
+    blocks = _seed_blocks(config.seeds, config.workers, problem, fine_exp, max(h_values))
 
     def run(configs, jobs):
         tasks = [(problem, b, fine_exp, ref_units, configs, "totals", jobs) for b in blocks]
@@ -539,10 +545,9 @@ def backstop_probability(
     _check_run(problem, (h_max,), rhos, num_paths, fine_exponent, workers)
     seeds = _path_seeds(base_seed, range(num_paths))
     configs = tuple(StrategyConfig(h_max=h_max, rho=rho, delta=delta) for rho in rhos)
-    size = PathPrefixes.stream_size(problem.dim_noise, _widest(problem, fine_exponent, h_max))
     tasks = [
         (problem, block, fine_exponent, 1, configs, "steps", ())
-        for block in _seed_blocks(seeds, workers, size)
+        for block in _seed_blocks(seeds, workers, problem, fine_exponent, h_max)
     ]
     batches = [r[1] for r in _map_tasks(_block, tasks, workers)]
     num_steps, flagged, bad, positions = (

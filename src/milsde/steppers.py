@@ -21,8 +21,17 @@ its floor, is exactly the tamed Milstein map (full correction retained,
 drift tamed): it is ``advance_state(..., "tamed", ...)``, with no map of
 its own.
 
+The solves build each map once per solve (:func:`_step_map`): it binds
+the coefficients, the scheme and structure branches and the component
+slices, and takes the integrals component axes first, so a step costs
+its array operations and little else. :func:`advance_state` is that map
+built for a single step, so there is one arithmetic body.
+
 The map does no checking: a step that overflows returns a non-finite
-state, and the integrators read that as the divergence signal.
+state, and the integrators read that as the divergence signal. Every
+map adds ``y`` to its increments, so a component that went non-finite
+stays so; a fixed-step solve therefore checks the steps of a call once,
+at their end, and replays them step by step only when a row diverged.
 Scheme names are checked once, by :func:`check_scheme`, which also
 tells the reserved comparator names apart from unknown ones.
 """
@@ -60,6 +69,59 @@ def check_scheme(name: str, adaptive: bool = False) -> str:
     raise UsageError(f"unknown scheme {name!r}; expected one of {', '.join(known)}")
 
 
+def _step_map(problem: SdeProblem, kind: str, batch: bool = True):
+    """The step map of ``kind`` (one of FIXED_SCHEMES) for ``problem``,
+    built once per solve: ``step(y, h, dW, I)`` with the component axes
+    of the integrals first.
+
+    For a batch of P states (P, d), ``dW`` is (m, P, 1) and ``I``
+    (m, m, P, 1), so that ``dW[i]``, ``I[j, i]`` and component c of an
+    array are (P, 1) columns; for one state (d,) (``batch`` False),
+    ``dW`` is (m,) and ``I`` (m, m), and they are scalars. The
+    coefficients, the scheme and structure branches and the component
+    slices are looked up here, not per step.
+    """
+    d, m = problem.dim_state, problem.dim_noise
+    drift, column, jacobian = problem.drift, problem.diffusion_column, problem.diffusion_jacobian
+    tamed = kind == "tamed"
+    correct = kind != "euler" and problem.structure != "additive"
+    noise, inner = range(m), range(1, m)
+    comp = [(Ellipsis, slice(c, c + 1)) if batch else c for c in range(d)]
+    first, rest = comp[0], list(enumerate(comp))[1:]
+    one = np.array(1.0)  # a 0-d array operand costs less than a float
+
+    def step(y, h, dW, I):
+        f = drift(y)
+        if tamed:
+            sq = f * f
+            # With d = 1, sq is its own component: the same values.
+            norm_sq = sq if d == 1 else sq[first]
+            for _, c in rest:
+                norm_sq = norm_sq + sq[c]
+            out = y + (h / (one + h * np.sqrt(norm_sq))) * f
+        else:
+            out = y + h * f
+        cols = []
+        for i in noise:
+            col = column(y, i)
+            cols.append(col)
+            out += col * dW[i]
+        if correct:
+            for i in noise:
+                # v = sum_j g_j I[j, i]; then add Dg_i v.
+                v = cols[0] * I[0, i]
+                for j in inner:
+                    v = v + cols[j] * I[j, i]
+                jac = jacobian(y, i)
+                corr = jac[..., 0] * (v if d == 1 else v[first])
+                for a, c in rest:
+                    corr = corr + jac[..., a] * v[c]
+                out += corr
+        return out
+
+    return step
+
+
 def advance_state(
     problem: SdeProblem,
     kind: str,
@@ -70,47 +132,17 @@ def advance_state(
 ) -> np.ndarray:
     """Raw one-step map on arrays; no finiteness check, no validation.
 
-    Hot path for the integrators: ``kind`` is one of FIXED_SCHEMES. The
-    map takes one state ``y`` of shape (d,) with ``dW`` (m,) and ``I``
-    (m, m), or a batch of P states (P, d) with ``dW`` (P, m) and ``I``
-    (P, m, m), one row per path. Every sum runs left to right over
-    explicit component indices, so row p of a batched step equals the
-    single step of row p bit for bit. The Milstein correction is
-    skipped entirely for additive problems (it is identically zero
-    there), which also makes Milstein coincide bitwise with
-    Euler-Maruyama on them.
+    ``kind`` is one of FIXED_SCHEMES. The map takes one state ``y`` of
+    shape (d,) with ``dW`` (m,) and ``I`` (m, m), or a batch of P states
+    (P, d) with ``dW`` (P, m) and ``I`` (P, m, m), one row per path.
+    Every sum runs left to right over explicit component indices, so row
+    p of a batched step equals the single step of row p bit for bit. The
+    Milstein correction is skipped entirely for additive problems (it is
+    identically zero there), which also makes Milstein coincide bitwise
+    with Euler-Maruyama on them. This is :func:`_step_map`, built for
+    one step; the solves build their maps once and call them directly.
     """
-    d = problem.dim_state
-    m = problem.dim_noise
     if y.ndim > 1:
-        # Component axes first, so that dW[i], I[j, i] and a[comp[c]]
-        # are (P, 1) columns, as they are scalars for a single state.
-        dW = dW.T[:, :, None]
-        I = I.transpose(1, 2, 0)[:, :, :, None]
-        comp = [(Ellipsis, slice(c, c + 1)) for c in range(d)]
-    else:
-        comp = range(d)
-    f = problem.drift(y)
-    if kind == "tamed":
-        sq = f * f
-        norm_sq = sq[comp[0]]
-        for c in range(1, d):
-            norm_sq = norm_sq + sq[comp[c]]
-        out = y + (h / (1.0 + h * np.sqrt(norm_sq))) * f
-    else:
-        out = y + h * f
-    cols = [problem.diffusion_column(y, i) for i in range(m)]
-    for i in range(m):
-        out = out + cols[i] * dW[i]
-    if kind != "euler" and problem.structure != "additive":
-        for i in range(m):
-            # v = sum_j g_j I[j, i]; then add Dg_i v.
-            v = cols[0] * I[0, i]
-            for j in range(1, m):
-                v = v + cols[j] * I[j, i]
-            jac = problem.diffusion_jacobian(y, i)
-            corr = jac[..., 0] * v[comp[0]]
-            for c in range(1, d):
-                corr = corr + jac[..., c] * v[comp[c]]
-            out = out + corr
-    return out
+        # Component axes first, so that dW[i] and I[j, i] are (P, 1) columns.
+        return _step_map(problem, kind)(y, h, dW.T[:, :, None], I.transpose(1, 2, 0)[..., None])
+    return _step_map(problem, kind, batch=False)(y, h, dW, I)

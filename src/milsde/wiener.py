@@ -185,9 +185,13 @@ def _pairs(
 #: is summed, which bounds their temporary arrays.
 _FILL_CHUNK = 1 << 14
 
-#: Cap on the prefix arrays one group or block of paths holds at a time;
-#: see :meth:`PathPrefixes.group_size` and :meth:`PathPrefixes.streamed`.
+#: Cap on the prefix arrays one group of paths holds at a time, and on
+#: the window of a block per _BLOCK_PATHS of its paths (rounded up); see
+#: :meth:`PathPrefixes.group_size` and :meth:`PathPrefixes.streamed`.
 _GROUP_BYTES = 2 << 20
+
+#: Paths of a streamed block per _GROUP_BYTES of its window.
+_BLOCK_PATHS = 25
 
 
 @dataclass(eq=False)
@@ -247,22 +251,28 @@ class PathPrefixes:
         return max(1, _GROUP_BYTES // PathPrefixes.bytes_per_path(dim_noise, num_steps))
 
     @staticmethod
-    def stream_size(dim_noise: int, widest: int) -> int:
+    def stream_size(dim_noise: int, widest: int) -> int | None:
         """Paths per block whose streamed window fits the 2 MiB cap with
         slabs at least half of ``widest`` fine steps long (see
-        :meth:`slab_steps`); at least one. Longer slabs let fewer lanes
-        wait; more paths per block share more of each lockstep round."""
+        :meth:`slab_steps`); at least one. None (no limit) when that
+        holds for 25 paths: the cap grows by 2 MiB per 25 paths of a
+        block, so the slabs of any larger block are as long. Longer
+        slabs let fewer lanes wait; more paths per block share more of
+        each lockstep round."""
         per_node = PathPrefixes.bytes_per_node(dim_noise)
-        return max(1, 2 * _GROUP_BYTES // (widest * (3 * per_node + 8 * dim_noise)))
+        size = max(1, 2 * _GROUP_BYTES // (widest * (3 * per_node + 8 * dim_noise)))
+        return None if size >= _BLOCK_PATHS else size
 
     @staticmethod
     def slab_steps(count: int, dim_noise: int, num_steps: int, widest: int, unit: int) -> int:
         """Fine steps per slab of a streamed window over ``count`` paths:
         the largest whole multiple of ``unit`` such that ``widest`` nodes
-        plus the slab's nodes and its float increments fit the 2 MiB cap;
-        at least ``unit`` and at most the path."""
+        plus the slab's nodes and its float increments fit the cap of
+        2 MiB per 25 paths (rounded up); at least ``unit`` and at most
+        the path."""
+        cap = _GROUP_BYTES * -(-count // _BLOCK_PATHS)
         per_node = count * PathPrefixes.bytes_per_node(dim_noise)
-        room = (_GROUP_BYTES - per_node * widest) // (per_node + count * dim_noise * 8)
+        room = (cap - per_node * widest) // (per_node + count * dim_noise * 8)
         return min(num_steps, max(unit, room // unit * unit))
 
     @classmethod
@@ -289,10 +299,10 @@ class PathPrefixes:
         the first :meth:`advance`.
 
         The window holds ``widest`` nodes plus one slab (see
-        :meth:`slab_steps`), so it stays within the 2 MiB cap unless
-        ``widest`` plus one ``unit`` alone exceed it. Slabs are whole
-        multiples of ``unit`` fine steps, so they end on the boundaries
-        of windows of ``unit`` steps.
+        :meth:`slab_steps`), so it stays within the cap of 2 MiB per 25
+        paths (rounded up) unless ``widest`` plus one ``unit`` alone
+        exceed it. Slabs are whole multiples of ``unit`` fine steps, so
+        they end on the boundaries of windows of ``unit`` steps.
         """
         slab = cls.slab_steps(count, dim_noise, num_steps, widest, unit)
         nodes = min(num_steps + 1, widest + slab)

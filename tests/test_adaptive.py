@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import milsde.adaptive
 from milsde import (
     BUILTIN_NAMES,
     FIXED_SCHEMES,
@@ -455,6 +456,93 @@ def test_slab_fed_solve_stops_a_row_inside_a_slab():
     assert (failed_at == 960).all() and 960 not in ends
     for (scheme, k), batch in zip(jobs, results):
         _assert_rows_equal_single(mixed, scheme, k, batch, paths)
+
+
+def _assert_unchecked_equals_checked(problem, jobs, seeds, sizes):
+    # Without record, a job whose rows all run steps a call's windows
+    # unchecked and replays them, checked, when one went non-finite;
+    # record=True checks every step. Both must stop the same rows at the
+    # same windows.
+    checked, ends = _solve_in_slabs(problem, jobs, seeds, sizes, record=True)
+    unchecked, _ = _solve_in_slabs(problem, jobs, seeds, sizes)
+    for a, b in zip(checked, unchecked):
+        assert b.states is None
+        np.testing.assert_array_equal(a.final_states, b.final_states)
+        np.testing.assert_array_equal(a.num_steps, b.num_steps)
+        np.testing.assert_array_equal(a.divergent, b.divergent)
+    return unchecked, ends
+
+
+def test_unchecked_steps_stop_the_rows_the_checked_steps_stop():
+    def at(y0):
+        return dataclasses.replace(make_builtin("scalar_mult"), initial_state=np.array([y0]))
+
+    # The divergent setups of the tests above: whole paths, then slabs.
+    for y0, seeds in ((4.25, range(8)), (8.0, range(3))):
+        [batch], _ = _assert_unchecked_equals_checked(
+            at(y0), [("milstein", 128)], seeds, (1 << 10,)
+        )
+        assert batch.divergent.any()
+    jobs = [("milstein", 96), ("euler", 96), ("tamed", 128)]
+    results, _ = _assert_unchecked_equals_checked(at(4.7), jobs, range(8), (100, 37))
+    assert results[0].divergent.sum() == 3
+    # A slab ending at 900 leaves the window [864, 960), where three rows
+    # blow up, as the first window of the next call.
+    [batch], ends = _assert_unchecked_equals_checked(
+        at(4.7), [("milstein", 96)], range(8), (900, 124)
+    )
+    assert ends == [900, 1024]
+    assert batch.divergent.sum() == 3 and (batch.num_steps[batch.divergent] == 9).all()
+    # Every row overflows on the first window of the first call.
+    [batch], _ = _assert_unchecked_equals_checked(
+        at(1e110), [("milstein", 128)], range(3), (1 << 10,)
+    )
+    assert batch.divergent.all() and not batch.num_steps.any()
+
+
+def test_unchecked_steps_survive_a_drift_that_refuses_non_finite_states():
+    # The unchecked pass feeds a blown-up row back into the drift, which
+    # raises here; the call is replayed checked, so the row is reported
+    # divergent at the same window, with no exception.
+    base = dataclasses.replace(make_builtin("scalar_mult"), initial_state=np.array([4.7]))
+
+    def strict(x):
+        if not np.isfinite(x).all():
+            raise FloatingPointError("non-finite state")
+        return base.drift(x)
+
+    problem = dataclasses.replace(base, drift=strict, name="strict")
+    jobs = [("milstein", 96), ("euler", 96), ("tamed", 128)]
+    for sizes in ((100, 37), (900, 124), (1 << 10,)):
+        results, _ = _assert_unchecked_equals_checked(problem, jobs, range(8), sizes)
+        plain, _ = _solve_in_slabs(base, jobs, range(8), sizes)
+        for a, b in zip(results, plain):
+            np.testing.assert_array_equal(a.final_states, b.final_states)
+            np.testing.assert_array_equal(a.num_steps, b.num_steps)
+            np.testing.assert_array_equal(a.divergent, b.divergent)
+        assert results[0].divergent.sum() == 3
+
+
+def test_step_maps_are_built_once_per_solve(monkeypatch):
+    # One map per FixedSolves job and two (the scheme and the tamed
+    # backstop) per lockstep solve, however many windows or slabs run.
+    built = []
+    step_map = milsde.adaptive._step_map
+
+    def spy(problem, kind, batch=True):
+        built.append(kind)
+        return step_map(problem, kind, batch)
+
+    monkeypatch.setattr(milsde.adaptive, "_step_map", spy)
+    problem = make_builtin("twod_noncommutative")
+    jobs = [("milstein", 16), ("euler", 48), ("tamed", 16)]
+    _, ends = _solve_in_slabs(problem, jobs, range(3), (7, 100, 33))
+    assert len(ends) > 10
+    assert built == ["milstein", "euler", "tamed"]
+    built.clear()
+    _, batch = _lockstep(problem, LANE_CONFIGS, range(3), scheme="euler")
+    assert batch.num_steps.min() > 10
+    assert built == ["euler", "tamed"]
 
 
 def test_slab_fed_solve_refuses_what_does_not_fit():

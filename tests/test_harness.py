@@ -307,6 +307,39 @@ def test_worker_pool_is_no_larger_than_its_tasks(monkeypatch):
         )
 
 
+def test_criterion_1_runs_one_block_per_worker(monkeypatch):
+    # 25 of criterion 1's paths fit the 2 MiB cap with slabs of half its
+    # widest window (2^12 fine steps), so the cap grows with the block
+    # and each worker gets one block, not four blocks of 25. The blocks
+    # are read from the first pass's tasks; no path is solved.
+    cut = []
+
+    class Cut(Exception):
+        pass
+
+    def tasks(fn, blocks, workers):
+        cut.append([len(task[1]) for task in blocks])
+        raise Cut
+
+    monkeypatch.setattr(milsde.harness, "_map_tasks", tasks)
+    for workers in (1, 2):
+        config = ExperimentConfig(
+            problem="scalar_mult",
+            h_max_values=tuple(2.0**-k for k in range(12, 7, -1)),
+            rho=16.0,
+            schemes=("adaptive", "euler"),
+            num_paths=100,
+            workers=workers,
+        )
+        with pytest.raises(Cut):
+            convergence_table(config)
+    assert cut == [[100], [50, 50]]
+    assert milsde.wiener.PathPrefixes.stream_size(1, 1 << 12) is None
+    assert milsde.wiener.PathPrefixes.slab_steps(100, 1, 1 << 20, 1 << 12, 16) == (
+        milsde.wiener.PathPrefixes.slab_steps(25, 1, 1 << 20, 1 << 12, 16)
+    )
+
+
 def test_block_split_does_not_change_results(monkeypatch):
     # Paths are solved in contiguous blocks; one path per block must
     # give the same table as one block for all paths.

@@ -262,6 +262,26 @@ def test_prefix_arrays_refuse_off_grid_increments():
         milsde.wiener.PathPrefixes.of(np.full((1, 2, 4), 0.1), 0.25, 1.0)
 
 
+@pytest.mark.parametrize(
+    "units", [math.nan, math.inf, -math.inf, 2.0**63, 2.0**64, -(2.0**64), 0.5, 3.0 + 2.0**-20]
+)
+def test_grid_units_refuse_what_int64_cannot_hold_exactly(units):
+    # One bad increment among on-grid ones: off the 2^-32 grid, not
+    # finite, or 2^63 grid units or more from zero.
+    inc = np.full((1, 2, 8), 3.0 * INCREMENT_GRID)
+    inc[0, 1, 5] = units * INCREMENT_GRID
+    with np.errstate(invalid="ignore"), pytest.raises(UsageError, match="grid"):
+        milsde.wiener._grid_units(inc)
+
+
+def test_grid_units_are_exact_across_the_int64_range():
+    units = [0, -3, 2**53 + 2, 2**63 - 1024, -(2**63)]
+    inc = np.array(units, dtype=float)[None, None] * INCREMENT_GRID
+    got = milsde.wiener._grid_units(inc)
+    assert got.dtype == np.int64
+    assert got.ravel().tolist() == units
+
+
 def test_scalar_noise_has_no_area():
     path = generate_path(9, 8, 1)
     ii = integrals_over(path, 0, 64)
