@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import UsageError
 from .problems import SdeProblem, _check_structure
-from .steppers import _step_map, check_scheme
+from .steppers import _components_first, _step_map, check_scheme
 from .wiener import PathPrefixes, WienerPath, double_integrals
 
 __all__ = [
@@ -256,7 +256,7 @@ class AdaptiveBatch:
 def _advance_lanes(step, backstop, y, h, dW, I, pinned):
     """One step of every lane, with ``dW`` (L, m) and ``I`` (L, m, m):
     the map ``backstop`` on pinned lanes, ``step`` on the others."""
-    dW, I = dW.T[:, :, None], I.transpose(1, 2, 0)[..., None]
+    dW, I = _components_first(dW, I)
     if not pinned.any():
         return step(y, h, dW, I)
     if pinned.all():
@@ -543,21 +543,14 @@ class _FixedRun:
         y, dead, step = self.y, self.dead, self.step
         if states is None and not dead.any() and self._unchecked(h, dW, I):
             return
-        clean = not dead.any()  # no row has stopped: check the batch at once
-        # 0 x is 0 for every finite x and nan for inf or nan, so the batch
-        # is finite exactly when its dot with zeros is 0.
-        zeros = np.zeros(y.size)
         for s in range(0 if dead.all() else len(dW)):
             nxt = step_map(y, h[s], dW[s], I[s])
-            if clean and nxt.ravel() @ zeros == 0.0:
-                y = nxt
-            else:
-                new = ~np.isfinite(nxt).all(axis=-1) & ~dead
-                self.stop[new] = step
-                dead, clean = dead | new, False
-                if dead.all():
-                    break
-                y = np.where(dead[:, None], y, nxt)
+            new = ~np.isfinite(nxt).all(axis=-1) & ~dead
+            self.stop[new] = step
+            dead = dead | new
+            if dead.all():
+                break
+            y = np.where(dead[:, None], y, nxt)
             step += 1
             if states is not None:
                 states.append(y)
@@ -640,8 +633,7 @@ class FixedSolves:
         # than by floats; the windows of one k share one or two lengths.
         zero_d = {x: np.array(x) for x in set(h)}
         h = [zero_d[x] for x in h]
-        # Component axes first, as the step maps take them; views.
-        dW, I = dW.transpose(0, 2, 1)[..., None], I.transpose(0, 2, 3, 1)[..., None]
+        dW, I = _components_first(dW, I)
         with np.errstate(over="ignore", invalid="ignore"):
             for (k, jobs), e in zip(self._jobs_of.items(), ends):
                 a, b = b, b + len(e)

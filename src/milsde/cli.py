@@ -107,95 +107,55 @@ def _parse_delta(token: str) -> float | None:
     return _parse_dyadic(token)
 
 
-# Per-command configuration keys and their parsers. Flag names are the
-# keys with underscores turned into dashes; the same keys work in
-# config files.
-_TABLE_KEYS = {
-    "problem": _parse_problem,
-    "schemes": _parse_scheme_list,
-    "h_max": _parse_h_values,
-    "rho": _parse_dyadic,
-    "paths": _parse_int,
-    "reference_exponent": _parse_int,
-    "fine_exponent": _parse_int,
-    "seed": _parse_int,
-    "delta": _parse_delta,
-    "workers": _parse_int,
+# One table per command: each configuration key with its parser and its
+# default, in the order the resolved configuration is written. Flag names
+# are the keys with underscores turned into dashes; the same keys work in
+# config files. Defaults are kept as strings: resolution merges strings,
+# the resolved log writes them back verbatim, and reloading the log
+# reproduces the exact same parsed values.
+_SEED = (_parse_int, str(DEFAULT_BASE_SEED))
+_DELTA = (_parse_delta, "none")
+
+_TABLE_OPTIONS = {
+    "problem": (_parse_problem, "scalar_mult"),
+    "schemes": (_parse_scheme_list, "adaptive"),
+    "h_max": (_parse_h_values, "2^-12..2^-8"),
+    "rho": (_parse_dyadic, "16"),
+    "paths": (_parse_int, "100"),
+    "reference_exponent": (_parse_int, "16"),
+    "fine_exponent": (_parse_int, "20"),
+    "seed": _SEED,
+    "delta": _DELTA,
+    "workers": (_parse_int, "1"),
 }
 
-_KEYS: dict[str, dict] = {
-    "convergence": _TABLE_KEYS,
-    "efficiency": _TABLE_KEYS,
+_OPTIONS: dict[str, dict[str, tuple]] = {
+    "convergence": _TABLE_OPTIONS,
+    "efficiency": _TABLE_OPTIONS,
     "backstop-prob": {
-        "problem": _parse_problem,
-        "rho": _parse_float_list,
-        "h_max": _parse_dyadic,
-        "paths": _parse_int,
-        "fine_exponent": _parse_int,
-        "seed": _parse_int,
-        "delta": _parse_delta,
-        "workers": _parse_int,
+        "problem": (_parse_problem, "scalar_probe"),
+        "rho": (_parse_float_list, "2,3,4,5,6"),
+        "h_max": (_parse_dyadic, "2^-8"),
+        "paths": (_parse_int, "100"),
+        "fine_exponent": (_parse_int, "16"),
+        "seed": _SEED,
+        "delta": _DELTA,
+        "workers": (_parse_int, "1"),
     },
     "single-path": {
-        "problem": _parse_problem,
-        "scheme": _parse_scheme,
-        "rho": _parse_dyadic,
-        "h_max": _parse_dyadic,
-        "seed": _parse_int,
-        "fine_exponent": _parse_int,
-        "delta": _parse_delta,
+        "problem": (_parse_problem, "scalar_probe"),
+        "scheme": (_parse_scheme, "adaptive"),
+        "rho": (_parse_dyadic, "2"),
+        "h_max": (_parse_dyadic, "2^-8"),
+        "seed": _SEED,
+        "fine_exponent": (_parse_int, "16"),
+        "delta": _DELTA,
     },
     "moments-check": {
-        "order": _parse_int_list,
-        "samples": _parse_int,
-        "fine_exponent": _parse_int,
-        "seed": _parse_int,
-    },
-}
-
-_TABLE_DEFAULTS = {
-    "problem": "scalar_mult",
-    "schemes": "adaptive",
-    "h_max": "2^-12..2^-8",
-    "rho": "16",
-    "paths": "100",
-    "reference_exponent": "16",
-    "fine_exponent": "20",
-    "seed": str(DEFAULT_BASE_SEED),
-    "delta": "none",
-    "workers": "1",
-}
-
-# Defaults are kept as strings: resolution merges strings, the resolved
-# log writes them back verbatim, and reloading the log reproduces the
-# exact same parsed values.
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "convergence": _TABLE_DEFAULTS,
-    "efficiency": _TABLE_DEFAULTS,
-    "backstop-prob": {
-        "problem": "scalar_probe",
-        "rho": "2,3,4,5,6",
-        "h_max": "2^-8",
-        "paths": "100",
-        "fine_exponent": "16",
-        "seed": str(DEFAULT_BASE_SEED),
-        "delta": "none",
-        "workers": "1",
-    },
-    "single-path": {
-        "problem": "scalar_probe",
-        "scheme": "adaptive",
-        "rho": "2",
-        "h_max": "2^-8",
-        "seed": str(DEFAULT_BASE_SEED),
-        "fine_exponent": "16",
-        "delta": "none",
-    },
-    "moments-check": {
-        "order": "1,2,3,4",
-        "samples": "10000",
-        "fine_exponent": "12",
-        "seed": str(DEFAULT_BASE_SEED),
+        "order": (_parse_int_list, "1,2,3,4"),
+        "samples": (_parse_int, "10000"),
+        "fine_exponent": (_parse_int, "12"),
+        "seed": _SEED,
     },
 }
 
@@ -219,21 +179,21 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
     """Merge defaults, config file, and flags; return (parsed values,
     merged raw strings)."""
-    table = _KEYS[command]
-    merged = dict(_DEFAULTS[command])
+    options = _OPTIONS[command]
+    merged = {key: default for key, (_, default) in options.items()}
     if args.config is not None:
         for key, value in _read_config_file(args.config).items():
-            if key not in table:
+            if key not in options:
                 raise UsageError(
                     f"unknown config key {key!r} for {command}; "
-                    f"known keys: {', '.join(table)}"
+                    f"known keys: {', '.join(options)}"
                 )
             merged[key] = value
-    for key in table:
+    for key in options:
         flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
-    values = {key: table[key](merged[key]) for key in table}
+    values = {key: parse(merged[key]) for key, (parse, _) in options.items()}
     return values, merged
 
 
@@ -267,11 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "order": "comma list of moment orders",
         "samples": "number of Monte Carlo windows",
     }
-    for command, table in _KEYS.items():
+    for command, options in _OPTIONS.items():
         p = sub.add_parser(command, help=f"run the {command} experiment")
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out-dir", default=".", help="output directory")
-        for key in table:
+        for key in options:
             p.add_argument(
                 "--" + key.replace("_", "-"),
                 dest=key,

@@ -7,8 +7,15 @@ expected to satisfy a one-sided Lipschitz condition (cubic-type decay is
 the intended regime); diffusion columns are globally Lipschitz. Nothing
 here integrates anything: problems are immutable value objects.
 
-All built-in coefficient callables are module-level functions (bound via
-``functools.partial``) so problems pickle cleanly for process pools.
+Every built-in problem is built by one code path, :func:`make_builtin`,
+from a spec that declares only what differs between them: the noise
+structure, the diffusion column and the Jacobian of each column. The
+dimensions come from the Jacobians, the cubic drift from d, and X(0)
+is 2 or (2, 3) with horizon 1. The coefficient callables are
+module-level functions (bound via ``functools.partial``) so problems
+pickle cleanly for process pools. Their constants, the noise scale
+among them, are bound once as 0-d float64 arrays: a ufunc takes such
+an operand for less than a Python float, with the same bits.
 """
 
 from __future__ import annotations
@@ -96,6 +103,15 @@ class SdeProblem:
 # ---------------------------------------------------------------------------
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_ONE, _THREE = _readonly(1.0), _readonly(3.0)
+
+
 def _cubic_drift_1d(x):
     # f(x) = x - x^3, one-sided Lipschitz with constant 1.
     return x - x * x * x
@@ -103,11 +119,11 @@ def _cubic_drift_1d(x):
 
 def _cubic_drift_2d(x):
     # Componentwise f(x) = x - 3 x^3.
-    return x - 3.0 * x * x * x
+    return x - _THREE * x * x * x
 
 
 def _scalar_mult_column(scale, x, i):
-    return scale * (1.0 - x)
+    return scale * (_ONE - x)
 
 
 def _scalar_probe_column(scale, x, i):
@@ -144,125 +160,31 @@ def _twod_general_column(weights, x, i):
     return x[..., ::-1] * weights[1]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
-def _build_scalar_mult(scale: float) -> SdeProblem:
-    jac = _readonly([[-scale]])
-    return SdeProblem(
-        dim_state=1,
-        dim_noise=1,
-        drift=_cubic_drift_1d,
-        diffusion_column=partial(_scalar_mult_column, scale),
-        diffusion_jacobian=partial(_const_jacobian, (jac,)),
-        structure="diagonal",
-        initial_state=np.array([2.0]),
-        horizon=1.0,
-        name="scalar_mult",
-    )
-
-
-def _build_scalar_add(scale: float) -> SdeProblem:
-    col = _readonly([scale])
-    jac = _readonly([[0.0]])
-    return SdeProblem(
-        dim_state=1,
-        dim_noise=1,
-        drift=_cubic_drift_1d,
-        diffusion_column=partial(_const_column, (col,)),
-        diffusion_jacobian=partial(_const_jacobian, (jac,)),
-        structure="additive",
-        initial_state=np.array([2.0]),
-        horizon=1.0,
-        name="scalar_add",
-    )
-
-
-def _build_scalar_probe(scale: float) -> SdeProblem:
-    jac = _readonly([[scale]])
-    return SdeProblem(
-        dim_state=1,
-        dim_noise=1,
-        drift=_cubic_drift_1d,
-        diffusion_column=partial(_scalar_probe_column, scale),
-        diffusion_jacobian=partial(_const_jacobian, (jac,)),
-        structure="diagonal",
-        initial_state=np.array([2.0]),
-        horizon=1.0,
-        name="scalar_probe",
-    )
-
-
-def _build_twod_diagonal(scale: float) -> SdeProblem:
-    jacs = (
-        _readonly([[scale, 0.0], [0.0, 0.0]]),
-        _readonly([[0.0, 0.0], [0.0, scale]]),
-    )
-    return SdeProblem(
-        dim_state=2,
-        dim_noise=2,
-        drift=_cubic_drift_2d,
-        diffusion_column=partial(_twod_diagonal_column, scale),
-        diffusion_jacobian=partial(_const_jacobian, jacs),
-        structure="diagonal",
-        initial_state=np.array([2.0, 3.0]),
-        horizon=1.0,
-        name="twod_diagonal",
-    )
-
-
-def _build_twod_commutative(scale: float) -> SdeProblem:
-    jacs = (
-        _readonly([[scale, 0.0], [0.0, scale]]),
-        _readonly([[0.0, scale], [scale, 0.0]]),
-    )
-    return SdeProblem(
-        dim_state=2,
-        dim_noise=2,
-        drift=_cubic_drift_2d,
-        diffusion_column=partial(_twod_commutative_column, scale),
-        diffusion_jacobian=partial(_const_jacobian, jacs),
-        structure="commutative",
-        initial_state=np.array([2.0, 3.0]),
-        horizon=1.0,
-        name="twod_commutative",
-    )
-
-
-def _build_twod_noncommutative(scale: float) -> SdeProblem:
-    jacs = (
-        _readonly([[1.5 * scale, 0.0], [0.0, scale]]),
-        _readonly([[0.0, scale], [1.5 * scale, 0.0]]),
-    )
-    return SdeProblem(
-        dim_state=2,
-        dim_noise=2,
-        drift=_cubic_drift_2d,
-        diffusion_column=partial(
-            _twod_general_column,
-            (_readonly([1.5 * scale, scale]), _readonly([scale, 1.5 * scale])),
-        ),
-        diffusion_jacobian=partial(_const_jacobian, jacs),
-        structure="general",
-        initial_state=np.array([2.0, 3.0]),
-        horizon=1.0,
-        name="twod_noncommutative",
-    )
-
-
-_BUILDERS = {
-    "scalar_mult": _build_scalar_mult,
-    "scalar_add": _build_scalar_add,
-    "scalar_probe": _build_scalar_probe,
-    "twod_diagonal": _build_twod_diagonal,
-    "twod_commutative": _build_twod_commutative,
-    "twod_noncommutative": _build_twod_noncommutative,
+# Each builtin at noise scale s (a 0-d array): its structure label, its
+# diffusion column and the Jacobian of each column.
+_SPECS = {
+    "scalar_mult": lambda s: ("diagonal", partial(_scalar_mult_column, s), [[[-s]]]),
+    "scalar_add": lambda s: ("additive", partial(_const_column, (_readonly([s]),)), [[[0.0]]]),
+    "scalar_probe": lambda s: ("diagonal", partial(_scalar_probe_column, s), [[[s]]]),
+    "twod_diagonal": lambda s: (
+        "diagonal",
+        partial(_twod_diagonal_column, s),
+        [[[s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, s]]],
+    ),
+    "twod_commutative": lambda s: (
+        "commutative",
+        partial(_twod_commutative_column, s),
+        [[[s, 0.0], [0.0, s]], [[0.0, s], [s, 0.0]]],
+    ),
+    "twod_noncommutative": lambda s: (
+        "general",
+        partial(_twod_general_column, (_readonly([1.5 * s, s]), _readonly([s, 1.5 * s]))),
+        [[[1.5 * s, 0.0], [0.0, s]], [[0.0, s], [1.5 * s, 0.0]]],
+    ),
 }
 
-BUILTIN_NAMES = tuple(_BUILDERS)
+BUILTIN_NAMES = tuple(_SPECS)
+
 
 def make_builtin(name: str, **parameters: float) -> SdeProblem:
     """Build a built-in problem by name.
@@ -275,14 +197,28 @@ def make_builtin(name: str, **parameters: float) -> SdeProblem:
     Raises:
         UsageError: unknown name or parameter.
     """
-    if name not in _BUILDERS:
+    if name not in _SPECS:
         raise UsageError(
             f"unknown builtin problem {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
     unknown = set(parameters) - {"noise_scale"}
     if unknown:
         raise UsageError(f"unknown problem parameters: {sorted(unknown)}")
-    return _BUILDERS[name](float(parameters.get("noise_scale", 0.2)))
+    scale = _readonly(float(parameters.get("noise_scale", 0.2)))
+    structure, column, jacobians = _SPECS[name](scale)
+    jacobians = tuple(_readonly(j) for j in jacobians)
+    d = len(jacobians[0])
+    return SdeProblem(
+        dim_state=d,
+        dim_noise=len(jacobians),
+        drift=_cubic_drift_1d if d == 1 else _cubic_drift_2d,
+        diffusion_column=column,
+        diffusion_jacobian=partial(_const_jacobian, jacobians),
+        structure=structure,
+        initial_state=np.array([2.0, 3.0][:d]),
+        horizon=1.0,
+        name=name,
+    )
 
 
 def commutator_defect(problem: SdeProblem, points) -> float:

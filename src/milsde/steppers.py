@@ -23,9 +23,11 @@ its own.
 
 The solves build each map once per solve (:func:`_step_map`): it binds
 the coefficients, the scheme and structure branches and the component
-slices, and takes the integrals component axes first, so a step costs
-its array operations and little else. :func:`advance_state` is that map
-built for a single step, so there is one arithmetic body.
+slices, and takes a batch of states with the integrals component axes
+first (:func:`_components_first`), so a step costs its array operations
+and little else. :func:`advance_state` is that map built for a single
+step; it steps one state as a batch of one, so there is one arithmetic
+body and one layout.
 
 The map does no checking: a step that overflows returns a non-finite
 state, and the integrators read that as the divergence signal. Every
@@ -69,24 +71,31 @@ def check_scheme(name: str, adaptive: bool = False) -> str:
     raise UsageError(f"unknown scheme {name!r}; expected one of {', '.join(known)}")
 
 
-def _step_map(problem: SdeProblem, kind: str, batch: bool = True):
-    """The step map of ``kind`` (one of FIXED_SCHEMES) for ``problem``,
-    built once per solve: ``step(y, h, dW, I)`` with the component axes
-    of the integrals first.
+def _components_first(dW: np.ndarray, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``dW`` (..., P, m) and ``I`` (..., P, m, m) as views (..., m, P, 1)
+    and (..., m, m, P, 1), component axes first, as the step maps take
+    them."""
+    n = dW.ndim - 2
+    lead = tuple(range(n))
+    dW, I = dW.transpose(lead + (n + 1, n)), I.transpose(lead + (n + 1, n + 2, n))
+    return dW[..., None], I[..., None]
 
-    For a batch of P states (P, d), ``dW`` is (m, P, 1) and ``I``
-    (m, m, P, 1), so that ``dW[i]``, ``I[j, i]`` and component c of an
-    array are (P, 1) columns; for one state (d,) (``batch`` False),
-    ``dW`` is (m,) and ``I`` (m, m), and they are scalars. The
-    coefficients, the scheme and structure branches and the component
-    slices are looked up here, not per step.
+
+def _step_map(problem: SdeProblem, kind: str):
+    """The step map of ``kind`` (one of FIXED_SCHEMES) for ``problem``,
+    built once per solve: ``step(y, h, dW, I)`` on a batch of P states
+    (P, d), with ``dW`` (m, P, 1) and ``I`` (m, m, P, 1) (see
+    :func:`_components_first`), so that ``dW[i]``, ``I[j, i]`` and
+    component c of an array are (P, 1) columns. The coefficients, the
+    scheme and structure branches and the component slices are looked
+    up here, not per step.
     """
     d, m = problem.dim_state, problem.dim_noise
     drift, column, jacobian = problem.drift, problem.diffusion_column, problem.diffusion_jacobian
     tamed = kind == "tamed"
     correct = kind != "euler" and problem.structure != "additive"
     noise, inner = range(m), range(1, m)
-    comp = [(Ellipsis, slice(c, c + 1)) if batch else c for c in range(d)]
+    comp = [(Ellipsis, slice(c, c + 1)) for c in range(d)]
     first, rest = comp[0], list(enumerate(comp))[1:]
     one = np.array(1.0)  # a 0-d array operand costs less than a float
 
@@ -134,15 +143,17 @@ def advance_state(
 
     ``kind`` is one of FIXED_SCHEMES. The map takes one state ``y`` of
     shape (d,) with ``dW`` (m,) and ``I`` (m, m), or a batch of P states
-    (P, d) with ``dW`` (P, m) and ``I`` (P, m, m), one row per path.
-    Every sum runs left to right over explicit component indices, so row
-    p of a batched step equals the single step of row p bit for bit. The
-    Milstein correction is skipped entirely for additive problems (it is
-    identically zero there), which also makes Milstein coincide bitwise
-    with Euler-Maruyama on them. This is :func:`_step_map`, built for
-    one step; the solves build their maps once and call them directly.
+    (P, d) with ``dW`` (P, m) and ``I`` (P, m, m), one row per path; one
+    state is stepped as a batch of one. Every sum runs left to right
+    over explicit component indices, so row p of a batched step equals
+    the single step of row p bit for bit. The Milstein correction is
+    skipped entirely for additive problems (it is identically zero
+    there), which also makes Milstein coincide bitwise with
+    Euler-Maruyama on them. This is :func:`_step_map`, built for one
+    step; the solves build their maps once and call them directly.
     """
-    if y.ndim > 1:
-        # Component axes first, so that dW[i] and I[j, i] are (P, 1) columns.
-        return _step_map(problem, kind)(y, h, dW.T[:, :, None], I.transpose(1, 2, 0)[..., None])
-    return _step_map(problem, kind, batch=False)(y, h, dW, I)
+    one = y.ndim == 1
+    if one:
+        y, dW, I = y[None], dW[None], I[None]
+    out = _step_map(problem, kind)(y, h, *_components_first(dW, I))
+    return out[0] if one else out

@@ -529,9 +529,9 @@ def test_step_maps_are_built_once_per_solve(monkeypatch):
     built = []
     step_map = milsde.adaptive._step_map
 
-    def spy(problem, kind, batch=True):
+    def spy(problem, kind):
         built.append(kind)
-        return step_map(problem, kind, batch)
+        return step_map(problem, kind)
 
     monkeypatch.setattr(milsde.adaptive, "_step_map", spy)
     problem = make_builtin("twod_noncommutative")

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from milsde import BACKSTOP_CSV_HEADER, CSV_HEADER
 from milsde.cli import (
+    _build_parser,
     _parse_dyadic,
     _parse_h_values,
     _parse_scheme,
+    _resolve,
+    _write_resolved,
     main,
 )
 from milsde.errors import UsageError
@@ -113,6 +116,62 @@ def test_convergence_run_writes_outputs(tmp_path):
     assert resolved["h_max"] == "2^-4,2^-5"
     assert resolved["seed"] == "12345"
     assert resolved["delta"] == "none"
+
+
+_TABLE_DEFAULTS = """\
+problem = scalar_mult
+schemes = adaptive
+h_max = 2^-12..2^-8
+rho = 16
+paths = 100
+reference_exponent = 16
+fine_exponent = 20
+seed = 12345
+delta = none
+workers = 1
+"""
+
+DEFAULT_CONFIGS = {
+    "convergence": _TABLE_DEFAULTS,
+    "efficiency": _TABLE_DEFAULTS,
+    "backstop-prob": """\
+problem = scalar_probe
+rho = 2,3,4,5,6
+h_max = 2^-8
+paths = 100
+fine_exponent = 16
+seed = 12345
+delta = none
+workers = 1
+""",
+    "single-path": """\
+problem = scalar_probe
+scheme = adaptive
+rho = 2
+h_max = 2^-8
+seed = 12345
+fine_exponent = 16
+delta = none
+""",
+    "moments-check": """\
+order = 1,2,3,4
+samples = 10000
+fine_exponent = 12
+seed = 12345
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
+def test_default_resolved_config_of_every_command(command, tmp_path):
+    # With no flags and no config file, each command resolves and writes
+    # exactly its defaults, in this order; no experiment runs.
+    _, merged = _resolve(command, _build_parser().parse_args([command]))
+    path = _write_resolved(command, merged, tmp_path)
+    assert path.name == command.replace("-", "_") + "_config.txt"
+    assert path.read_text() == (
+        f"# resolved configuration for: {command}\n" + DEFAULT_CONFIGS[command]
+    )
 
 
 def test_resolved_config_reproduces_run(tmp_path):

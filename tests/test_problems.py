@@ -139,6 +139,54 @@ def test_builtin_coefficients_act_row_by_row_on_a_batch(name):
         )
 
 
+def _plain_coefficients(name, s):
+    """The drift, the columns and the Jacobians of builtin ``name`` at
+    noise scale ``s``, written out with Python-float constants in the
+    builtins' operation order."""
+    if name.startswith("scalar"):
+        drift = lambda x: x - x * x * x  # noqa: E731
+    else:
+        drift = lambda x: x - 3.0 * x * x * x  # noqa: E731
+    stack = lambda *c: np.stack(c, axis=-1)  # noqa: E731
+    zero = lambda x: np.zeros(np.shape(x)[:-1])  # noqa: E731
+    columns, jacobians = {
+        "scalar_mult": ([lambda x: s * (1.0 - x)], [[[-s]]]),
+        "scalar_add": ([lambda x: np.array([s])], [[[0.0]]]),
+        "scalar_probe": ([lambda x: s * x], [[[s]]]),
+        "twod_diagonal": (
+            [lambda x: stack(s * x[..., 0], zero(x)), lambda x: stack(zero(x), s * x[..., 1])],
+            [[[s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, s]]],
+        ),
+        "twod_commutative": (
+            [lambda x: stack(s * x[..., 0], s * x[..., 1]),
+             lambda x: stack(s * x[..., 1], s * x[..., 0])],
+            [[[s, 0.0], [0.0, s]], [[0.0, s], [s, 0.0]]],
+        ),
+        "twod_noncommutative": (
+            [lambda x: stack(x[..., 0] * (1.5 * s), x[..., 1] * s),
+             lambda x: stack(x[..., 1] * s, x[..., 0] * (1.5 * s))],
+            [[[1.5 * s, 0.0], [0.0, s]], [[0.0, s], [1.5 * s, 0.0]]],
+        ),
+    }[name]
+    return drift, columns, [np.array(j) for j in jacobians]
+
+
+@pytest.mark.parametrize("scale", [0.2, 1.2])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_coefficients_equal_their_plain_formulas(name, scale):
+    # The builtins bind their constants as 0-d arrays; the values must
+    # keep the bits of the plain Python-float formulas.
+    p = make_builtin(name, noise_scale=scale)
+    drift, columns, jacobians = _plain_coefficients(name, scale)
+    assert len(columns) == p.dim_noise
+    batch = np.random.default_rng(POINT_SEED).standard_normal((100, p.dim_state)) * 3.0
+    for x in (batch, batch[0]):
+        assert np.array_equal(p.drift(x), drift(x))
+        for i, (column, jacobian) in enumerate(zip(columns, jacobians)):
+            assert np.array_equal(p.diffusion_column(x, i), column(x)), (name, i)
+            assert np.array_equal(p.diffusion_jacobian(x, i), jacobian), (name, i)
+
+
 def _jacobian_deviation(problem, points, fd_step=1e-5):
     """Largest entry of |Dg_i(x) - central difference of g_i at x| over
     the points and noise components."""
