@@ -77,7 +77,9 @@ from .adaptive import FixedSolves, StrategyConfig, _lockstep
 from .errors import ExperimentError, UsageError
 from .problems import SdeProblem, make_builtin
 from .steppers import check_scheme
-from .wiener import _MAX_EXPONENT, PathPrefixes, PathStreams, _check_exponent, _path_seeds
+from .wiener import (
+    _MAX_EXPONENT, DEFAULT_BASE_SEED, PathPrefixes, PathStreams, _check_exponent, _path_seeds,
+)
 
 __all__ = [
     "DEFAULT_BASE_SEED",
@@ -93,7 +95,6 @@ __all__ = [
     "backstop_probability",
 ]
 
-DEFAULT_BASE_SEED = 12345
 CSV_HEADER = (
     "scheme,h_max,rms_error,rms_std_error,h_mean,cpu_seconds,"
     "backstop_rate,divergent_count"

@@ -8,13 +8,14 @@ strong-error estimation.
 
 Two deliberate representation choices:
 
-* Increments are quantized to the fixed grid 2**-32 at generation time.
-  Every increment is then an exact multiple of 2**-32 small enough that
-  all window sums (and their partial sums) are exactly representable in
-  float64, so increment sums over adjacent windows add bit-exactly and
-  the mesh bookkeeping is exact. The statistical distortion is a uniform
-  +-2**-33 perturbation per increment, about 4e-7 of one increment's
-  standard deviation at L = 20, far below every tolerance used here.
+* Increments are rounded to the fixed grid 2**-32 when drawn, and held
+  as int64 grid units from the draw to the window read. Floats appear
+  only in a :class:`WienerPath`, whose increments are checked to lie on
+  the grid where they enter, and in the integrals a read returns. All
+  window sums (and their partial sums) are then exact in float64, so
+  sums over adjacent windows add bit-exactly. The statistical distortion
+  is a uniform +-2**-33 perturbation per increment, about 4e-7 of one
+  increment's standard deviation at L = 20, far below every tolerance.
 
 * Double integrals are never accumulated directly. Per window we take
   the antisymmetric Levy areas A of the left-point Ito sum (increments
@@ -39,8 +40,8 @@ so that over the window [a, b)
       2 A[i][j] = C(b) - C(a) - (W_i(a) dW_j - W_j(a) dW_i).
 
 C is accumulated exactly, as an integer in 2**-64 units held in two
-int64 limbs, and the area is rounded once, to nearest. A window of
-one fine step therefore has an area of exactly zero, and any window's
+int64 limbs beside W, and the area is rounded once, to nearest. A window
+of one fine step therefore has an area of exactly zero, and any window's
 area is its exact left-point sum, correctly rounded.
 
 Every solve, adaptive or on a fixed mesh, reads its windows this way,
@@ -106,6 +107,9 @@ _MAX_EXPONENT = 30
 
 _SEED_MASK = (1 << 64) - 1
 
+#: Base seed of an experiment unless one is given.
+DEFAULT_BASE_SEED = 12345
+
 
 @dataclass(frozen=True)
 class WienerPath:
@@ -162,32 +166,29 @@ def _exact_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 @functools.cache
-def _pairs(
-    m: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays for the pairs i < j of m components (in
-    ``np.triu_indices`` order): (i, j); the column orders (i then j,
-    j then i) that line up W_i with dW_j and W_j with dW_i; the +-1
-    matrix (2P, P) that subtracts the second half of those columns from
-    the first; and the +-1 matrix (P, m*m) that spreads per-pair values
-    into an antisymmetric (m, m) matrix."""
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays for the pairs i < j of m components (``np.triu_indices``
+    order): (i, j), and the orders (i, j) and (j, i) of both, joined."""
     i, j = np.triu_indices(m, 1)
-    P = len(i)
-    halves = np.concatenate([np.eye(P, dtype=np.int64), -np.eye(P, dtype=np.int64)])
-    spread = np.zeros((P, m * m))
-    spread[np.arange(P), i * m + j] = 1.0
-    spread[np.arange(P), j * m + i] = -1.0
-    return i, j, np.concatenate([i, j]), np.concatenate([j, i]), halves, spread
+    return i, j, np.concatenate([i, j]), np.concatenate([j, i])
+
+
+def _antisymmetric(area: np.ndarray, m: int) -> np.ndarray:
+    """Antisymmetric (..., m, m) matrices with (..., P) ``area`` above the diagonal."""
+    i, j = _pairs(m)[:2]
+    A = np.zeros(area.shape[:-1] + (m, m))
+    A[..., i, j] = area
+    A[..., j, i] = -area
+    return A
 
 
 #: Increments (fine steps times noise components, over all paths written
-#: at once) converted per pass when prefix arrays are written or a window
-#: is summed, which bounds their temporary arrays.
+#: at once) per pass of a prefix fill or a window sum; bounds temporaries.
 _FILL_CHUNK = 1 << 14
 
-#: Cap on the prefix arrays one group of paths holds at a time, and on
-#: the window of a block per _BLOCK_PATHS of its paths (rounded up); see
-#: :meth:`PathPrefixes.group_size` and :meth:`PathPrefixes.streamed`.
+#: Cap on the window of a streamed block per _BLOCK_PATHS of its paths
+#: (rounded up; see :meth:`PathPrefixes.streamed`), and on the grid units
+#: of one group of the moment check's paths.
 _GROUP_BYTES = 2 << 20
 
 #: Paths of a streamed block per _GROUP_BYTES of its window.
@@ -207,14 +208,13 @@ class PathPrefixes:
     path, drawn by the callable it is passed.
 
     Attributes:
-        sums: (G, m + P, C) int64 with P = m(m-1)/2. ``sums[g, i, c]``
+        sums: (G, m + 2P, C) int64 with P = m(m-1)/2. ``sums[g, i, c]``
             (i < m) is W_i at node start + c of path g in units of the
-            increment grid; ``sums[g, m + p, c]`` is the high limb of the
-            cross sum C(k) of the module docstring for the p-th pair
-            i < j (in ``np.triu_indices`` order).
-        low: (G, P, C) int32, the low limb of C(k), in [0, 2**24):
-            C(k) = sums[g, m + p, c] * 2**24 + low[g, p, c] exactly, in
-            2**-64 units.
+            increment grid. For the p-th pair i < j (in
+            ``np.triu_indices`` order), ``sums[g, m + p, c]`` and
+            ``sums[g, m + P + p, c]`` are the high and the low limb of
+            the cross sum C(k) of the module docstring: C(k) = high *
+            2**24 + low exactly, in 2**-64 units, with 0 <= low < 2**24.
         resolution: fine step h_ref.
         horizon: T.
         num_steps: n, the fine steps of each path.
@@ -224,11 +224,11 @@ class PathPrefixes:
             may be shorter); 0 for whole-path arrays.
 
     A node of a path takes :meth:`bytes_per_node` bytes here; the raw
-    increments are not kept.
+    increments are not kept. Only :meth:`of` takes float increments;
+    :meth:`advance` takes grid units, as :meth:`PathStreams.draw` gives.
     """
 
     sums: np.ndarray
-    low: np.ndarray
     resolution: float
     horizon: float
     num_steps: int
@@ -238,17 +238,7 @@ class PathPrefixes:
 
     @staticmethod
     def bytes_per_node(dim_noise: int) -> int:
-        pairs = dim_noise * (dim_noise - 1) // 2
-        return 8 * (dim_noise + pairs) + 4 * pairs
-
-    @staticmethod
-    def bytes_per_path(dim_noise: int, num_steps: int) -> int:
-        return PathPrefixes.bytes_per_node(dim_noise) * (num_steps + 1)
-
-    @staticmethod
-    def group_size(dim_noise: int, num_steps: int) -> int:
-        """Whole paths per group under the 2 MiB cap, at least one."""
-        return max(1, _GROUP_BYTES // PathPrefixes.bytes_per_path(dim_noise, num_steps))
+        return 8 * dim_noise * dim_noise  # m + 2P int64 rows
 
     @staticmethod
     def stream_size(dim_noise: int, widest: int) -> int | None:
@@ -267,7 +257,7 @@ class PathPrefixes:
     def slab_steps(count: int, dim_noise: int, num_steps: int, widest: int, unit: int) -> int:
         """Fine steps per slab of a streamed window over ``count`` paths:
         the largest whole multiple of ``unit`` such that ``widest`` nodes
-        plus the slab's nodes and its float increments fit the cap of
+        plus the slab's nodes and its increments fit the cap of
         2 MiB per 25 paths (rounded up); at least ``unit`` and at most
         the path."""
         cap = _GROUP_BYTES * -(-count // _BLOCK_PATHS)
@@ -277,12 +267,9 @@ class PathPrefixes:
 
     @classmethod
     def _alloc(cls, count, dim_noise, nodes, resolution, horizon, num_steps, frontier, **kw):
-        pairs = dim_noise * (dim_noise - 1) // 2
-        sums = np.empty((count, dim_noise + pairs, nodes), dtype=np.int64)
-        low = np.empty((count, pairs, nodes), dtype=np.int32)
+        sums = np.empty((count, dim_noise * dim_noise, nodes), dtype=np.int64)
         sums[:, :, 0] = 0
-        low[:, :, 0] = 0
-        return cls(sums, low, resolution, horizon, num_steps, frontier, **kw)
+        return cls(sums, resolution, horizon, num_steps, frontier, **kw)
 
     @classmethod
     def streamed(
@@ -313,7 +300,8 @@ class PathPrefixes:
     @classmethod
     def of(cls, increments: np.ndarray, resolution: float, horizon: float) -> "PathPrefixes":
         """The whole-path prefix arrays of a stack of paths' (G, m, n)
-        increments, or of one path's (m, n).
+        float increments, or of one path's (m, n), each converted to grid
+        units as it is written.
 
         Raises:
             UsageError: the increments are off the 2**-32 grid, or (for
@@ -323,17 +311,20 @@ class PathPrefixes:
         stack = increments if increments.ndim == 3 else increments[None]
         count, m, n = stack.shape
         prefixes = cls._alloc(count, m, n + 1, resolution, horizon, n, n)
-        prefixes._append(slice(None), 0, stack)
+        chunk = max(1, _FILL_CHUNK // (count * m))
+        for a in range(0, n, chunk):
+            prefixes._append(a, _grid_units(stack[:, :, a : a + chunk]))
         return prefixes
 
     @property
     def dim_noise(self) -> int:
-        return self.sums.shape[1] - self.low.shape[1]
+        return math.isqrt(self.sums.shape[1])
 
     def advance(self, keep_from: int, draw: Callable[[int], np.ndarray]) -> None:
         """Drop the nodes before ``keep_from`` (a held node) and append
         the next slab of every path: ``draw(steps)`` returns the next
-        ``steps`` increments of every path, (G, m, steps).
+        ``steps`` increments of every path in grid units, (G, m, steps)
+        int64, and the slab is left as it was drawn.
 
         Raises:
             UsageError: every node is already held, or the nodes kept
@@ -348,41 +339,39 @@ class PathPrefixes:
                 f"cannot keep nodes {keep_from}..{self.frontier} and a slab of "
                 f"{steps} in a window of {self.sums.shape[2]} nodes"
             )
-        increments = draw(steps)
+        units = draw(steps)
         drop = keep_from - self.start
         if drop:
             self.sums[:, :, :kept] = self.sums[:, :, drop : drop + kept]
-            self.low[:, :, :kept] = self.low[:, :, drop : drop + kept]
             self.start = keep_from
-        self._append(slice(None), kept - 1, increments)
+        self._append(kept - 1, units)
         self.frontier += steps
 
-    def _append(self, rows: slice, col: int, increments: np.ndarray) -> None:
-        """Continue the prefix arrays of ``rows`` from column ``col`` with
-        (G, m, s) ``increments``, in chunks that bound the temporaries."""
-        m, s = increments.shape[1:]
-        sums, c_lo = self.sums[rows], self.low[rows]
-        w, c_hi = sums[:, :m], sums[:, m:]
-        chunk = max(1, _FILL_CHUNK // (len(sums) * m))
+    def _append(self, col: int, units: np.ndarray) -> None:
+        """Continue the prefix arrays from column ``col`` with (G, m, s)
+        increments in grid units, in chunks that bound the temporaries."""
+        m, s = units.shape[1:]
+        P = m * (m - 1) // 2
+        w, c = self.sums[:, :m], self.sums[:, m:]
+        chunk = max(1, _FILL_CHUNK // (len(self.sums) * m))
         for a in range(col, col + s, chunk):
             b = min(col + s, a + chunk)
-            d = _grid_units(increments[:, :, a - col : b - col])
+            d = units[:, :, a - col : b - col]
             # W at the chunk's start rides on its first increment, and is
-            # taken off again before the cross terms read the increments.
+            # taken off again, leaving the caller's increments as they were.
             d[:, :, 0] += w[:, :, a]
             np.cumsum(d, axis=2, out=w[:, :, a + 1 : b + 1])
+            d[:, :, 0] -= w[:, :, a]
             if m == 1:
                 continue
-            d[:, :, 0] -= w[:, :, a]
-            # Cross terms from W at each step's left point; the low limb's
-            # running sum is carried into the high one.
-            for p, (hi, lo) in enumerate(_cross_terms(w[:, :, a:b], d, self.num_steps)):
-                lo[:, 0] += c_lo[:, p, a]
-                hi[:, 0] += c_hi[:, p, a]
-                np.cumsum(lo, axis=1, out=lo)
-                np.cumsum(hi, axis=1, out=c_hi[:, p, a + 1 : b + 1])
-                c_hi[:, p, a + 1 : b + 1] += lo >> _LIMB_BITS
-                c_lo[:, p, a + 1 : b + 1] = lo & _LIMB_MASK
+            # Cross terms from W at each step's left point; the low limbs'
+            # running sums are carried into the high ones.
+            terms = _cross_terms(w[:, :, a:b], d, self.num_steps)
+            terms[:, :, 0] += c[:, :, a]
+            new = c[:, :, a + 1 : b + 1]
+            np.cumsum(terms, axis=2, out=new)
+            new[:, :P] += new[:, P:] >> _LIMB_BITS
+            new[:, P:] &= _LIMB_MASK
 
     def windows(
         self,
@@ -404,16 +393,17 @@ class PathPrefixes:
         dW = diff[..., :m] * INCREMENT_GRID
         if m == 1 or zero_area:
             return h, dW, np.zeros(dW.shape + (m,))
-        _, _, ij, ji, halves, spread = _pairs(m)
+        _, _, ij, ji = _pairs(m)
+        P = len(ij) // 2
         # W_i(a) dW_j - W_j(a) dW_i as limbs, per pair.
         prod_hi, prod_lo = _exact_product(at_start[..., ij], diff[..., ji])
-        lo = self.low[rows, :, end] - self.low[rows, :, start] - prod_lo @ halves
-        area = _round_areas(diff[..., m:] - prod_hi @ halves, lo)
-        return h, dW, (area @ spread).reshape(dW.shape + (m,))
+        hi = diff[..., m : m + P] - (prod_hi[..., :P] - prod_hi[..., P:])
+        lo = diff[..., m + P :] - (prod_lo[..., :P] - prod_lo[..., P:])
+        return h, dW, _antisymmetric(_round_areas(hi, lo), m)
 
 
 def _grid_units(increments: np.ndarray) -> np.ndarray:
-    """``increments`` as int64 multiples of the increment grid.
+    """Float ``increments`` from outside as int64 multiples of the grid.
 
     Raises:
         UsageError: an increment is off the 2**-32 grid.
@@ -425,13 +415,11 @@ def _grid_units(increments: np.ndarray) -> np.ndarray:
     return d
 
 
-def _cross_terms(
-    left: np.ndarray, d: np.ndarray, num_steps: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The per-step terms W_i dW_j - W_j dW_i of every pair i < j (in
+def _cross_terms(left: np.ndarray, d: np.ndarray, num_steps: int) -> np.ndarray:
+    """The per-step terms W_i dW_j - W_j dW_i of the P pairs i < j (in
     ``np.triu_indices`` order), for (G, m, s) left-point W and increments
-    d in grid units: per pair, limbs (hi, lo), each (G, s), with
-    W_i dW_j - W_j dW_i = hi 2**24 + lo and 0 <= lo < 2**24.
+    d in grid units, as limbs (G, 2P, s): the high limb of each pair, then
+    the low ones, with W_i dW_j - W_j dW_i = hi 2**24 + lo, 0 <= lo < 2**24.
 
     Raises:
         UsageError: on a path of ``num_steps`` fine steps, W or d are so
@@ -443,13 +431,11 @@ def _cross_terms(
     d_max = float(np.abs(d).max())
     if not (w_max < 2.0**42 and d_max < 2.0**37 and num_steps * w_max * d_max < 2.0**84):
         raise UsageError("path too large for exact Levy areas (|W| >= 2**10)")
+    i, j = _pairs(left.shape[1])[:2]
     w_hi, w_lo = left >> _LIMB_BITS, left & _LIMB_MASK
-    terms = []
-    for i, j in zip(*_pairs(left.shape[1])[:2]):
-        lo = w_lo[:, i] * d[:, j] - w_lo[:, j] * d[:, i]
-        hi = w_hi[:, i] * d[:, j] - w_hi[:, j] * d[:, i] + (lo >> _LIMB_BITS)
-        terms.append((hi, lo & _LIMB_MASK))
-    return terms
+    lo = w_lo[:, i] * d[:, j] - w_lo[:, j] * d[:, i]
+    hi = w_hi[:, i] * d[:, j] - w_hi[:, j] * d[:, i] + (lo >> _LIMB_BITS)
+    return np.concatenate([hi, lo & _LIMB_MASK], axis=1)
 
 
 def _round_areas(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -460,49 +446,35 @@ def _round_areas(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (hi * float(1 << _LIMB_BITS) + (lo & _LIMB_MASK)) * 2.0**-65
 
 
-def _window_sums(increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _window_sums(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The exact integrals of whole windows, summed straight from their
-    increments rather than read from prefix arrays.
-
-    For (G, m, s) ``increments`` that start on a window boundary, returns
-    each row's dW (G, m) and the areas A[i][j] of its pairs i < j (G, P),
-    in ``np.triu_indices`` order. The cross terms are the ones the prefix
-    arrays accumulate, summed exactly and rounded once, so every value
-    has the bits :meth:`PathPrefixes.windows` gives the window [0, s).
-    Each row is walked alone, in chunks of fine steps as
-    :meth:`PathPrefixes.of` writes a single path, so the temporaries stay
-    as small and in cache.
+    (G, m, s) increments in grid units rather than read from prefix
+    arrays: each row's dW (G, m) and the areas A[i][j] of its pairs i < j
+    (G, P), in ``np.triu_indices`` order. The prefix arrays' cross terms
+    are summed exactly and rounded once, so every value has the bits
+    :meth:`PathPrefixes.windows` gives the window [0, s). Each row is
+    walked alone, in chunks as :meth:`PathPrefixes.of` writes one path.
 
     Raises:
-        UsageError: as :meth:`PathPrefixes.of`, with n = s.
+        UsageError: as :meth:`PathPrefixes.of` with n = s.
     """
-    count, m, s = increments.shape
+    count, m, s = units.shape
     w = np.zeros((count, m, 1), dtype=np.int64)
     # Low limbs are summed without carries: each is below 2**24, so a
     # row of at most 2**30 steps stays below 2**54.
-    hi = np.zeros((count, m * (m - 1) // 2), dtype=np.int64)
-    lo = np.zeros_like(hi)
+    limbs = np.zeros((count, m * (m - 1)), dtype=np.int64)
     chunk = max(1, _FILL_CHUNK // m)
     for g in range(count):
         for a in range(0, s, chunk):
-            d = _grid_units(increments[g : g + 1, :, a : a + chunk])
+            d = units[g : g + 1, :, a : a + chunk]
             if m > 1:
                 left = np.cumsum(d, axis=2)
                 left -= d
                 left += w[g]
-                for p, (step_hi, step_lo) in enumerate(_cross_terms(left, d, s)):
-                    hi[g, p] += step_hi.sum()
-                    lo[g, p] += step_lo.sum()
+                limbs[g] += _cross_terms(left, d, s)[0].sum(axis=1)
             w[g] += d[0].sum(axis=1, keepdims=True)
-    return w[:, :, 0] * INCREMENT_GRID, _round_areas(hi, lo)
-
-
-def _quantize(values: np.ndarray) -> np.ndarray:
-    """Round ``values`` to the increment grid, in place."""
-    values *= 1.0 / INCREMENT_GRID
-    np.rint(values, out=values)
-    values *= INCREMENT_GRID
-    return values
+    P = limbs.shape[1] // 2
+    return w[:, :, 0] * INCREMENT_GRID, _round_areas(limbs[:, :P], limbs[:, P:])
 
 
 def _path_seeds(base_seed: int, paths: range) -> tuple[int, ...]:
@@ -556,7 +528,9 @@ class PathStreams:
         self._states = [[_stream_state(s, i) for i in range(dim_noise)] for s in seeds]
 
     def draw(self, steps: int) -> np.ndarray:
-        """The next ``steps`` fine increments of every path, (G, m, steps).
+        """The next ``steps`` fine increments of every path, (G, m, steps),
+        as int64 grid units: each stream's normals times the step's
+        standard deviation, times 2**32, rounded to nearest.
 
         Raises:
             UsageError: fewer than ``steps`` steps are left to draw.
@@ -566,15 +540,18 @@ class PathStreams:
                 f"cannot draw {steps} steps; {self.num_steps - self.drawn} are left"
             )
         self.drawn += steps
-        out = np.empty((len(self._states), len(self._states[0]), steps))
-        for row, states in zip(out, self._states):
+        units = np.empty((len(self._states), len(self._states[0]), steps), dtype=np.int64)
+        row = np.empty(steps)  # one stream's normals at a time
+        for path, states in zip(units, self._states):
             for i, state in enumerate(states):
                 gen = _generator_at(state)
-                gen.standard_normal(out=row[i])
+                gen.standard_normal(out=row)
                 if self.drawn < self.num_steps:
                     states[i] = gen.bit_generator.state
-        out *= self._scale
-        return _quantize(out)
+                row *= self._scale
+                row *= 1.0 / INCREMENT_GRID
+                path[i] = np.rint(row, out=row)
+        return units
 
 
 def _check_exponent(name: str, level: int) -> None:
@@ -624,7 +601,7 @@ def generate_path(
     n = 1 << resolution_exponent
     streams = PathStreams([seed], resolution_exponent, dim_noise, horizon)
     return WienerPath(
-        increments=streams.draw(n)[0],
+        increments=streams.draw(n)[0] * INCREMENT_GRID,
         resolution=horizon * 2.0**-resolution_exponent,
         resolution_exponent=resolution_exponent,
         horizon=horizon,
@@ -691,9 +668,8 @@ def integrals_over(path: WienerPath, start: int, end: int) -> IteratedIntegrals:
         raise UsageError(
             f"window [{start}, {end}) out of range for {path.num_steps} fine steps"
         )
-    m = path.dim_noise
-    dW, area = _window_sums(path.increments[None, :, start:end])
-    A = (area @ _pairs(m)[5]).reshape(m, m)
+    dW, area = _window_sums(_grid_units(path.increments[None, :, start:end]))
+    A = _antisymmetric(area, path.dim_noise)[0]
     return IteratedIntegrals.from_components((end - start) * path.resolution, dW[0], A)
 
 
@@ -839,7 +815,7 @@ def moment_check(
     orders: Sequence[int] = (1, 2, 3, 4),
     num_windows: int = 10_000,
     resolution_exponent: int = 12,
-    base_seed: int = 12345,
+    base_seed: int = DEFAULT_BASE_SEED,
 ) -> list[MomentCheckRow]:
     """Monte Carlo validation of Levy-area moments over unit windows.
 
@@ -865,7 +841,8 @@ def moment_check(
     _check_path_bytes(2, resolution_exponent)
     samples = np.empty(num_windows)
     n = 1 << resolution_exponent
-    size = PathPrefixes.group_size(2, n)
+    # Paths per group: their grid units fit the 2 MiB cap.
+    size = max(1, _GROUP_BYTES // (8 * 2 * n))
     for first in range(0, num_windows, size):
         seeds = _path_seeds(base_seed, range(first, min(num_windows, first + size)))
         increments = PathStreams(seeds, resolution_exponent, 2).draw(n)

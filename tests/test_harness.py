@@ -436,7 +436,6 @@ def test_group_size_does_not_change_results(monkeypatch):
         )
     )
     monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1)
-    assert milsde.wiener.PathPrefixes.group_size(2, 1 << 12) == 1
     split = convergence_table(config)
     for ra, rb in zip(whole.rows, split.rows):
         assert dataclasses.replace(ra, cpu_seconds=0.0) == dataclasses.replace(

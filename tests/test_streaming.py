@@ -15,6 +15,7 @@ import milsde.wiener
 from milsde import (
     BUILTIN_NAMES,
     FIXED_SCHEMES,
+    INCREMENT_GRID,
     PathPrefixes,
     PathStreams,
     StrategyConfig,
@@ -22,6 +23,7 @@ from milsde import (
     backstop_probability,
     convergence_table,
     generate_path,
+    integrals_over,
     integrate_adaptive_batch,
     make_builtin,
     moment_check,
@@ -50,7 +52,7 @@ def test_chunked_draws_equal_generate_path():
         joined = _draw_in_chunks(streams, (1, 7, 1000, 4096))
         for g, seed in enumerate(seeds):
             path = generate_path(seed, level, m, horizon)
-            np.testing.assert_array_equal(joined[g], path.increments)
+            np.testing.assert_array_equal(joined[g] * INCREMENT_GRID, path.increments)
         with pytest.raises(UsageError, match="left"):
             streams.draw(1)
 
@@ -221,7 +223,7 @@ def windows(monkeypatch):
     def spy(self, keep_from, draw):
         advance(self, keep_from, draw)
         seen.append(
-            (self.sums.nbytes + self.low.nbytes, self.sums.shape[2], self.num_steps,
+            (self.sums.nbytes, self.sums.shape[2], self.num_steps,
              len(self.sums), self.dim_noise)
         )
 
@@ -268,6 +270,44 @@ def test_block_window_keeps_one_widest_window_below_the_cap(windows, monkeypatch
         for nbytes, nodes, _, paths, m in seen:
             assert nodes == widest + unit
             assert nbytes == paths * PathPrefixes.bytes_per_node(m) * nodes
+
+
+def test_drawn_slabs_skip_the_grid_check(monkeypatch):
+    # Slabs the library draws are grid units already; only floats from
+    # outside (here, a WienerPath's window) are converted and checked.
+    calls = []
+
+    def spy(increments, _original=milsde.wiener._grid_units):
+        calls.append(increments.shape)
+        return _original(increments)
+
+    monkeypatch.setattr(milsde.wiener, "_grid_units", spy)
+    _table(num_paths=2, schemes=("adaptive", "milstein"))
+    backstop_probability("scalar_probe", (2.0, 4.0), h_max=2.0**-8, num_paths=2, fine_exponent=12)
+    moment_check(orders=(2,), num_windows=100, resolution_exponent=6)
+    assert calls == []
+    integrals_over(generate_path(1, 6, 2), 0, 64)
+    assert calls == [(1, 2, 64)]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_advance_leaves_the_drawn_slab_unchanged(m, monkeypatch):
+    # Each fill chunk adds W to its first increment and takes it off again.
+    monkeypatch.setattr(milsde.wiener, "_FILL_CHUNK", 8)
+    streams = PathStreams((3, 4), 10, m)
+    window = PathPrefixes.streamed(2, m, 1 << 10, 2.0**-10, 1.0, 16, 8)
+    slabs = []
+
+    def draw(steps):
+        slabs.append(streams.draw(steps))
+        slabs.append(slabs[-1].copy())
+        return slabs[-2]
+
+    while window.frontier < window.num_steps:
+        window.advance(window.frontier, draw)
+    assert slabs
+    for slab, drawn in zip(slabs[::2], slabs[1::2]):
+        np.testing.assert_array_equal(slab, drawn)
 
 
 def test_slabs_are_drawn_and_filled_under_the_callers_error_state(monkeypatch):

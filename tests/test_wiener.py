@@ -203,7 +203,9 @@ def test_whole_window_sums_equal_the_prefix_arrays(monkeypatch, m):
     # A window summed straight from its increments has the bits the prefix
     # arrays give it: whole paths at every L up to 16, one-step windows
     # (area exactly 0) and windows across the fill chunks' boundaries.
-    window_sums = milsde.wiener._window_sums
+    def window_sums(inc):
+        return milsde.wiener._window_sums(milsde.wiener._grid_units(inc))
+
     for level in range(1, 17):
         inc = generate_path(100 + level, level, m).increments
         n = inc.shape[1]
@@ -237,7 +239,7 @@ def test_whole_window_sums_near_the_limb_bounds():
     signs[0] = 1.0
     inc = signs * (16.0 - grid * rng.integers(1, 1000, size=(3, 64)))
     path = milsde.wiener.WienerPath(inc, 1.0 / 64, 6, 1.0)
-    dW, area = milsde.wiener._window_sums(inc[None])
+    dW, area = milsde.wiener._window_sums(milsde.wiener._grid_units(inc[None]))
     want_dW, want_area = _prefix_windows(inc, 0, 64)
     np.testing.assert_array_equal(dW[0], want_dW)
     np.testing.assert_array_equal(area[0], want_area)
@@ -250,10 +252,12 @@ def test_whole_window_sums_near_the_limb_bounds():
     [(np.full((2, 4), 0.1), "grid"), (np.full((2, 64), 17.0), "2\\*\\*10")],
 )
 def test_whole_window_sums_refuse_what_the_prefix_arrays_refuse(inc, match):
+    n = inc.shape[1]
     with pytest.raises(UsageError, match=match) as from_prefixes:
-        milsde.wiener.PathPrefixes.of(inc, 1.0 / inc.shape[1], 1.0)
+        milsde.wiener.PathPrefixes.of(inc, 1.0 / n, 1.0)
+    path = milsde.wiener.WienerPath(inc, 1.0 / n, n.bit_length() - 1, 1.0)
     with pytest.raises(UsageError, match=match) as from_sums:
-        milsde.wiener._window_sums(inc[None])
+        integrals_over(path, 0, n)
     assert str(from_sums.value) == str(from_prefixes.value)
 
 
@@ -472,9 +476,17 @@ GOLDEN_MOMENT_ROWS = {
 }
 
 
-@pytest.mark.parametrize("num_windows, level", sorted(GOLDEN_MOMENT_ROWS))
-def test_moment_check_rows_are_golden(num_windows, level):
-    # 137 windows is not a whole number of groups; L = 1 gives two-step paths.
+@pytest.mark.parametrize(
+    "num_windows, level, group",
+    [(100, 1, None), (137, 6, None), (137, 6, 40)],
+    ids=["100-1", "137-6", "137-6-groups-of-40"],
+)
+def test_moment_check_rows_are_golden(num_windows, level, group, monkeypatch):
+    # L = 1 gives two-step paths. At the default cap each run is one
+    # group; a cap of 40 paths' grid units cuts 137 windows into four
+    # groups, the last one short, and the rows keep their bits.
+    if group:
+        monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", group * 8 * 2 << level)
     rows = moment_check(
         orders=(1, 2, 3, 4, 8), num_windows=num_windows, resolution_exponent=level
     )
