@@ -4,7 +4,8 @@ what it prints, for small runs of every command.
 A refactor that must keep outputs bit-identical keeps these digests.
 The ``cpu_seconds`` column of the tables and every printed line that
 reports seconds are cut first, since they time the run; the output
-directory is written as ``OUT``.
+directory is written as ``OUT``. The digests were recorded with numpy
+2.4.6; a numpy whose Philox normals or printed floats differ changes them.
 """
 
 import hashlib
