@@ -113,13 +113,13 @@ def _norms(y: np.ndarray) -> np.ndarray:
 
 
 def _proposals(norm, scale, h_min, h_max):
-    """The controller on norms: (clamped proposal, pinned), elementwise.
-    The raw proposal scale / norm is +inf at the origin and 0 for an
-    infinite norm, which therefore pins; callers silence the division's
-    warnings."""
-    raw = scale / norm
-    pinned = raw <= h_min
-    return np.where(pinned, h_min, np.minimum(raw, h_max)), pinned
+    """The controller on norms: (proposal capped at h_max, pinned),
+    elementwise. The raw proposal scale / norm is +inf at the origin and
+    0 for an infinite norm. It pins when at most h_min, which the capped
+    proposal is exactly then, as h_min < h_max. Callers silence the
+    division's warnings."""
+    h = np.minimum(scale / norm, h_max)
+    return h, h <= h_min
 
 
 def propose_step(config: StrategyConfig, state: np.ndarray) -> tuple[float, bool]:
@@ -139,7 +139,7 @@ def propose_step(config: StrategyConfig, state: np.ndarray) -> tuple[float, bool
         h, pinned = _proposals(
             _norms(state.reshape(1, -1)), config.scale, config.h_min, config.h_max
         )
-    return float(h[0]), bool(pinned[0])
+    return (config.h_min if pinned[0] else float(h[0])), bool(pinned[0])
 
 
 @dataclass(frozen=True)
@@ -386,14 +386,12 @@ def _lockstep(
                 finite = np.isfinite(nxt).all(axis=1)
                 kept = (lane_end if keep != "totals" else None, nxt if keep == "states" else None)
                 rounds.append((lanes, lane_pinned, finite) + kept)
-                if not finite.all():
-                    live = live[~np.isin(live, lanes[~finite])]
+                going = finite & (lane_end < n_total)
+                if not going.all():
+                    # Off the live set; a finished lane's plan is never read.
+                    live = live[~np.isin(live, lanes[~going])]
                     lanes, lane_end, nxt = lanes[finite], lane_end[finite], nxt[finite]
                 at[lanes], y[lanes] = lane_end, nxt
-                going = lane_end < n_total
-                if not going.all():
-                    live = live[~np.isin(live, lanes[~going])]
-                    lanes, lane_end, nxt = lanes[going], lane_end[going], nxt[going]
                 end[lanes], pinned[lanes] = plan(lanes, nxt, lane_end)
         if not live.size:
             return _collect(rounds, at, y, problem.initial_state, h_ref)
@@ -567,18 +565,17 @@ class FixedSolves:
     :class:`~milsde.wiener.PathPrefixes`, whole or streamed, and steps
     every job over each window they hold up to their frontier that it
     has not taken yet; :attr:`position` is the first node a job still
-    needs. Per k, the windows are read once, with the exact integrals
-    :func:`~milsde.wiener.integrals_over` gives them, and every job with
-    that k advances over them. Rows never mix, so row p equals
+    needs. Each job reads its own windows, all in one read per call,
+    with the exact integrals :func:`~milsde.wiener.integrals_over` gives
+    them. Rows never mix, so row p equals
     :func:`integrate_fixed` on path p bit for bit, divergence included,
     whatever the arrays held at each call. The coefficients are checked
     once, as in :func:`integrate_adaptive_batch`, and each job's step
     map is built once. ``record`` keeps every node state, checking each
     step; without it, a call checks each job's slab of steps at its end
     (see :meth:`_FixedRun.advance`). ``zero_levy_area`` zeroes the Levy
-    areas. ``seconds``
-    holds each job's CPU seconds: its steps plus an equal share of its
-    k's window reads.
+    areas. ``seconds`` holds each job's CPU seconds: its steps plus the
+    reads of its own windows.
     """
 
     def __init__(
@@ -593,15 +590,13 @@ class FixedSolves:
         self.zero_area = zero_levy_area
         self.seconds = [0.0] * len(jobs)
         self._runs = [_FixedRun(problem, s, count, -(-num_steps // k), record) for s, k in jobs]
-        self._jobs_of = {}  # k: the jobs that step k fine steps
-        for j, (_, k) in enumerate(jobs):
-            self._jobs_of.setdefault(k, []).append(j)
-        self._at = dict.fromkeys(self._jobs_of, 0)  # k: the node its jobs reached
+        self._steps = [k for _, k in jobs]  # fine steps per window, per job
+        self._at = [0] * len(jobs)  # the node each job reached
 
     @property
     def position(self) -> int:
         """The node the job furthest behind has reached."""
-        return min(self._at.values())
+        return min(self._at)
 
     def advance(self, prefixes: PathPrefixes) -> None:
         """Advance every job over the windows ``prefixes`` hold that it
@@ -617,32 +612,32 @@ class FixedSolves:
         if self.position < prefixes.start:
             raise UsageError(f"node {self.position} is no longer held")
         n, frontier, clock = self.num_steps, prefixes.frontier, time.process_time
-        if not any(at < frontier and min(at + k, n) <= frontier for k, at in self._at.items()):
+        pairs = list(zip(self._steps, self._at))
+        if not any(at < frontier and min(at + k, n) <= frontier for k, at in pairs):
             return  # no job has a new window
-        # Per k, the ends of the windows held that its jobs have not
-        # taken, the last one clipped to the path; all are read at once.
-        ends = [np.arange(at + k, frontier + k, k).clip(max=n) for k, at in self._at.items()]
+        # Per job, the ends of the windows held that it has not taken,
+        # the last one clipped to the path; all are read at once.
+        ends = [np.arange(at + k, frontier + k, k).clip(max=n) for k, at in pairs]
         ends = [e[e <= frontier] for e in ends]
-        starts = [np.concatenate(([at], e))[:-1] for at, e in zip(self._at.values(), ends)]
+        starts = [np.concatenate(([at], e))[:-1] for at, e in zip(self._at, ends)]
         start, end = (np.concatenate(x)[:, None] for x in (starts, ends))
         t0 = clock()
         h, dW, A = prefixes.windows(np.arange(self.count), start, end, self.zero_area)
         I = double_integrals(h[..., None], dW, A)
         read, h, b = (clock() - t0) / max(1, len(h)), h[:, 0].tolist(), 0
         # Window lengths as 0-d arrays, which the maps multiply by faster
-        # than by floats; the windows of one k share one or two lengths.
+        # than by floats; a job's windows share one or two lengths.
         zero_d = {x: np.array(x) for x in set(h)}
         h = [zero_d[x] for x in h]
         dW, I = _components_first(dW, I)
         with np.errstate(over="ignore", invalid="ignore"):
-            for (k, jobs), e in zip(self._jobs_of.items(), ends):
+            for j, e in enumerate(ends):
                 a, b = b, b + len(e)
-                for j in jobs:
-                    t0 = clock()
-                    self._runs[j].advance(h[a:b], dW[a:b], I[a:b])
-                    self.seconds[j] += read * len(e) / len(jobs) + clock() - t0
+                t0 = clock()
+                self._runs[j].advance(h[a:b], dW[a:b], I[a:b])
+                self.seconds[j] += read * len(e) + clock() - t0
                 if len(e):
-                    self._at[k] = int(e[-1])
+                    self._at[j] = int(e[-1])
 
     def results(self) -> list[FixedBatch]:
         """Every job's :class:`FixedBatch`, in the order of the jobs."""

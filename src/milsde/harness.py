@@ -51,9 +51,8 @@ in the process that did the work and summed over workers) of that
 row's own solves, under one rule for every block. Drawing a slab and
 writing its prefix nodes are path generation. The lockstep solve is
 split between its lanes in proportion to the steps they tried (a
-failed step included); an adaptive row is charged its lanes.
-A job is charged its steps and its share of the window reads of its
-step, which the jobs with that step split equally, plus an equal share
+failed step included); an adaptive row is charged its lanes. A job is
+charged its steps and the reads of its own windows, plus an equal share
 of the rest of its block; a fixed row is charged its job. The reference
 is pass 1's only job. Path generation (both passes) is reported once,
 in ``ErrorTable.generation_seconds``, and the reference in

@@ -40,9 +40,10 @@ so that over the window [a, b)
       2 A[i][j] = C(b) - C(a) - (W_i(a) dW_j - W_j(a) dW_i).
 
 C is accumulated exactly, as an integer in 2**-64 units held in two
-int64 limbs beside W, and the area is rounded once, to nearest. A window
-of one fine step therefore has an area of exactly zero, and any window's
-area is its exact left-point sum, correctly rounded.
+int64 limbs beside W, the low one summed without carries, and the area
+is rounded once, to nearest. A window of one fine step therefore has an
+area of exactly zero, and any window's area is its exact left-point sum,
+correctly rounded.
 
 Every solve, adaptive or on a fixed mesh, reads its windows this way,
 so all of them see the same areas. A window read only once (one window
@@ -214,7 +215,8 @@ class PathPrefixes:
             ``np.triu_indices`` order), ``sums[g, m + p, c]`` and
             ``sums[g, m + P + p, c]`` are the high and the low limb of
             the cross sum C(k) of the module docstring: C(k) = high *
-            2**24 + low exactly, in 2**-64 units, with 0 <= low < 2**24.
+            2**24 + low exactly, in 2**-64 units, where low sums the
+            steps' low limbs in [0, 2**24) without carries (< 2**54).
         resolution: fine step h_ref.
         horizon: T.
         num_steps: n, the fine steps of each path.
@@ -351,7 +353,6 @@ class PathPrefixes:
         """Continue the prefix arrays from column ``col`` with (G, m, s)
         increments in grid units, in chunks that bound the temporaries."""
         m, s = units.shape[1:]
-        P = m * (m - 1) // 2
         w, c = self.sums[:, :m], self.sums[:, m:]
         chunk = max(1, _FILL_CHUNK // (len(self.sums) * m))
         for a in range(col, col + s, chunk):
@@ -364,14 +365,11 @@ class PathPrefixes:
             d[:, :, 0] -= w[:, :, a]
             if m == 1:
                 continue
-            # Cross terms from W at each step's left point; the low limbs'
-            # running sums are carried into the high ones.
+            # Cross terms from W at each step's left point, summed limb
+            # by limb without carries (see ``sums``).
             terms = _cross_terms(w[:, :, a:b], d, self.num_steps)
             terms[:, :, 0] += c[:, :, a]
-            new = c[:, :, a + 1 : b + 1]
-            np.cumsum(terms, axis=2, out=new)
-            new[:, :P] += new[:, P:] >> _LIMB_BITS
-            new[:, P:] &= _LIMB_MASK
+            np.cumsum(terms, axis=2, out=c[:, :, a + 1 : b + 1])
 
     def windows(
         self,
@@ -460,8 +458,7 @@ def _window_sums(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     count, m, s = units.shape
     w = np.zeros((count, m, 1), dtype=np.int64)
-    # Low limbs are summed without carries: each is below 2**24, so a
-    # row of at most 2**30 steps stays below 2**54.
+    # Low limbs are summed without carries, as the prefix arrays hold them.
     limbs = np.zeros((count, m * (m - 1)), dtype=np.int64)
     chunk = max(1, _FILL_CHUNK // m)
     for g in range(count):
@@ -600,8 +597,13 @@ def generate_path(
     _check_path_bytes(dim_noise, resolution_exponent)
     n = 1 << resolution_exponent
     streams = PathStreams([seed], resolution_exponent, dim_noise, horizon)
+    increments = np.empty((dim_noise, n))
+    slab = max(1, _FILL_CHUNK // dim_noise)  # grid units are held one slab at a time
+    for a in range(0, n, slab):
+        units = streams.draw(min(slab, n - a))[0]
+        np.multiply(units, INCREMENT_GRID, out=increments[:, a : a + slab])
     return WienerPath(
-        increments=streams.draw(n)[0] * INCREMENT_GRID,
+        increments=increments,
         resolution=horizon * 2.0**-resolution_exponent,
         resolution_exponent=resolution_exponent,
         horizon=horizon,
@@ -645,8 +647,10 @@ def double_integrals(h, dW: np.ndarray, A: np.ndarray) -> np.ndarray:
     """I from the increments and areas of one window (dW (m,), A (m, m))
     or of a batch (dW (L, m), A (L, m, m), h of shape (L, 1)):
     ``I[i, j] = dW_i dW_j / 2 + A[i, j]`` off the diagonal and
-    ``(dW_i**2 - h) / 2`` on it."""
+    ``(dW_i**2 - h) / 2`` on it, which is all of I when m = 1."""
     m = dW.shape[-1]
+    if m == 1:
+        return (0.5 * (dW * dW - h))[..., None]
     I = 0.5 * (dW[..., :, None] * dW[..., None, :]) + A
     I.reshape(I.shape[:-2] + (m * m,))[..., :: m + 1] = 0.5 * (dW * dW - h)
     return I

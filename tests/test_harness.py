@@ -371,7 +371,7 @@ def test_comparator_windows_across_slabs_do_not_change_results(monkeypatch):
 
     def spy(self, prefixes):
         advance(self, prefixes)
-        slab_ends.append((tuple(self._jobs_of), prefixes.frontier))
+        slab_ends.append((tuple(self._steps), prefixes.frontier))
 
     monkeypatch.setattr(milsde.adaptive.FixedSolves, "advance", spy)
     monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1000)

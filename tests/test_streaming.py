@@ -174,6 +174,52 @@ def test_streamed_lockstep_equals_the_whole_path_lockstep_bitwise(name, monkeypa
                     assert streamed.sums.shape[2] == 256 + 37 < (1 << level) + 1
 
 
+def _overflowing_problem():
+    # From 0, one step of h = 1 goes to 2^1023 (1 + dW): finite where
+    # the path ends below 1, non-finite where it ends above.
+    c = 2.0**1023
+    return milsde.SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda x: np.full_like(x, c),
+        diffusion_column=lambda x, i: np.full_like(x, c),
+        diffusion_jacobian=lambda x, i: np.zeros((1, 1)),
+        structure="additive",
+        initial_state=np.array([0.0]),
+        horizon=1.0,
+        name="overflowing",
+    )
+
+
+def test_lane_that_diverges_on_the_horizon_step(monkeypatch):
+    # Seed 1's path ends at 2.15 and seed 0's at -0.40, so on the first
+    # round the whole-horizon lane of seed 1 goes non-finite on the step
+    # that lands on the horizon, while seed 0's finishes there. The
+    # first is divergent at node 0 with no step counted; each lane of
+    # the batch equals its one-lane solve, on whole and streamed arrays.
+    problem, seeds, level = _overflowing_problem(), (1, 0), 10
+    configs = LANE_CONFIGS + [WHOLE_HORIZON]
+    whole = _lockstep(problem, configs, _whole(problem, seeds, level))
+    monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1)
+    streamed, draw = _streamed(problem, seeds, level, configs, 16)
+    batch = _lockstep(problem, configs, streamed, draw)
+    _assert_batches_equal(batch, whole)
+    for name in ("ends", "final_states", "num_steps", "flagged"):
+        np.testing.assert_array_equal(getattr(batch, name), getattr(whole, name))
+    diverged, finished = len(configs) - 1, 2 * len(configs) - 1
+    assert whole.divergent[diverged] and not whole.divergent[finished]
+    assert (whole.ends[diverged], whole.num_steps[diverged]) == (0, 0)
+    assert (whole.ends[finished], whole.num_steps[finished]) == (1 << level, 1)
+    np.testing.assert_array_equal(whole.final_states[diverged], problem.initial_state)
+    assert np.isfinite(whole.final_states).all()
+    for lane, (seed, config) in enumerate((s, c) for s in seeds for c in configs):
+        one = milsde.integrate_adaptive(problem, config, generate_path(seed, level, 1))
+        sol = whole.solution(lane)
+        assert sol.divergent == one.divergent
+        for name in ("times", "states", "backstop_flags"):
+            np.testing.assert_array_equal(getattr(sol, name), getattr(one, name))
+
+
 def test_lockstep_groups_records_by_lane():
     # Records are split by lane once; each lane's are its steps in order.
     problem = make_builtin("twod_noncommutative")

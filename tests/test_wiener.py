@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,18 @@ def test_generate_validation():
         generate_path(1, 8, 1, horizon=0.0)
     with pytest.raises(ResourceError):
         generate_path(1, 30, 8)  # 64 GiB of increments
+
+
+def test_generate_path_holds_one_copy_of_its_increments():
+    # The budget counts the float increments; drawn a slab at a time, a
+    # path never holds a second whole copy of them as grid units.
+    tracemalloc.start()
+    try:
+        path = generate_path(1, 20, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.increments.nbytes, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +258,14 @@ def test_whole_window_sums_near_the_limb_bounds():
     np.testing.assert_array_equal(area[0], want_area)
     exact = _exact_areas(path, 0, 64)
     np.testing.assert_array_equal(area[0], exact[np.triu_indices(3, 1)])
+    # Every window [a, b) read from the prefix arrays has the bits
+    # integrals_over sums straight from its increments.
+    a, b = np.triu_indices(65, 1)
+    _, dW, A = milsde.wiener.PathPrefixes.of(inc, 1.0 / 64, 1.0).windows(np.zeros_like(a), a, b)
+    for n in range(len(a)):
+        want = integrals_over(path, a[n], b[n])
+        np.testing.assert_array_equal(dW[n], want.dW)
+        np.testing.assert_array_equal(A[n], want.A)
 
 
 @pytest.mark.parametrize(
