@@ -30,11 +30,12 @@ Every solve reads its window integrals in O(1) from the prefix arrays
 of its paths (:class:`~milsde.wiener.PathPrefixes`), so fixed meshes
 and adaptive lanes see the same exact Levy areas. Fixed-step solves
 advance a block of P paths together through one step map per window
-(:class:`FixedSolves`): each call advances every job (scheme, step)
-over the windows the arrays hold so far, and each row carries its state
-to the next call. The one-path :func:`integrate_fixed` is one job over
-one path's whole arrays. Adaptive solves advance a set of lanes
-together (:func:`integrate_adaptive_batch`), one lane per (path,
+(:class:`FixedSolves`, bound to the block's prefix arrays): each call
+advances every job (scheme, step) over the windows the arrays hold so
+far, and each row carries its state to the next call. The one-path
+:func:`integrate_fixed` is one job over one path's whole arrays.
+Adaptive solves advance a set of lanes together
+(:func:`integrate_adaptive_batch`), one lane per (path,
 :class:`StrategyConfig`) pair. Each lane keeps its own position, state
 and step count, and leaves the live set when it reaches the horizon or
 diverges. The one-path :func:`integrate_adaptive` is its one-lane call;
@@ -202,7 +203,7 @@ def _ceil_units(values: np.ndarray, unit: float) -> np.ndarray:
     return k + (k * unit < values)
 
 
-def _check_compatible(problem: SdeProblem, path: WienerPath | PathPrefixes) -> None:
+def _check_compatible(problem: SdeProblem, path: PathPrefixes) -> None:
     if path.dim_noise != problem.dim_noise:
         raise UsageError(
             f"path has {path.dim_noise} noise components, problem needs {problem.dim_noise}"
@@ -556,12 +557,12 @@ class _FixedRun:
 
 
 class FixedSolves:
-    """Fixed-step solves of a block of P paths, advanced as their prefix
-    arrays fill.
+    """Fixed-step solves of a block of P paths, bound to their prefix
+    arrays and advanced as those fill.
 
     Each job (scheme, k) steps every path from the initial state over
     windows of k fine steps, the last one shorter when k does not divide
-    the path. :meth:`advance` takes the block's
+    the path. :meth:`advance` reads ``prefixes``, the block's
     :class:`~milsde.wiener.PathPrefixes`, whole or streamed, and steps
     every job over each window they hold up to their frontier that it
     has not taken yet; :attr:`position` is the first node a job still
@@ -579,15 +580,16 @@ class FixedSolves:
     """
 
     def __init__(
-        self, problem: SdeProblem, jobs, count: int, num_steps: int,
+        self, problem: SdeProblem, jobs, prefixes: PathPrefixes,
         zero_levy_area: bool = False, record: bool = False,
     ):
         jobs = [(check_scheme(scheme), int(k)) for scheme, k in jobs]
-        if not jobs or count < 1 or not all(1 <= k <= num_steps for _, k in jobs):
-            raise UsageError(f"need a job, a path, and 1 <= substeps <= {num_steps}")
+        count, num_steps = len(prefixes.sums), prefixes.num_steps
+        if not jobs or not all(1 <= k <= num_steps for _, k in jobs):
+            raise UsageError(f"need a job and 1 <= substeps <= {num_steps}")
+        _check_compatible(problem, prefixes)
         _check_rowwise(problem, max(count, problem.dim_state + 1))
-        self.problem, self.count, self.num_steps = problem, count, num_steps
-        self.zero_area = zero_levy_area
+        self.prefixes, self.zero_area = prefixes, zero_levy_area
         self.seconds = [0.0] * len(jobs)
         self._runs = [_FixedRun(problem, s, count, -(-num_steps // k), record) for s, k in jobs]
         self._steps = [k for _, k in jobs]  # fine steps per window, per job
@@ -598,20 +600,18 @@ class FixedSolves:
         """The node the job furthest behind has reached."""
         return min(self._at)
 
-    def advance(self, prefixes: PathPrefixes) -> None:
-        """Advance every job over the windows ``prefixes`` hold that it
-        has not taken yet, up to their frontier.
+    def advance(self) -> None:
+        """Advance every job over the windows the prefix arrays hold that
+        it has not taken yet, up to their frontier.
 
         Raises:
-            UsageError: the arrays do not fit the block, or no longer hold
-                the start of a job's next window.
+            UsageError: the arrays no longer hold the start of a job's
+                next window.
         """
-        _check_compatible(self.problem, prefixes)
-        if (len(prefixes.sums), prefixes.num_steps) != (self.count, self.num_steps):
-            raise UsageError("prefix arrays do not match the block's paths")
+        prefixes = self.prefixes
         if self.position < prefixes.start:
             raise UsageError(f"node {self.position} is no longer held")
-        n, frontier, clock = self.num_steps, prefixes.frontier, time.process_time
+        n, frontier, clock = prefixes.num_steps, prefixes.frontier, time.process_time
         pairs = list(zip(self._steps, self._at))
         if not any(at < frontier and min(at + k, n) <= frontier for k, at in pairs):
             return  # no job has a new window
@@ -622,7 +622,7 @@ class FixedSolves:
         starts = [np.concatenate(([at], e))[:-1] for at, e in zip(self._at, ends)]
         start, end = (np.concatenate(x)[:, None] for x in (starts, ends))
         t0 = clock()
-        h, dW, A = prefixes.windows(np.arange(self.count), start, end, self.zero_area)
+        h, dW, A = prefixes.windows(np.arange(len(prefixes.sums)), start, end, self.zero_area)
         I = double_integrals(h[..., None], dW, A)
         read, h, b = (clock() - t0) / max(1, len(h)), h[:, 0].tolist(), 0
         # Window lengths as 0-d arrays, which the maps multiply by faster
@@ -641,8 +641,9 @@ class FixedSolves:
 
     def results(self) -> list[FixedBatch]:
         """Every job's :class:`FixedBatch`, in the order of the jobs."""
-        if self.position < self.num_steps:
-            raise UsageError(f"only {self.position} of {self.num_steps} fine steps were taken")
+        n = self.prefixes.num_steps
+        if self.position < n:
+            raise UsageError(f"only {self.position} of {n} fine steps were taken")
         return [
             FixedBatch(r.y, r.stop, r.dead, None if r.states is None else np.array(r.states))
             for r in self._runs
@@ -676,12 +677,11 @@ def integrate_fixed(
     """Fixed-step integration at a step that is a whole multiple of the
     path resolution; if the horizon is not a multiple of the step, the
     run finishes with one shorter step onto the horizon. This is one
-    :class:`FixedSolves` job over the path's prefix arrays.
+    :class:`FixedSolves` job bound to the path's prefix arrays.
     """
-    _check_compatible(problem, path)
     k = fixed_substeps(step_size, path.resolution, path.num_steps)
-    solves = FixedSolves(problem, [(scheme, k)], 1, path.num_steps, zero_levy_area, True)
-    solves.advance(path.prefixes())
+    solves = FixedSolves(problem, [(scheme, k)], path.prefixes(), zero_levy_area, True)
+    solves.advance()
     batch = solves.results()[0]
     steps = int(batch.num_steps[0])
     positions = np.minimum(np.arange(steps + 1) * k, path.num_steps)

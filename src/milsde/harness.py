@@ -24,10 +24,11 @@ open streams (:class:`~milsde.wiener.PathStreams`) into one sliding
 window of prefix arrays (:class:`~milsde.wiener.PathPrefixes`), from
 which every solve of the block reads its windows. Adaptive lanes, one
 per (path, config), run in one lockstep solve, and fixed-step jobs
-(:class:`~milsde.adaptive.FixedSolves`) beside them. One loop drives the
-block: the lanes step until every live lane waits, because its next
-window ends beyond the slabs drawn so far; the jobs then take every
-window held; then the next slab is drawn and the nodes behind the
+(:class:`~milsde.adaptive.FixedSolves`) beside them, both bound to the
+window, whose grid is the problem's horizon and 2^L fine steps. One loop
+drives the block: the lanes step until every live lane waits, because
+its next window ends beyond the slabs drawn so far; the jobs then take
+every window held; then the next slab is drawn and the nodes behind the
 slowest lane or job are dropped. It stops at the horizon, or as soon as
 no lane or job is left to step. A table runs two such passes over the
 same blocks: pass 1 has a lane per (path, h_max) and the tamed reference
@@ -321,8 +322,8 @@ def _block(task):
 
     With lane ``configs``, one lockstep adaptive solve runs a lane per
     (path, config), path-major, keeping ``keep`` of each step; with
-    ``jobs``, their :class:`~milsde.adaptive.FixedSolves`. One loop
-    drives both, as the module docstring says.
+    ``jobs``, their :class:`~milsde.adaptive.FixedSolves`, bound to the
+    same window. One loop drives both, as the module docstring says.
 
     Returns the CPU s of path generation (the slab draws and their prefix
     fills); the lanes' :class:`~milsde.adaptive.AdaptiveBatch` and each
@@ -334,14 +335,11 @@ def _block(task):
     clock = time.process_time
     began, n, count = clock(), 1 << fine_exp, len(seeds)
     widest = max([_widest(problem, fine_exp, c.h_max) for c in configs] + [k for _, k in jobs])
-    h_ref = problem.horizon * 2.0**-fine_exp
     streams = PathStreams(seeds, fine_exp, problem.dim_noise, problem.horizon)
-    window = PathPrefixes.streamed(
-        count, problem.dim_noise, n, h_ref, problem.horizon, widest, unit
-    )
+    window = PathPrefixes.streamed(count, problem.dim_noise, n, problem.horizon, widest, unit)
     rows = np.repeat(np.arange(count), len(configs))
     lanes = _lockstep(problem, list(configs) * count, window, rows, keep=keep) if configs else None
-    solves = FixedSolves(problem, jobs, count, n) if jobs else None
+    solves = FixedSolves(problem, jobs, window) if jobs else None
     batch = lane_cpu = None
     generation_s = lockstep_s = 0.0
     while True:
@@ -354,7 +352,7 @@ def _block(task):
                 batch, lanes = done.value, None
             lockstep_s += clock() - t0
         if solves is not None:
-            solves.advance(window)
+            solves.advance()
             waiting.append(solves.position)
         if not waiting or window.frontier == n:
             break

@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UsageError
+from .wiener import _check_horizon
 
 __all__ = [
     "SdeProblem",
@@ -64,7 +65,7 @@ class SdeProblem:
             the identically-zero Milstein correction, and refuse a label
             the coefficients contradict (see ``STRUCTURES``).
         initial_state: X(0), shape (d,).
-        horizon: final time T > 0.
+        horizon: final time T, with 0 < T <= 2**40.
         name: short identifier used in logs and CSV output.
     """
 
@@ -83,8 +84,7 @@ class SdeProblem:
             raise UsageError("dim_state and dim_noise must be positive")
         if self.structure not in STRUCTURES:
             raise UsageError(f"unknown structure {self.structure!r}; expected one of {STRUCTURES}")
-        if not self.horizon > 0.0:
-            raise UsageError("horizon must be positive")
+        _check_horizon(self.horizon)
         state = np.asarray(self.initial_state, dtype=float)
         if state.shape != (self.dim_state,):
             raise UsageError(

@@ -1,9 +1,10 @@
 """Wiener path generation and iterated stochastic integrals.
 
 A :class:`WienerPath` stores the m-dimensional driving noise as fine
-Gaussian increments on a dyadic grid of 2**L steps over [0, T]. Coarse
-solves, adaptive solves and the reference solve of an experiment all
-consume windows of the same fine path, which is what couples them for
+Gaussian increments on a dyadic grid of n = 2**L steps over [0, T],
+given by T and n alone: the resolution T / n is derived. Coarse solves,
+adaptive solves and the reference solve of an experiment all consume
+windows of the same fine path, which is what couples them for
 strong-error estimation.
 
 Two deliberate representation choices:
@@ -53,9 +54,9 @@ exactly and rounded once, so the same bits without writing a prefix
 node per step.
 
 A block of paths can also be drawn in slabs of consecutive fine steps
-(:class:`PathStreams`), which join into exactly the paths
-:func:`generate_path` gives; prefix arrays can then hold a sliding
-window of the block instead of whole paths
+(:class:`PathStreams`, each with a generator of its own), which join
+into exactly the paths :func:`generate_path` gives; prefix arrays can
+then hold a sliding window of the block instead of whole paths
 (:meth:`PathPrefixes.streamed`), and each :meth:`PathPrefixes.advance`
 appends the next slab, drawn by a callable its caller passes. Path k of
 an experiment is drawn from seed ``base_seed ^ k``.
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -112,21 +112,29 @@ _SEED_MASK = (1 << 64) - 1
 DEFAULT_BASE_SEED = 12345
 
 
+#: Largest horizon T: W in int64 grid units (|W| < 2**31) spans 2**11 sd of W(T).
+_MAX_HORIZON = 2.0**40
+
+
+def _check_horizon(horizon: float) -> None:
+    """UsageError unless 0 < horizon <= _MAX_HORIZON (so finite)."""
+    if not 0.0 < horizon <= _MAX_HORIZON:
+        raise UsageError(f"horizon must be positive and at most 2**40, got {horizon}")
+
+
 @dataclass(frozen=True)
 class WienerPath:
-    """Fine-grid increments of an m-dimensional Wiener process on [0, T].
+    """Fine-grid increments of an m-dimensional Wiener process on [0, T];
+    :attr:`resolution` h_ref = T / 2**L and :attr:`resolution_exponent`
+    L are derived. A UsageError refuses any other shape, or T out of range.
 
     Attributes:
         increments: (m, 2**L) float64 array; entry [i, k] is
             W_i((k+1) h_ref) - W_i(k h_ref), quantized (see module doc).
-        resolution: fine step h_ref = T * 2**-L.
-        resolution_exponent: L.
-        horizon: T.
+        horizon: T, with 0 < T <= 2**40.
     """
 
     increments: np.ndarray
-    resolution: float
-    resolution_exponent: int
     horizon: float
     _prefixes: "PathPrefixes | None" = field(
         default=None, init=False, repr=False, compare=False
@@ -136,8 +144,9 @@ class WienerPath:
         inc = np.asarray(self.increments, dtype=float)
         if inc.ndim != 2:
             raise UsageError("increments must be a 2-d (m, num_steps) array")
-        if inc.shape[1] != (1 << self.resolution_exponent):
-            raise UsageError("num_steps must equal 2**resolution_exponent")
+        if inc.shape[1].bit_count() != 1:
+            raise UsageError(f"num_steps must be a power of two, got {inc.shape[1]}")
+        _check_horizon(self.horizon)
         object.__setattr__(self, "increments", inc)
 
     @property
@@ -148,10 +157,18 @@ class WienerPath:
     def num_steps(self) -> int:
         return self.increments.shape[1]
 
+    @property
+    def resolution_exponent(self) -> int:
+        return self.num_steps.bit_length() - 1
+
+    @property
+    def resolution(self) -> float:
+        return self.horizon / self.num_steps
+
     def prefixes(self) -> "PathPrefixes":
         """This path's prefix arrays, built on first use and kept."""
         if self._prefixes is None:
-            pref = PathPrefixes.of(self.increments, self.resolution, self.horizon)
+            pref = PathPrefixes.of(self.increments, self.horizon)
             object.__setattr__(self, "_prefixes", pref)
         return self._prefixes
 
@@ -210,20 +227,20 @@ class PathPrefixes:
 
     Attributes:
         sums: (G, m + 2P, C) int64 with P = m(m-1)/2. ``sums[g, i, c]``
-            (i < m) is W_i at node start + c of path g in units of the
-            increment grid. For the p-th pair i < j (in
+            (i < m) is W_i at node start + c (time (start + c) T / n) of
+            path g in grid units. For the p-th pair i < j (in
             ``np.triu_indices`` order), ``sums[g, m + p, c]`` and
             ``sums[g, m + P + p, c]`` are the high and the low limb of
             the cross sum C(k) of the module docstring: C(k) = high *
             2**24 + low exactly, in 2**-64 units, where low sums the
             steps' low limbs in [0, 2**24) without carries (< 2**54).
-        resolution: fine step h_ref.
         horizon: T.
         num_steps: n, the fine steps of each path.
         frontier: the last node held.
         start: the node in column 0.
         slab: fine steps appended per :meth:`advance` (the last slab
             may be shorter); 0 for whole-path arrays.
+        resolution: the fine step h_ref = T / n, derived once.
 
     A node of a path takes :meth:`bytes_per_node` bytes here; the raw
     increments are not kept. Only :meth:`of` takes float increments;
@@ -231,12 +248,15 @@ class PathPrefixes:
     """
 
     sums: np.ndarray
-    resolution: float
     horizon: float
     num_steps: int
     frontier: int
     start: int = 0
     slab: int = 0
+    resolution: float = field(init=False)
+
+    def __post_init__(self):
+        self.resolution = self.horizon / self.num_steps
 
     @staticmethod
     def bytes_per_node(dim_noise: int) -> int:
@@ -268,10 +288,10 @@ class PathPrefixes:
         return min(num_steps, max(unit, room // unit * unit))
 
     @classmethod
-    def _alloc(cls, count, dim_noise, nodes, resolution, horizon, num_steps, frontier, **kw):
+    def _alloc(cls, count, dim_noise, nodes, horizon, num_steps, frontier, **kw):
         sums = np.empty((count, dim_noise * dim_noise, nodes), dtype=np.int64)
         sums[:, :, 0] = 0
-        return cls(sums, resolution, horizon, num_steps, frontier, **kw)
+        return cls(sums, horizon, num_steps, frontier, **kw)
 
     @classmethod
     def streamed(
@@ -279,7 +299,6 @@ class PathPrefixes:
         count: int,
         dim_noise: int,
         num_steps: int,
-        resolution: float,
         horizon: float,
         widest: int,
         unit: int = 1,
@@ -295,15 +314,13 @@ class PathPrefixes:
         """
         slab = cls.slab_steps(count, dim_noise, num_steps, widest, unit)
         nodes = min(num_steps + 1, widest + slab)
-        return cls._alloc(
-            count, dim_noise, nodes, resolution, horizon, num_steps, 0, slab=slab
-        )
+        return cls._alloc(count, dim_noise, nodes, horizon, num_steps, 0, slab=slab)
 
     @classmethod
-    def of(cls, increments: np.ndarray, resolution: float, horizon: float) -> "PathPrefixes":
+    def of(cls, increments: np.ndarray, horizon: float) -> "PathPrefixes":
         """The whole-path prefix arrays of a stack of paths' (G, m, n)
-        float increments, or of one path's (m, n), each converted to grid
-        units as it is written.
+        float increments over [0, ``horizon``], or of one path's (m, n),
+        each converted to grid units as it is written.
 
         Raises:
             UsageError: the increments are off the 2**-32 grid, or (for
@@ -312,7 +329,7 @@ class PathPrefixes:
         """
         stack = increments if increments.ndim == 3 else increments[None]
         count, m, n = stack.shape
-        prefixes = cls._alloc(count, m, n + 1, resolution, horizon, n, n)
+        prefixes = cls._alloc(count, m, n + 1, horizon, n, n)
         chunk = max(1, _FILL_CHUNK // (count * m))
         for a in range(0, n, chunk):
             prefixes._append(a, _grid_units(stack[:, :, a : a + chunk]))
@@ -492,20 +509,6 @@ def _stream_state(seed: int, stream: int) -> dict:
     }
 
 
-_reused = threading.local()
-
-
-def _generator_at(state: dict) -> np.random.Generator:
-    """This thread's reused Philox generator, set to ``state``. Building a
-    Philox from a key draws OS entropy for a seed sequence that the key
-    then overrides; setting the state of one that exists draws none."""
-    gen = getattr(_reused, "generator", None)
-    if gen is None:
-        gen = _reused.generator = np.random.Generator(np.random.Philox(0))
-    gen.bit_generator.state = state
-    return gen
-
-
 class PathStreams:
     """The open generation streams of a block of paths.
 
@@ -513,16 +516,20 @@ class PathStreams:
     a block's paths can be generated in slabs of consecutive steps
     instead of whole. Component i of path g continues the Philox stream
     keyed by (seeds[g], i), and the slabs join into exactly the
-    increments :func:`generate_path` gives each seed, bit for bit.
+    increments :func:`generate_path` gives each seed, bit for bit. A
+    generator of their own, seeded (so no OS entropy), takes each
+    stream's state as it draws. A horizon above 2**40 is refused.
     """
 
     def __init__(
         self, seeds: Sequence[int], resolution_exponent: int, dim_noise: int, horizon: float = 1.0
     ):
+        _check_horizon(horizon)
         self.num_steps = 1 << resolution_exponent
         self.drawn = 0
-        self._scale = math.sqrt(horizon * 2.0**-resolution_exponent)
+        self._scale = math.sqrt(horizon / self.num_steps)
         self._states = [[_stream_state(s, i) for i in range(dim_noise)] for s in seeds]
+        self._generator = np.random.Generator(np.random.Philox(0))
 
     def draw(self, steps: int) -> np.ndarray:
         """The next ``steps`` fine increments of every path, (G, m, steps),
@@ -539,9 +546,10 @@ class PathStreams:
         self.drawn += steps
         units = np.empty((len(self._states), len(self._states[0]), steps), dtype=np.int64)
         row = np.empty(steps)  # one stream's normals at a time
+        gen = self._generator
         for path, states in zip(units, self._states):
             for i, state in enumerate(states):
-                gen = _generator_at(state)
+                gen.bit_generator.state = state
                 gen.standard_normal(out=row)
                 if self.drawn < self.num_steps:
                     states[i] = gen.bit_generator.state
@@ -583,7 +591,7 @@ def generate_path(
         seed: stream seed (reduced mod 2**64).
         resolution_exponent: 1 <= L <= 30; the path has 2**L fine steps.
         dim_noise: m >= 1.
-        horizon: T > 0.
+        horizon: 0 < T <= 2**40.
 
     Raises:
         UsageError: invalid arguments.
@@ -592,22 +600,15 @@ def generate_path(
     _check_exponent("resolution_exponent", resolution_exponent)
     if dim_noise < 1:
         raise UsageError("dim_noise must be >= 1")
-    if not horizon > 0.0:
-        raise UsageError("horizon must be positive")
+    streams = PathStreams([seed], resolution_exponent, dim_noise, horizon)
     _check_path_bytes(dim_noise, resolution_exponent)
     n = 1 << resolution_exponent
-    streams = PathStreams([seed], resolution_exponent, dim_noise, horizon)
     increments = np.empty((dim_noise, n))
     slab = max(1, _FILL_CHUNK // dim_noise)  # grid units are held one slab at a time
     for a in range(0, n, slab):
         units = streams.draw(min(slab, n - a))[0]
         np.multiply(units, INCREMENT_GRID, out=increments[:, a : a + slab])
-    return WienerPath(
-        increments=increments,
-        resolution=horizon * 2.0**-resolution_exponent,
-        resolution_exponent=resolution_exponent,
-        horizon=horizon,
-    )
+    return WienerPath(increments, horizon)
 
 
 # ---------------------------------------------------------------------------

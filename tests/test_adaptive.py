@@ -352,13 +352,13 @@ def _solve_in_slabs(problem, jobs, seeds, sizes, level=10, **kwargs):
     n = 1 << level
     streams = PathStreams(seeds, level, problem.dim_noise)
     widest = max(k for _, k in jobs) + max(sizes)
-    window = PathPrefixes.streamed(len(seeds), problem.dim_noise, n, 1.0 / n, 1.0, widest)
-    solves = FixedSolves(problem, jobs, len(seeds), n, **kwargs)
+    window = PathPrefixes.streamed(len(seeds), problem.dim_noise, n, 1.0, widest)
+    solves = FixedSolves(problem, jobs, window, **kwargs)
     ends = []
     while window.frontier < n:
         window.slab = sizes[len(ends) % len(sizes)]
         window.advance(solves.position, streams.draw)
-        solves.advance(window)
+        solves.advance()
         ends.append(window.frontier)
     return solves.results(), ends
 
@@ -548,26 +548,22 @@ def test_step_maps_are_built_once_per_solve(monkeypatch):
 def test_slab_fed_solve_refuses_what_does_not_fit():
     problem = make_builtin("scalar_mult")
     streams = PathStreams((0, 1), 4, 1)
-    window = PathPrefixes.streamed(2, 1, 16, 1.0 / 16, 1.0, 4)
+    window = PathPrefixes.streamed(2, 1, 16, 1.0, 4)
     window.slab = 10
-    solves = FixedSolves(problem, [("euler", 4)], 2, 16)
-    with pytest.raises(UsageError, match="prefix arrays"):
-        FixedSolves(problem, [("euler", 4)], 3, 16).advance(window)
-    with pytest.raises(UsageError, match="prefix arrays"):
-        FixedSolves(problem, [("euler", 4)], 2, 32).advance(window)
+    solves = FixedSolves(problem, [("euler", 4)], window)
     with pytest.raises(UsageError, match="noise components"):
-        FixedSolves(make_builtin("twod_noncommutative"), [("euler", 4)], 2, 16).advance(window)
+        FixedSolves(make_builtin("twod_noncommutative"), [("euler", 4)], window)
     window.advance(0, streams.draw)
-    solves.advance(window)
+    solves.advance()
     assert solves.position == 8
     with pytest.raises(UsageError, match="taken"):
         solves.results()
     # A window that dropped the start of a job's next window is refused.
     window.advance(window.frontier, streams.draw)
     with pytest.raises(UsageError, match="no longer held"):
-        solves.advance(window)
+        solves.advance()
     with pytest.raises(UsageError, match="substeps"):
-        FixedSolves(problem, [("euler", 17)], 2, 16)
+        FixedSolves(problem, [("euler", 17)], window)
 
 
 def _three_noise_problem():
@@ -636,7 +632,7 @@ def test_batched_solve_rejects_single_state_coefficients():
     ):
         problem = _custom_2d(column)
         with pytest.raises(UsageError, match=r"\(\.\.\., d\)|x\[\.\.\., k\]"):
-            FixedSolves(problem, [("milstein", 64)], 2, 1 << 10, 2.0**-10)
+            FixedSolves(problem, [("milstein", 64)], PathPrefixes.streamed(2, 1, 1024, 1.0, 64))
         with pytest.raises(UsageError, match="last axis"):
             integrate_fixed(problem, "milstein", 2.0**-4, generate_path(0, 8, 1))
     # The same columns written on the last axis are accepted.
@@ -678,7 +674,8 @@ def test_labels_the_coefficients_allow_are_accepted():
         for label in labels:
             relabelled = dataclasses.replace(problem, structure=label)
             for count in (1, 3, 100):
-                FixedSolves(relabelled, [("milstein", 1)], count, 16)
+                window = PathPrefixes.streamed(count, problem.dim_noise, 16, 1.0, 1)
+                FixedSolves(relabelled, [("milstein", 1)], window)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +700,7 @@ def _assert_lane_equals_single(sol, one):
 def _lockstep(problem, configs, seeds, level=12, **kwargs):
     """Every (seed, config) lane in one lockstep solve, seed-major."""
     paths = [generate_path(s, level, problem.dim_noise) for s in seeds]
-    pref = PathPrefixes.of(np.stack([path.increments for path in paths]), 2.0**-level, 1.0)
+    pref = PathPrefixes.of(np.stack([path.increments for path in paths]), 1.0)
     rows = np.repeat(np.arange(len(paths)), len(configs))
     batch = integrate_adaptive_batch(problem, configs * len(paths), pref, rows, **kwargs)
     return paths, batch

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -265,6 +266,16 @@ def test_problem_validation():
         SdeProblem(**{**ok, "initial_state": np.array([np.inf])})
     with pytest.raises(UsageError, match="positive"):
         SdeProblem(**{**ok, "dim_state": 0})
+
+
+def test_problem_refuses_a_horizon_its_paths_cannot_be_drawn_on():
+    # An infinite horizon was accepted, and its paths drawn as -2**31
+    # grid units in every increment.
+    problem = make_builtin("scalar_mult")
+    for horizon in (math.inf, math.nan, 2.0**41):
+        with pytest.raises(UsageError, match="horizon"):
+            dataclasses.replace(problem, horizon=horizon)
+    assert dataclasses.replace(problem, horizon=2.0**40).horizon == 2.0**40
 
 
 def test_problem_is_frozen():

@@ -4,6 +4,8 @@ sliding window of prefix arrays."""
 import math
 import os
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -65,7 +67,7 @@ def test_uniform_integrals_over_slabs_equal_the_whole_path():
         seeds = (5, 6, 7)
         streams = PathStreams(seeds, level, m)
         sizes = [substeps * k for k in (1, 3, 50, 9)]
-        window = PathPrefixes.streamed(3, m, 1 << level, 2.0**-level, 1.0, max(sizes), substeps)
+        window = PathPrefixes.streamed(3, m, 1 << level, 1.0, max(sizes), substeps)
         parts = [[], []]
         while window.frontier < window.num_steps:
             window.slab = sizes[len(parts[0]) % 4]
@@ -101,6 +103,41 @@ def test_generating_a_path_draws_no_os_entropy(monkeypatch):
     moment_check(orders=(2,), num_windows=100, resolution_exponent=6)
 
 
+def test_streams_drawn_interleaved_or_on_threads_equal_streams_drawn_alone():
+    # Each PathStreams owns its generator, so drawing two blocks in turn,
+    # or at once on two threads, leaves each block's slabs unchanged.
+    blocks, level, slab = ((1, 2), (3, 4, 5)), 12, 8
+
+    def draws(block):
+        return [block.draw(slab) for _ in range(block.num_steps // slab)]
+
+    alone = [np.concatenate(draws(PathStreams(seeds, level, 2)), axis=2) for seeds in blocks]
+    streams = [PathStreams(seeds, level, 2) for seeds in blocks]
+    turns = [[], []]
+    for _ in range(streams[0].num_steps // slab):
+        for b in (0, 1):
+            turns[b].append(streams[b].draw(slab))
+    threaded = [None, None]
+
+    def run(b):
+        threaded[b] = draws(PathStreams(blocks[b], level, 2))
+
+    threads = [threading.Thread(target=run, args=(b,)) for b in (0, 1)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads take turns within draws
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    for b in (0, 1):
+        np.testing.assert_array_equal(np.concatenate(turns[b], axis=2), alone[b])
+        np.testing.assert_array_equal(np.concatenate(threaded[b], axis=2), alone[b])
+
+
 # ---------------------------------------------------------------------------
 # Lockstep over streamed prefix arrays
 # ---------------------------------------------------------------------------
@@ -134,16 +171,14 @@ def _lockstep(problem, configs, prefixes, draw=None, **kwargs):
 
 def _whole(problem, seeds, level):
     paths = [generate_path(seed, level, problem.dim_noise).increments for seed in seeds]
-    return PathPrefixes.of(np.stack(paths), 2.0**-level, 1.0)
+    return PathPrefixes.of(np.stack(paths), 1.0)
 
 
 def _streamed(problem, seeds, level, configs, unit):
     """A streamed window over the paths of ``seeds``, and its draw."""
     streams = PathStreams(seeds, level, problem.dim_noise)
     widest = max(math.ceil(c.h_max * 2**level) for c in configs)
-    window = PathPrefixes.streamed(
-        len(seeds), problem.dim_noise, 1 << level, 2.0**-level, 1.0, widest, unit
-    )
+    window = PathPrefixes.streamed(len(seeds), problem.dim_noise, 1 << level, 1.0, widest, unit)
     return window, streams.draw
 
 
@@ -341,7 +376,7 @@ def test_advance_leaves_the_drawn_slab_unchanged(m, monkeypatch):
     # Each fill chunk adds W to its first increment and takes it off again.
     monkeypatch.setattr(milsde.wiener, "_FILL_CHUNK", 8)
     streams = PathStreams((3, 4), 10, m)
-    window = PathPrefixes.streamed(2, m, 1 << 10, 2.0**-10, 1.0, 16, 8)
+    window = PathPrefixes.streamed(2, m, 1 << 10, 1.0, 16, 8)
     slabs = []
 
     def draw(steps):

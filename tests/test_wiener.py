@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,11 +10,16 @@ import milsde.wiener
 from milsde import (
     INCREMENT_GRID,
     IteratedIntegrals,
+    PathStreams,
     ResourceError,
+    StrategyConfig,
     UsageError,
     euler_number,
     generate_path,
     integrals_over,
+    integrate_adaptive,
+    integrate_fixed,
+    make_builtin,
     moment_check,
     moment_constant,
     uniform_integrals,
@@ -125,6 +131,45 @@ def test_generate_path_holds_one_copy_of_its_increments():
     assert peak < 1.25 * path.increments.nbytes, f"traced peak {peak / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("horizon", [1.0, 0.3, 2.5])
+def test_the_grid_is_derived_from_the_horizon_and_the_step_count(horizon):
+    # A path's resolution is T / n, with nothing to contradict it, so the
+    # steps of every solve sum to the horizon exactly.
+    level, n = 8, 1 << 8
+    increments = generate_path(5, level, 1, horizon).increments
+    path = milsde.wiener.WienerPath(increments, horizon)
+    assert path.resolution == horizon / n
+    assert path.resolution_exponent == level == math.log2(n)
+    assert milsde.wiener.PathPrefixes.of(increments, horizon).resolution == horizon / n
+    problem = dataclasses.replace(make_builtin("scalar_mult"), horizon=horizon)
+    config = StrategyConfig(h_max=2.0**-4, rho=2.0)
+    assert integrate_adaptive(problem, config, path).final_time == horizon
+    assert integrate_fixed(problem, "milstein", 8 * path.resolution, path).final_time == horizon
+
+
+def test_a_path_refuses_a_grid_it_cannot_be_on():
+    with pytest.raises(UsageError, match="power of two"):
+        milsde.wiener.WienerPath(np.zeros((1, 12)), 1.0)
+    for horizon in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(UsageError, match="horizon"):
+            milsde.wiener.WienerPath(np.zeros((1, 16)), horizon)
+
+
+def test_horizons_whose_draws_cannot_be_held_as_grid_units_are_refused():
+    # An infinite or huge horizon made every increment -2**31 (an int64
+    # cast of inf or of values beyond its range), with only a warning.
+    with pytest.raises(UsageError, match="horizon"):
+        generate_path(0, 4, 1, horizon=math.inf)
+    with pytest.raises(UsageError, match="horizon"):
+        generate_path(0, 2, 1, horizon=1e30)
+    with pytest.raises(UsageError, match="horizon"):
+        PathStreams([0], 2, 1, 2.0**41)
+    # The bound itself is held exactly: 2**11 standard deviations of W.
+    path = generate_path(0, 2, 1, horizon=2.0**40)
+    assert np.isfinite(path.increments).all()
+    assert np.abs(path.increments).max() < 2.0**25
+
+
 # ---------------------------------------------------------------------------
 # Iterated integrals
 # ---------------------------------------------------------------------------
@@ -196,7 +241,7 @@ def test_areas_survive_prefix_chunk_boundaries(monkeypatch):
     windows = [(0, 1024), (3, 900), (511, 513), (100, 101)]
     whole = [integrals_over(path, a, b).A for a, b in windows]
     monkeypatch.setattr(milsde.wiener, "_FILL_CHUNK", 7)
-    chunked = milsde.wiener.PathPrefixes.of(path.increments, path.resolution, 1.0)
+    chunked = milsde.wiener.PathPrefixes.of(path.increments, 1.0)
     for (a, b), A in zip(windows, whole):
         _, _, area = chunked.windows(np.zeros(1, dtype=int), np.array([a]), np.array([b]))
         np.testing.assert_array_equal(area[0], A)
@@ -205,7 +250,7 @@ def test_areas_survive_prefix_chunk_boundaries(monkeypatch):
 def _prefix_windows(increments, a, b):
     # (dW, per-pair areas) of [a, b) read from the whole path's prefix arrays.
     m = increments.shape[0]
-    pref = milsde.wiener.PathPrefixes.of(increments, 1.0 / increments.shape[1], 1.0)
+    pref = milsde.wiener.PathPrefixes.of(increments, 1.0)
     _, dW, area = pref.windows(np.zeros(1, dtype=int), np.array([a]), np.array([b]))
     i, j = np.triu_indices(m, 1)
     return dW[0], area[0][i, j]
@@ -251,7 +296,7 @@ def test_whole_window_sums_near_the_limb_bounds():
     signs = np.where(rng.random((3, 64)) < 0.5, -1.0, 1.0)
     signs[0] = 1.0
     inc = signs * (16.0 - grid * rng.integers(1, 1000, size=(3, 64)))
-    path = milsde.wiener.WienerPath(inc, 1.0 / 64, 6, 1.0)
+    path = milsde.wiener.WienerPath(inc, 1.0)
     dW, area = milsde.wiener._window_sums(milsde.wiener._grid_units(inc[None]))
     want_dW, want_area = _prefix_windows(inc, 0, 64)
     np.testing.assert_array_equal(dW[0], want_dW)
@@ -261,7 +306,7 @@ def test_whole_window_sums_near_the_limb_bounds():
     # Every window [a, b) read from the prefix arrays has the bits
     # integrals_over sums straight from its increments.
     a, b = np.triu_indices(65, 1)
-    _, dW, A = milsde.wiener.PathPrefixes.of(inc, 1.0 / 64, 1.0).windows(np.zeros_like(a), a, b)
+    _, dW, A = milsde.wiener.PathPrefixes.of(inc, 1.0).windows(np.zeros_like(a), a, b)
     for n in range(len(a)):
         want = integrals_over(path, a[n], b[n])
         np.testing.assert_array_equal(dW[n], want.dW)
@@ -275,8 +320,8 @@ def test_whole_window_sums_near_the_limb_bounds():
 def test_whole_window_sums_refuse_what_the_prefix_arrays_refuse(inc, match):
     n = inc.shape[1]
     with pytest.raises(UsageError, match=match) as from_prefixes:
-        milsde.wiener.PathPrefixes.of(inc, 1.0 / n, 1.0)
-    path = milsde.wiener.WienerPath(inc, 1.0 / n, n.bit_length() - 1, 1.0)
+        milsde.wiener.PathPrefixes.of(inc, 1.0)
+    path = milsde.wiener.WienerPath(inc, 1.0)
     with pytest.raises(UsageError, match=match) as from_sums:
         integrals_over(path, 0, n)
     assert str(from_sums.value) == str(from_prefixes.value)
@@ -284,7 +329,7 @@ def test_whole_window_sums_refuse_what_the_prefix_arrays_refuse(inc, match):
 
 def test_prefix_arrays_refuse_off_grid_increments():
     with pytest.raises(UsageError, match="grid"):
-        milsde.wiener.PathPrefixes.of(np.full((1, 2, 4), 0.1), 0.25, 1.0)
+        milsde.wiener.PathPrefixes.of(np.full((1, 2, 4), 0.1), 1.0)
 
 
 @pytest.mark.parametrize(
