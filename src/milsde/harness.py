@@ -14,8 +14,8 @@ from the statistics and surface in ``divergent_count``.
 Fixed-step comparators run at the adaptive scheme's realized mean step
 (rounded to the fine grid), so error and cost are compared at equal
 effective resolution; their rows record that matched step in both the
-h_max and h_mean columns. Each distinct (scheme, matched step) runs
-once, so two h_max values that match the same step print the same row.
+h_max and h_mean columns. Each distinct (scheme, matched fine-step
+count) runs once, so two h_max values that match one count print one row.
 
 Paths are processed in contiguous blocks of seeds, one block per task
 when ``workers > 1``. Every task runs the same block solve: the block's
@@ -33,7 +33,7 @@ slowest lane or job are dropped. It stops at the horizon, or as soon as
 no lane or job is left to step. A table runs two such passes over the
 same blocks: pass 1 has a lane per (path, h_max) and the tamed reference
 as its one job, with slabs ending on reference-window boundaries; pass 2
-has the (scheme, matched step) comparators as its jobs. A backstop curve
+has a job per (scheme, matched fine-step count). A backstop curve
 runs one pass with a lane per (path, rho). The window and one slab's
 increments stay within a cap of the library (not an option) of 2 MiB
 per 25 paths of the block, rounded up. Where 25 paths fit that cap with
@@ -412,70 +412,38 @@ def convergence_table(config: ExperimentConfig) -> ErrorTable:
     mean_step = np.where(bad, math.nan, ends * h_ref / (num_steps + bad)).reshape(shape)
     steps, flagged = (np.where(bad, 0, a).reshape(shape) for a in (num_steps, flagged))
     lane_cpu = np.concatenate([r[2] for r in pass1]).reshape(shape)
-    rows: list[ErrorRow] = []
-    adaptive_rows: dict[float, ErrorRow] = {}
-    matched_step: dict[float, float] = {}
+    fixed = [s for s in config.schemes if s != "adaptive"]
+    rows: dict[tuple[str, float], ErrorRow] = {}
+    matched: list[int] = []  # per h_max, the comparators' step in fine steps
     for j, h_max in enumerate(h_values):
         rms, se, bad_count = _rms_stats(err_sq[:, j])
         means = mean_step[:, j]
         means = means[~np.isnan(means)]
         h_mean = float(np.mean(means)) if means.size else math.nan
         total_steps = int(steps[:, j].sum())
-        adaptive_rows[h_max] = ErrorRow(
-            scheme="adaptive",
-            h_max=h_max,
-            rms_error=rms,
-            rms_std_error=se,
-            h_mean=h_mean,
-            cpu_seconds=float(lane_cpu[:, j].sum()),
-            backstop_rate=int(flagged[:, j].sum()) / total_steps if total_steps else math.nan,
-            divergent_count=bad_count,
-        )
-        if math.isnan(h_mean):
-            matched_step[h_max] = math.nan
-        else:
-            matched_step[h_max] = max(1, round(h_mean / h_ref)) * h_ref
+        rate = int(flagged[:, j].sum()) / total_steps if total_steps else math.nan
+        cpu = float(lane_cpu[:, j].sum())
+        rows["adaptive", h_max] = ErrorRow("adaptive", h_max, rms, se, h_mean, cpu, rate, bad_count)
+        if fixed:
+            if math.isnan(h_mean):
+                raise ExperimentError(
+                    "cannot match a comparator step: every adaptive path "
+                    f"diverged at h_max {h_max:g}"
+                )
+            matched.append(max(1, round(h_mean / h_ref)))
 
-    fixed_schemes = [s for s in config.schemes if s != "adaptive"]
-    fixed_rows: dict[tuple[str, float], ErrorRow] = {}
-    if fixed_schemes:
-        jobs = []
-        for scheme in fixed_schemes:
-            for h_max in h_values:
-                step = matched_step[h_max]
-                if math.isnan(step):
-                    raise ExperimentError(
-                        "cannot match a comparator step: every adaptive path "
-                        f"diverged at h_max {h_max:g}"
-                    )
-                jobs.append((scheme, step))
-        # Distinct h_max values can match the same step: run each job once.
-        jobs = list(dict.fromkeys(jobs))
-        pass2 = run((), tuple((scheme, round(step / h_ref)) for scheme, step in jobs))
+    # Distinct h_max values can match one fine-step count: run each job once.
+    jobs = tuple(dict.fromkeys((scheme, k) for scheme in fixed for k in matched))
+    if jobs:
+        pass2 = run((), jobs)
         gen_total += sum(r[0] for r in pass2)
-        for j, (scheme, step) in enumerate(jobs):
+        for j, (scheme, k) in enumerate(jobs):
             final, bad, cpu = _joined(pass2, j)
             rms, se, bad_count = _rms_stats(_err_sq(ref_final, final, bad))
-            fixed_rows[(scheme, step)] = ErrorRow(
-                scheme=scheme,
-                h_max=step,
-                rms_error=rms,
-                rms_std_error=se,
-                h_mean=step,
-                cpu_seconds=cpu,
-                backstop_rate=0.0,
-                divergent_count=bad_count,
-            )
-
-    for scheme in config.schemes:
-        for h_max in h_values:
-            if scheme == "adaptive":
-                rows.append(adaptive_rows[h_max])
-            else:
-                rows.append(fixed_rows[(scheme, matched_step[h_max])])
-    return ErrorTable(
-        rows=tuple(rows), reference_seconds=ref_total, generation_seconds=gen_total
-    )
+            row = ErrorRow(scheme, k * h_ref, rms, se, k * h_ref, cpu, 0.0, bad_count)
+            rows.update(((scheme, h), row) for h, m in zip(h_values, matched) if m == k)
+    table = tuple(rows[s, h] for s in config.schemes for h in h_values)
+    return ErrorTable(rows=table, reference_seconds=ref_total, generation_seconds=gen_total)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ class SdeProblem:
             the identically-zero Milstein correction, and refuse a label
             the coefficients contradict (see ``STRUCTURES``).
         initial_state: X(0), shape (d,).
-        horizon: final time T, with 0 < T <= 2**40.
+        horizon: final time T, with 2**-40 <= T <= 2**40.
         name: short identifier used in logs and CSV output.
     """
 

@@ -113,13 +113,14 @@ DEFAULT_BASE_SEED = 12345
 
 
 #: Largest horizon T: W in int64 grid units (|W| < 2**31) spans 2**11 sd of W(T).
+#: The smallest is its inverse, so T / 2**30 is a normal float.
 _MAX_HORIZON = 2.0**40
 
 
 def _check_horizon(horizon: float) -> None:
-    """UsageError unless 0 < horizon <= _MAX_HORIZON (so finite)."""
-    if not 0.0 < horizon <= _MAX_HORIZON:
-        raise UsageError(f"horizon must be positive and at most 2**40, got {horizon}")
+    """UsageError unless 1 / _MAX_HORIZON <= horizon <= _MAX_HORIZON."""
+    if not 1.0 / _MAX_HORIZON <= horizon <= _MAX_HORIZON:
+        raise UsageError(f"horizon must lie in [2**-40, 2**40], got {horizon}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class WienerPath:
     Attributes:
         increments: (m, 2**L) float64 array; entry [i, k] is
             W_i((k+1) h_ref) - W_i(k h_ref), quantized (see module doc).
-        horizon: T, with 0 < T <= 2**40.
+        horizon: T, with 2**-40 <= T <= 2**40.
     """
 
     increments: np.ndarray
@@ -518,12 +519,18 @@ class PathStreams:
     keyed by (seeds[g], i), and the slabs join into exactly the
     increments :func:`generate_path` gives each seed, bit for bit. A
     generator of their own, seeded (so no OS entropy), takes each
-    stream's state as it draws. A horizon above 2**40 is refused.
+    stream's state as it draws. A UsageError refuses an empty block,
+    L outside [1, 30], m < 1 or T outside [2**-40, 2**40].
     """
 
     def __init__(
         self, seeds: Sequence[int], resolution_exponent: int, dim_noise: int, horizon: float = 1.0
     ):
+        _check_exponent("resolution_exponent", resolution_exponent)
+        if dim_noise < 1:
+            raise UsageError("dim_noise must be >= 1")
+        if not len(seeds):
+            raise UsageError("at least one seed is required")
         _check_horizon(horizon)
         self.num_steps = 1 << resolution_exponent
         self.drawn = 0
@@ -591,15 +598,12 @@ def generate_path(
         seed: stream seed (reduced mod 2**64).
         resolution_exponent: 1 <= L <= 30; the path has 2**L fine steps.
         dim_noise: m >= 1.
-        horizon: 0 < T <= 2**40.
+        horizon: 2**-40 <= T <= 2**40.
 
     Raises:
         UsageError: invalid arguments.
         ResourceError: the increment array would exceed the memory budget.
     """
-    _check_exponent("resolution_exponent", resolution_exponent)
-    if dim_noise < 1:
-        raise UsageError("dim_noise must be >= 1")
     streams = PathStreams([seed], resolution_exponent, dim_noise, horizon)
     _check_path_bytes(dim_noise, resolution_exponent)
     n = 1 << resolution_exponent

@@ -17,6 +17,8 @@ from milsde import (
     ErrorRow,
     ErrorTable,
     ExperimentConfig,
+    ExperimentError,
+    SdeProblem,
     UsageError,
     backstop_probability,
     convergence_table,
@@ -522,6 +524,30 @@ def test_divergent_paths_are_counted_not_averaged():
     (r,) = convergence_table(cfg).rows_for("milstein")
     assert r.divergent_count == 6
     assert math.isnan(r.rms_error)
+
+
+def test_a_comparator_step_cannot_be_matched_where_every_lane_diverged():
+    # Zero noise makes every path the same. The coarsest lane overshoots
+    # into the region where the drift is NaN; the tamed reference and the
+    # finer lane decay to 1. A comparator at that h_max has no mean step.
+    problem = SdeProblem(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda x: np.where(x > 1.25, np.nan, -40.0 * (x - 1.0)),
+        diffusion_column=lambda x, i: np.zeros(1),
+        diffusion_jacobian=lambda x, i: np.zeros((1, 1)),
+        structure="additive",
+        initial_state=np.array([1.2]),
+        horizon=1.0,
+    )
+    config = dict(problem=problem, h_max_values=(2.0**-8, 2.0**-2), rho=4.0, num_paths=3)
+    config.update(reference_exponent=8, fine_exponent=12)
+    with pytest.raises(ExperimentError, match=r"diverged at h_max 0\.25$"):
+        convergence_table(ExperimentConfig(schemes=("adaptive", "euler"), **config))
+    fine, coarse = convergence_table(ExperimentConfig(schemes=("adaptive",), **config)).rows
+    assert fine.divergent_count == 0 and not math.isnan(fine.rms_error)
+    assert coarse.h_max == 0.25 and coarse.divergent_count == 3
+    assert math.isnan(coarse.rms_error) and math.isnan(coarse.h_mean)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,18 @@ def test_generating_a_path_draws_no_os_entropy(monkeypatch):
     moment_check(orders=(2,), num_windows=100, resolution_exponent=6)
 
 
+def test_streams_refuse_a_block_they_cannot_draw():
+    # Each is refused up front, not by an IndexError at the first draw, a
+    # raw ValueError from the shift, a 2**40-step block or empty slabs.
+    with pytest.raises(UsageError, match="seed"):
+        PathStreams((), 4, 1)
+    for level in (-1, 0, 31, 40):
+        with pytest.raises(UsageError, match="resolution_exponent"):
+            PathStreams((0,), level, 1)
+    with pytest.raises(UsageError, match="dim_noise"):
+        PathStreams((0,), 4, 0)
+
+
 def test_streams_drawn_interleaved_or_on_threads_equal_streams_drawn_alone():
     # Each PathStreams owns its generator, so drawing two blocks in turn,
     # or at once on two threads, leaves each block's slabs unchanged.

@@ -170,6 +170,29 @@ def test_horizons_whose_draws_cannot_be_held_as_grid_units_are_refused():
     assert np.abs(path.increments).max() < 2.0**25
 
 
+def test_horizons_too_small_to_form_a_grid_are_refused():
+    # At 5e-324 the resolution T / n is 0, and the solves would divide
+    # by it.
+    with pytest.raises(UsageError, match="horizon"):
+        generate_path(0, 4, 1, horizon=5e-324)
+    with pytest.raises(UsageError, match="horizon"):
+        dataclasses.replace(make_builtin("scalar_mult"), horizon=5e-324)
+    with pytest.raises(UsageError, match="horizon"):
+        PathStreams([0], 2, 1, 2.0**-41)
+
+
+@pytest.mark.parametrize("name", ["scalar_mult", "twod_noncommutative"])
+def test_the_smallest_horizon_still_forms_a_grid(name):
+    horizon = 2.0**-40
+    problem = dataclasses.replace(make_builtin(name), horizon=horizon)
+    path = generate_path(5, 8, problem.dim_noise, horizon)
+    fixed = integrate_fixed(problem, "milstein", 16 * path.resolution, path)
+    config = StrategyConfig(h_max=horizon / 16, rho=2.0)
+    adaptive = integrate_adaptive(problem, config, path)
+    assert (fixed.final_time, fixed.num_steps) == (horizon, 16)
+    assert (adaptive.final_time, adaptive.num_steps) == (horizon, 32)
+
+
 # ---------------------------------------------------------------------------
 # Iterated integrals
 # ---------------------------------------------------------------------------
