@@ -15,7 +15,8 @@ Fixed-step comparators run at the adaptive scheme's realized mean step
 (rounded to the fine grid), so error and cost are compared at equal
 effective resolution; their rows record that matched step in both the
 h_max and h_mean columns. Each distinct (scheme, matched fine-step
-count) runs once, so two h_max values that match one count print one row.
+count) runs once, so two h_max values that match one count print the
+same row under each of them, and a slope counts that row once.
 
 Paths are processed in contiguous blocks of seeds, one block per task
 when ``workers > 1``. Every task runs the same block solve: the block's
@@ -205,22 +206,21 @@ class ErrorTable:
     def slopes(self) -> dict[str, float]:
         """Least-squares slope of log2(rms) against log2(h) per scheme.
 
-        Rows with zero, nan, or all-divergent rms are dropped; a scheme
-        with fewer than two usable rows maps to nan.
+        Rows with zero, nan, or all-divergent rms are dropped, and rows
+        that share an h_max count once; a scheme with fewer than two
+        usable h_max values maps to nan.
         """
         out: dict[str, float] = {}
         for scheme in dict.fromkeys(r.scheme for r in self.rows):
-            pts = [
-                (math.log2(r.h_max), math.log2(r.rms_error))
+            pts = {
+                math.log2(r.h_max): math.log2(r.rms_error)
                 for r in self.rows_for(scheme)
                 if math.isfinite(r.rms_error) and r.rms_error > 0.0
-            ]
+            }
             if len(pts) < 2:
                 out[scheme] = math.nan
                 continue
-            x = np.array([p[0] for p in pts])
-            y = np.array([p[1] for p in pts])
-            out[scheme] = float(np.polyfit(x, y, 1)[0])
+            out[scheme] = float(np.polyfit(list(pts), list(pts.values()), 1)[0])
         return out
 
     def frontier(self) -> list[tuple[str, float, float]]:

@@ -47,11 +47,7 @@ area of exactly zero, and any window's area is its exact left-point sum,
 correctly rounded.
 
 Every solve, adaptive or on a fixed mesh, reads its windows this way,
-so all of them see the same areas. A window read only once (one window
-of :func:`integrals_over`, each path of :func:`moment_check`) is summed
-straight from its increments instead: the same per-step limbs, summed
-exactly and rounded once, so the same bits without writing a prefix
-node per step.
+so all of them see the same areas.
 
 A block of paths can also be drawn in slabs of consecutive fine steps
 (:class:`PathStreams`, each with a generator of its own), which join
@@ -202,12 +198,12 @@ def _antisymmetric(area: np.ndarray, m: int) -> np.ndarray:
 
 
 #: Increments (fine steps times noise components, over all paths written
-#: at once) per pass of a prefix fill or a window sum; bounds temporaries.
+#: at once) per pass of a prefix fill; bounds temporaries.
 _FILL_CHUNK = 1 << 14
 
 #: Cap on the window of a streamed block per _BLOCK_PATHS of its paths
-#: (rounded up; see :meth:`PathPrefixes.streamed`), and on the grid units
-#: of one group of the moment check's paths.
+#: (rounded up; see :meth:`PathPrefixes.streamed`). A moment-check group
+#: has as many paths as whole paths of grid units fit in it.
 _GROUP_BYTES = 2 << 20
 
 #: Paths of a streamed block per _GROUP_BYTES of its window.
@@ -462,34 +458,23 @@ def _round_areas(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (hi * float(1 << _LIMB_BITS) + (lo & _LIMB_MASK)) * 2.0**-65
 
 
-def _window_sums(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact integrals of whole windows, summed straight from their
-    (G, m, s) increments in grid units rather than read from prefix
-    arrays: each row's dW (G, m) and the areas A[i][j] of its pairs i < j
-    (G, P), in ``np.triu_indices`` order. The prefix arrays' cross terms
-    are summed exactly and rounded once, so every value has the bits
-    :meth:`PathPrefixes.windows` gives the window [0, s). Each row is
-    walked alone, in chunks as :meth:`PathPrefixes.of` writes one path.
+def _whole_windows(count: int, m: int, steps: int, draw: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """dW (G, m) and the areas A[i][j] of the pairs i < j (G, P), in
+    ``np.triu_indices`` order, of the windows [0, ``steps``) of ``count``
+    paths whose increments ``draw(a, b)`` returns as (G, m, b - a) grid
+    units. They are filled slab by slab through prefix arrays that keep
+    only their frontier node: W(0) = C(0) = 0, so dW = W(steps) and
+    2 A = C(steps), with the bits :meth:`PathPrefixes.windows` gives.
 
     Raises:
-        UsageError: as :meth:`PathPrefixes.of` with n = s.
+        UsageError: as :meth:`PathPrefixes.of` with n = ``steps``.
     """
-    count, m, s = units.shape
-    w = np.zeros((count, m, 1), dtype=np.int64)
-    # Low limbs are summed without carries, as the prefix arrays hold them.
-    limbs = np.zeros((count, m * (m - 1)), dtype=np.int64)
-    chunk = max(1, _FILL_CHUNK // m)
-    for g in range(count):
-        for a in range(0, s, chunk):
-            d = units[g : g + 1, :, a : a + chunk]
-            if m > 1:
-                left = np.cumsum(d, axis=2)
-                left -= d
-                left += w[g]
-                limbs[g] += _cross_terms(left, d, s)[0].sum(axis=1)
-            w[g] += d[0].sum(axis=1, keepdims=True)
-    P = limbs.shape[1] // 2
-    return w[:, :, 0] * INCREMENT_GRID, _round_areas(limbs[:, :P], limbs[:, P:])
+    fill = PathPrefixes.streamed(count, m, steps, 1.0, 1)
+    while fill.frontier < steps:
+        a = fill.frontier
+        fill.advance(a, lambda s: draw(a, a + s))
+    node = fill.sums[:, :, fill.frontier - fill.start]
+    return node[:, :m] * INCREMENT_GRID, _round_areas(*np.split(node[:, m:], 2, axis=1))
 
 
 def _path_seeds(base_seed: int, paths: range) -> tuple[int, ...]:
@@ -669,16 +654,17 @@ def integrals_over(path: WienerPath, start: int, end: int) -> IteratedIntegrals:
         start, end: fine-step indices, 0 <= start < end <= num_steps.
 
     Returns:
-        IteratedIntegrals for the window of length (end - start) * h_ref.
-        The window is summed straight from its increments, at a cost of
-        O(end - start), with the bits the path's prefix arrays give it.
+        IteratedIntegrals for the window of length (end - start) * h_ref,
+        read through the prefix fill slab by slab (see :func:`_whole_windows`):
+        O(end - start) time and about one slab of memory.
     """
     if not (0 <= start < end <= path.num_steps):
         raise UsageError(
             f"window [{start}, {end}) out of range for {path.num_steps} fine steps"
         )
-    dW, area = _window_sums(_grid_units(path.increments[None, :, start:end]))
-    A = _antisymmetric(area, path.dim_noise)[0]
+    m, inc = path.dim_noise, path.increments[None, :, start:end]
+    dW, area = _whole_windows(1, m, end - start, lambda a, b: _grid_units(inc[..., a:b]))
+    A = _antisymmetric(area, m)[0]
     return IteratedIntegrals.from_components((end - start) * path.resolution, dW[0], A)
 
 
@@ -831,8 +817,8 @@ def moment_check(
     Accumulates A over ``num_windows`` independent two-component unit
     paths at the given resolution and compares sample moments of
     A[0, 1] against :func:`moment_constant`. Path k uses seed
-    ``base_seed ^ k``; each path's area is summed straight from its
-    increments, drawn a group at a time. The left-point sum biases
+    ``base_seed ^ k``; each path's area is read through the prefix fill,
+    a group of paths at a time. The left-point sum biases
     E[A^2] by the factor (1 - 2**-L), far below the 4-standard-error
     tolerance at the default sizes.
 
@@ -850,12 +836,12 @@ def moment_check(
     _check_path_bytes(2, resolution_exponent)
     samples = np.empty(num_windows)
     n = 1 << resolution_exponent
-    # Paths per group: their grid units fit the 2 MiB cap.
     size = max(1, _GROUP_BYTES // (8 * 2 * n))
     for first in range(0, num_windows, size):
         seeds = _path_seeds(base_seed, range(first, min(num_windows, first + size)))
-        increments = PathStreams(seeds, resolution_exponent, 2).draw(n)
-        samples[first : first + len(seeds)] = _window_sums(increments)[1][:, 0]
+        streams = PathStreams(seeds, resolution_exponent, 2)
+        area = _whole_windows(len(seeds), 2, n, lambda a, b: streams.draw(b - a))[1]
+        samples[first : first + len(seeds)] = area[:, 0]
     rows = []
     for b in orders:
         table = moment_constant(b)

@@ -3,6 +3,7 @@ import gc
 import io
 import math
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -503,6 +504,31 @@ def test_slopes_need_two_usable_rows():
     nan_row = dataclasses.replace(row, h_max=2.0**-5, rms_error=math.nan)
     table = ErrorTable(rows=(row, nan_row))
     assert math.isnan(table.slopes()["adaptive"])
+
+
+def test_slopes_count_rows_that_share_an_h_max_once():
+    # Both h_max values match one comparator count, so each fixed scheme
+    # prints one row under both. A line through points of equal h_max is
+    # no slope: it is nan, and numpy's RankWarning no longer leaks.
+    config = ExperimentConfig(
+        problem="scalar_mult",
+        h_max_values=(2.0**-4, 2.0**-3),
+        rho=64.0,
+        delta=2.0**-6,
+        schemes=("adaptive", "euler", "tamed"),
+        num_paths=6,
+        reference_exponent=8,
+        fine_exponent=14,
+    )
+    table = convergence_table(config)
+    for scheme in ("euler", "tamed"):
+        first, second = table.rows_for(scheme)
+        assert first == second
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slopes = table.slopes()
+    assert math.isnan(slopes["euler"]) and math.isnan(slopes["tamed"])
+    assert math.isfinite(slopes["adaptive"])
 
 
 # ---------------------------------------------------------------------------

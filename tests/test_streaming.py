@@ -442,3 +442,24 @@ def test_table_memory_stays_below_a_whole_path():
     finally:
         tracemalloc.stop()
     assert peak < 5 << 20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def _traced_peak(read) -> int:
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_window_memory_stays_near_one_slab():
+    # A whole window is filled slab by slab into prefix arrays that keep
+    # only their frontier node, so neither one window over a 2^20-step
+    # m = 3 path (24 MiB of increments, drawn before the trace) nor the
+    # 32-path groups of a 2,000-window moment check are held whole.
+    path = generate_path(3, 20, 3)
+    peak = _traced_peak(lambda: integrals_over(path, 0, path.num_steps))
+    assert peak < 4 << 20, f"integrals_over: traced peak {peak / 2**20:.2f} MiB"
+    peak = _traced_peak(lambda: moment_check(num_windows=2000))
+    assert peak < 5 << 20, f"moment_check: traced peak {peak / 2**20:.2f} MiB"

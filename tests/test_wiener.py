@@ -281,32 +281,40 @@ def _prefix_windows(increments, a, b):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_whole_window_sums_equal_the_prefix_arrays(monkeypatch, m):
-    # A window summed straight from its increments has the bits the prefix
-    # arrays give it: whole paths at every L up to 16, one-step windows
-    # (area exactly 0) and windows across the fill chunks' boundaries.
-    def window_sums(inc):
-        return milsde.wiener._window_sums(milsde.wiener._grid_units(inc))
-
+    # A window read at the frontier of a streamed fill has the bits the
+    # whole path's prefix arrays give it: whole paths at every L up to 16,
+    # one-step windows (area exactly 0) and windows across the fill
+    # chunks' and slabs' boundaries.
+    i, j = np.triu_indices(m, 1)
     for level in range(1, 17):
-        inc = generate_path(100 + level, level, m).increments
-        n = inc.shape[1]
+        path = generate_path(100 + level, level, m)
+        n = path.num_steps
         windows = {(0, n), (n - 1, n), (n // 3, n // 3 + 1), (n // 4, n - n // 4)}
         if n > 4096:
             windows |= {(4095, 4097), (4000, n), (1, min(n, 3 * 4096 + 5))}
         for a, b in sorted(windows):
-            dW, area = window_sums(inc[None, :, a:b])
-            want_dW, want_area = _prefix_windows(inc, a, b)
-            np.testing.assert_array_equal(dW[0], want_dW)
-            np.testing.assert_array_equal(area[0], want_area)
+            got = integrals_over(path, a, b)
+            want_dW, want_area = _prefix_windows(path.increments, a, b)
+            np.testing.assert_array_equal(got.dW, want_dW)
+            np.testing.assert_array_equal(got.A[i, j], want_area)
             if b - a == 1:
-                np.testing.assert_array_equal(area[0], 0.0)
-    # Several rows at once, and chunks that split every row, change nothing.
+                np.testing.assert_array_equal(got.A, 0.0)
+    # Several rows at once, chunks that split every row and slabs of one
+    # step change nothing.
     stack = np.stack([generate_path(s, 10, m).increments for s in (1, 2, 3)])
-    whole = window_sums(stack)
+
+    def whole_windows():
+        units = milsde.wiener._grid_units
+        return milsde.wiener._whole_windows(3, m, 1024, lambda a, b: units(stack[..., a:b]))
+
+    read = [whole_windows()]
     monkeypatch.setattr(milsde.wiener, "_FILL_CHUNK", 7)
+    read.append(whole_windows())
+    monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1)
+    read.append(whole_windows())
     for g, inc in enumerate(stack):
         want_dW, want_area = _prefix_windows(inc, 0, 1024)
-        for dW, area in (whole, window_sums(stack)):
+        for dW, area in read:
             np.testing.assert_array_equal(dW[g], want_dW)
             np.testing.assert_array_equal(area[g], want_area)
 
@@ -320,14 +328,13 @@ def test_whole_window_sums_near_the_limb_bounds():
     signs[0] = 1.0
     inc = signs * (16.0 - grid * rng.integers(1, 1000, size=(3, 64)))
     path = milsde.wiener.WienerPath(inc, 1.0)
-    dW, area = milsde.wiener._window_sums(milsde.wiener._grid_units(inc[None]))
+    whole = integrals_over(path, 0, 64)
     want_dW, want_area = _prefix_windows(inc, 0, 64)
-    np.testing.assert_array_equal(dW[0], want_dW)
-    np.testing.assert_array_equal(area[0], want_area)
-    exact = _exact_areas(path, 0, 64)
-    np.testing.assert_array_equal(area[0], exact[np.triu_indices(3, 1)])
-    # Every window [a, b) read from the prefix arrays has the bits
-    # integrals_over sums straight from its increments.
+    np.testing.assert_array_equal(whole.dW, want_dW)
+    np.testing.assert_array_equal(whole.A[np.triu_indices(3, 1)], want_area)
+    np.testing.assert_array_equal(whole.A, _exact_areas(path, 0, 64))
+    # Every window [a, b) read from the whole path's prefix arrays has the
+    # bits integrals_over reads at the frontier of its own fill.
     a, b = np.triu_indices(65, 1)
     _, dW, A = milsde.wiener.PathPrefixes.of(inc, 1.0).windows(np.zeros_like(a), a, b)
     for n in range(len(a)):
