@@ -20,9 +20,8 @@ The pieces, bottom up:
 """
 
 from .adaptive import (
-    AdaptiveBatch,
-    FixedBatch,
     FixedSolves,
+    SolutionBatch,
     SolutionPath,
     StrategyConfig,
     integrate_adaptive,
@@ -68,7 +67,6 @@ from .wiener import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveBatch",
     "BACKSTOP_CSV_HEADER",
     "BUILTIN_NAMES",
     "BackstopCurve",
@@ -86,6 +84,7 @@ __all__ = [
     "PathStreams",
     "ResourceError",
     "SdeProblem",
+    "SolutionBatch",
     "SolutionPath",
     "StepProfile",
     "StrategyConfig",
@@ -101,7 +100,6 @@ __all__ = [
     "integrate_adaptive_batch",
     "integrate_fixed",
     "FixedSolves",
-    "FixedBatch",
     "make_builtin",
     "moment_check",
     "moment_constant",

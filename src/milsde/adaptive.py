@@ -32,21 +32,23 @@ and adaptive lanes see the same exact Levy areas. Fixed-step solves
 advance a block of P paths together through one step map per window
 (:class:`FixedSolves`, bound to the block's prefix arrays): each call
 advances every job (scheme, step) over the windows the arrays hold so
-far, and each row carries its state to the next call. The one-path
-:func:`integrate_fixed` is one job over one path's whole arrays.
-Adaptive solves advance a set of lanes together
-(:func:`integrate_adaptive_batch`), one lane per (path,
-:class:`StrategyConfig`) pair. Each lane keeps its own position, state
-and step count, and leaves the live set when it reaches the horizon or
-diverges. The one-path :func:`integrate_adaptive` is its one-lane call;
-both run over whole arrays. Their rounds (:func:`_lockstep`) also run
-over a streamed window: when every live lane waits for a window not yet
+far, and each row carries its state to the next call. Adaptive solves
+advance a set of lanes together (:func:`integrate_adaptive_batch`), one
+lane per (path, :class:`StrategyConfig`) pair. Each lane keeps its own
+position, state and step count, and leaves the live set when it reaches
+the horizon or diverges. Their rounds (:func:`_lockstep`) also run over
+a streamed window: when every live lane waits for a window not yet
 held, they yield the slowest lane's node, and the caller draws a slab.
+Both return a :class:`SolutionBatch`, a fixed job's rows as its lanes
+with no step flagged. The one-path :func:`integrate_fixed` and
+:func:`integrate_adaptive` read lane 0 of a one-row job or a one-lane
+solve over one path's whole arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -63,10 +65,9 @@ __all__ = [
     "propose_step",
     "integrate_adaptive",
     "integrate_adaptive_batch",
-    "AdaptiveBatch",
+    "SolutionBatch",
     "integrate_fixed",
     "FixedSolves",
-    "FixedBatch",
 ]
 
 
@@ -203,6 +204,28 @@ def _ceil_units(values: np.ndarray, unit: float) -> np.ndarray:
     return k + (k * unit < values)
 
 
+def _check_lanes(configs, horizon: float, resolution: float) -> np.ndarray:
+    """UsageError unless every config fits a path of ``horizon`` on a
+    fine grid of ``resolution``: h_max at most the horizon, the floor
+    h_min on or above the resolution, and some grid multiple between
+    them. Returns each config's floor in fine steps."""
+    for c in configs:
+        if c.h_max > horizon:
+            raise UsageError(f"h_max {c.h_max} exceeds the horizon {horizon}: not in (0, horizon]")
+        if c.h_min < resolution:
+            raise UsageError(
+                f"h_max {c.h_max:g} with rho {c.rho:g} puts the floor below the fine "
+                f"resolution {resolution:g}; raise the resolution exponent or lower rho"
+            )
+    k_min = _ceil_units(np.array([c.h_min for c in configs]), resolution)
+    if (k_min > _floor_units(np.array([c.h_max for c in configs]), resolution)).any():
+        raise UsageError(
+            "the path grid cannot separate h_min from h_max; "
+            "increase the resolution exponent or rho"
+        )
+    return k_min
+
+
 def _check_compatible(problem: SdeProblem, path: PathPrefixes) -> None:
     if path.dim_noise != problem.dim_noise:
         raise UsageError(
@@ -215,8 +238,9 @@ def _check_compatible(problem: SdeProblem, path: PathPrefixes) -> None:
 
 
 @dataclass(frozen=True)
-class AdaptiveBatch:
-    """Result of :func:`integrate_adaptive_batch` for L lanes.
+class SolutionBatch:
+    """Result of :func:`integrate_adaptive_batch` for L lanes, or of one
+    :class:`FixedSolves` job with a lane per row.
 
     Per lane (L,): ``ends`` the fine node it stopped at, ``final_states``
     (L, d) its state there, ``num_steps`` its completed steps, ``flagged``
@@ -276,7 +300,7 @@ def integrate_adaptive_batch(
     scheme: str = "milstein",
     zero_levy_area: bool = False,
     keep: str = "states",
-) -> AdaptiveBatch:
+) -> SolutionBatch:
     """Run the adaptive controller on a set of lanes in lockstep.
 
     Lane l drives the problem with ``configs[l]`` over path ``rows[l]``
@@ -314,30 +338,17 @@ def _lockstep(
     if keep not in ("states", "steps", "totals"):
         raise UsageError(f"keep must be 'states', 'steps' or 'totals', got {keep!r}")
     _check_compatible(problem, prefixes)
-    rows = np.asarray(rows, dtype=np.intp)
+    rows, paths = np.asarray(rows), len(prefixes.sums)
     if not configs or rows.shape != (len(configs),):
         raise UsageError("need at least one lane, and one path row per config")
+    if rows.dtype.kind not in "iu" or not ((rows >= 0) & (rows < paths)).all():
+        raise UsageError(f"path rows must be integers in [0, {paths})")
     h_ref = prefixes.resolution
     n_total = prefixes.num_steps
-    for config in configs:
-        if config.h_max > problem.horizon:
-            raise UsageError(
-                f"h_max {config.h_max} exceeds the horizon {problem.horizon}"
-            )
-        if config.h_min < h_ref:
-            raise UsageError(
-                f"h_min {config.h_min:g} is below the path resolution {h_ref:g}; "
-                "generate the path with a larger resolution exponent"
-            )
+    k_min = _check_lanes(configs, problem.horizon, h_ref)
     scale, h_min, h_max = (
         np.array([getattr(c, a) for c in configs]) for a in ("scale", "h_min", "h_max")
     )
-    k_min = _ceil_units(h_min, h_ref)
-    if (k_min > _floor_units(h_max, h_ref)).any():
-        raise UsageError(
-            "the path grid cannot separate h_min from h_max; "
-            "increase the resolution exponent or rho"
-        )
     _check_rowwise(problem, max(len(rows), problem.dim_state + 1))
     step, backstop = _step_map(problem, scheme), _step_map(problem, "tamed")
 
@@ -399,7 +410,7 @@ def _lockstep(
         yield int(at[live].min())
 
 
-def _collect(rounds, at, y, initial_state, h_ref) -> AdaptiveBatch:
+def _collect(rounds, at, y, initial_state, h_ref) -> SolutionBatch:
     """Per-lane totals from the per-round records (``at`` and ``y`` hold
     each lane's last finite node and state), and the kept records of the
     finite steps, grouped by lane in the order taken."""
@@ -414,13 +425,13 @@ def _collect(rounds, at, y, initial_state, h_ref) -> AdaptiveBatch:
     flagged = np.bincount(lanes[finite & pinned], minlength=count)
     totals = (at, y, num_steps, flagged, divergent, initial_state, h_ref)
     if ends is None:
-        return AdaptiveBatch(*totals)
+        return SolutionBatch(*totals)
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(num_steps, out=offsets[1:])
     order = np.flatnonzero(finite)[np.argsort(lanes[finite], kind="stable")]
     if states is not None:
         states = states[order]
-    return AdaptiveBatch(*totals, offsets, ends[order], pinned[order], states)
+    return SolutionBatch(*totals, offsets, ends[order], pinned[order], states)
 
 
 def integrate_adaptive(
@@ -443,24 +454,6 @@ def integrate_adaptive(
         problem, [config], path.prefixes(), [0], scheme, zero_levy_area
     )
     return batch.solution(0)
-
-
-@dataclass(frozen=True)
-class FixedBatch:
-    """Result of one job of :class:`FixedSolves` for P paths.
-
-    ``final_states`` (P, d) holds each row's last finite state and
-    ``num_steps`` (P,) the steps it completed; a row that went
-    non-finite is flagged in ``divergent`` (P,) and stopped there.
-    ``states`` (nodes, P, d) holds the node states when recorded, up to
-    the last step any row completed; a stopped row repeats its last
-    finite state.
-    """
-
-    final_states: np.ndarray
-    num_steps: np.ndarray
-    divergent: np.ndarray
-    states: np.ndarray | None = None
 
 
 _BATCH_CONTRACT = (
@@ -504,8 +497,8 @@ class _FixedRun:
     """One job's rows between calls."""
 
     def __init__(self, problem, scheme, count, windows, record):
-        self.map = _step_map(problem, scheme)
-        self.y = np.tile(problem.initial_state, (count, 1))
+        self.map, self.initial_state = _step_map(problem, scheme), problem.initial_state
+        self.y = np.tile(self.initial_state, (count, 1))
         self.stop = np.full(count, windows)  # the window each row stopped at
         self.dead = np.zeros(count, dtype=bool)  # rows stopped so far
         self.step = 0  # windows taken
@@ -555,6 +548,24 @@ class _FixedRun:
                 states.append(y)
         self.y, self.dead, self.step = y, dead, step
 
+    def batch(self, k: int, n: int, resolution: float) -> SolutionBatch:
+        """The rows as the lanes of a :class:`SolutionBatch`, each ending
+        on its last finite node, with windows of ``k`` of the ``n`` fine
+        steps and no step flagged."""
+        count, steps = len(self.y), self.stop
+        totals = (
+            np.minimum(steps * k, n), self.y, steps, np.zeros(count, dtype=np.int64),
+            self.dead, self.initial_state, resolution,
+        )
+        if self.states is None:
+            return SolutionBatch(*totals)
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(steps, out=offsets[1:])
+        row = np.repeat(np.arange(count), steps)
+        taken = np.arange(1, offsets[-1] + 1) - offsets[row]  # each record's step count
+        records = (np.minimum(taken * k, n), np.zeros(len(row), dtype=bool))
+        return SolutionBatch(*totals, offsets, *records, np.array(self.states)[taken, row])
+
 
 class FixedSolves:
     """Fixed-step solves of a block of P paths, bound to their prefix
@@ -568,11 +579,12 @@ class FixedSolves:
     has not taken yet; :attr:`position` is the first node a job still
     needs. Each job reads its own windows, all in one read per call,
     with the exact integrals :func:`~milsde.wiener.integrals_over` gives
-    them. Rows never mix, so row p equals
-    :func:`integrate_fixed` on path p bit for bit, divergence included,
-    whatever the arrays held at each call. The coefficients are checked
-    once, as in :func:`integrate_adaptive_batch`, and each job's step
-    map is built once. ``record`` keeps every node state, checking each
+    them. Rows never mix, so row p of a job, read as ``solution(p)`` of
+    its :class:`SolutionBatch`, equals :func:`integrate_fixed` on path p
+    bit for bit, divergence included, whatever the arrays held at each
+    call. The coefficients are checked once, as in
+    :func:`integrate_adaptive_batch`, and each job's step map is built
+    once. ``record`` keeps every step's node and state, checking each
     step; without it, a call checks each job's slab of steps at its end
     (see :meth:`_FixedRun.advance`). ``zero_levy_area`` zeroes the Levy
     areas. ``seconds`` holds each job's CPU seconds: its steps plus the
@@ -583,16 +595,22 @@ class FixedSolves:
         self, problem: SdeProblem, jobs, prefixes: PathPrefixes,
         zero_levy_area: bool = False, record: bool = False,
     ):
-        jobs = [(check_scheme(scheme), int(k)) for scheme, k in jobs]
+        jobs = [(check_scheme(scheme), k) for scheme, k in jobs]
         count, num_steps = len(prefixes.sums), prefixes.num_steps
-        if not jobs or not all(1 <= k <= num_steps for _, k in jobs):
-            raise UsageError(f"need a job and 1 <= substeps <= {num_steps}")
+        try:
+            self._steps = [operator.index(k) for _, k in jobs]  # fine steps per window
+        except TypeError:
+            self._steps = []  # refused below
+        if not self._steps or not all(1 <= k <= num_steps for k in self._steps):
+            raise UsageError(f"need a job and whole substeps, 1 <= substeps <= {num_steps}")
         _check_compatible(problem, prefixes)
         _check_rowwise(problem, max(count, problem.dim_state + 1))
         self.prefixes, self.zero_area = prefixes, zero_levy_area
         self.seconds = [0.0] * len(jobs)
-        self._runs = [_FixedRun(problem, s, count, -(-num_steps // k), record) for s, k in jobs]
-        self._steps = [k for _, k in jobs]  # fine steps per window, per job
+        self._runs = [
+            _FixedRun(problem, s, count, -(-num_steps // k), record)
+            for (s, _), k in zip(jobs, self._steps)
+        ]
         self._at = [0] * len(jobs)  # the node each job reached
 
     @property
@@ -639,15 +657,13 @@ class FixedSolves:
                 if len(e):
                     self._at[j] = int(e[-1])
 
-    def results(self) -> list[FixedBatch]:
-        """Every job's :class:`FixedBatch`, in the order of the jobs."""
+    def results(self) -> list[SolutionBatch]:
+        """Every job's :class:`SolutionBatch`, a lane per row, in the
+        order of the jobs."""
         n = self.prefixes.num_steps
         if self.position < n:
             raise UsageError(f"only {self.position} of {n} fine steps were taken")
-        return [
-            FixedBatch(r.y, r.stop, r.dead, None if r.states is None else np.array(r.states))
-            for r in self._runs
-        ]
+        return [r.batch(k, n, self.prefixes.resolution) for r, k in zip(self._runs, self._steps)]
 
 
 def fixed_substeps(step_size: float, resolution: float, num_steps: int) -> int:
@@ -676,18 +692,10 @@ def integrate_fixed(
 ) -> SolutionPath:
     """Fixed-step integration at a step that is a whole multiple of the
     path resolution; if the horizon is not a multiple of the step, the
-    run finishes with one shorter step onto the horizon. This is one
-    :class:`FixedSolves` job bound to the path's prefix arrays.
+    run finishes with one shorter step onto the horizon. This is the one
+    row of a :class:`FixedSolves` job bound to the path's prefix arrays.
     """
     k = fixed_substeps(step_size, path.resolution, path.num_steps)
     solves = FixedSolves(problem, [(scheme, k)], path.prefixes(), zero_levy_area, True)
     solves.advance()
-    batch = solves.results()[0]
-    steps = int(batch.num_steps[0])
-    positions = np.minimum(np.arange(steps + 1) * k, path.num_steps)
-    return SolutionPath(
-        times=positions.astype(float) * path.resolution,
-        states=batch.states[: steps + 1, 0],
-        backstop_flags=np.zeros(steps, dtype=bool),
-        divergent=bool(batch.divergent[0]),
-    )
+    return solves.results()[0].solution(0)

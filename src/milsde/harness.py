@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import FixedSolves, StrategyConfig, _lockstep
+from .adaptive import FixedSolves, StrategyConfig, _check_lanes, _lockstep
 from .errors import ExperimentError, UsageError
 from .problems import SdeProblem, make_builtin
 from .steppers import check_scheme
@@ -151,7 +151,7 @@ class ExperimentConfig:
                 "fine_exponent must exceed reference_exponent by at least 4"
             )
         _check_run(
-            self.problem, self.h_max_values, (self.rho,), self.num_paths,
+            self.problem, self.h_max_values, (self.rho,), self.delta, self.num_paths,
             self.fine_exponent, self.workers,
         )
         ref_step = self.reference_step
@@ -161,12 +161,6 @@ class ExperimentConfig:
                 raise UsageError(
                     f"h_max {h:g} is not a whole multiple of the reference step "
                     f"{ref_step:g}"
-                )
-        if self.delta is not None:
-            lo = min(self.h_max_values)
-            if not (0.0 < self.delta <= lo):
-                raise UsageError(
-                    f"delta must lie in (0, min h_max] = (0, {lo}], got {self.delta}"
                 )
 
     @property
@@ -289,30 +283,22 @@ def _err_sq(ref_final: np.ndarray, final: np.ndarray, divergent: np.ndarray) -> 
     return np.array([math.nan if bad else float((r - y) @ (r - y)) for r, y, bad in rows])
 
 
-def _check_run(problem, h_values, rhos, num_paths, fine_exponent, workers) -> None:
+def _check_run(problem, h_values, rhos, delta, num_paths, fine_exponent, workers) -> tuple:
     """The checks a table and a backstop curve share: no h_max or rho is
-    given twice, every rho exceeds 1, at least two paths and one worker,
-    and every h_max lies in (0, T] with its floor h_max / rho on or above
-    the fine resolution."""
+    given twice, at least two paths and one worker, and each (h_max, rho)
+    makes a :class:`~milsde.adaptive.StrategyConfig` with ``delta`` that
+    fits the fine grid (:func:`~milsde.adaptive._check_lanes`). Returns
+    those configs, h_max-major."""
     for name, values in (("h_max values", h_values), ("rho values", rhos)):
         if len(set(values)) < len(values):
             raise UsageError(f"the {name} {values} repeat a value; give each once")
-    for rho in rhos:
-        if not rho > 1.0:
-            raise UsageError(f"rho must exceed 1, got {rho}")
     if num_paths < 2:
         raise UsageError("num_paths must be at least 2")
     if workers < 1:
         raise UsageError("workers must be at least 1")
-    h_ref = problem.horizon * 2.0**-fine_exponent
-    for h in h_values:
-        if not (0.0 < h <= problem.horizon):
-            raise UsageError(f"h_max {h} must lie in (0, horizon]")
-        if h / max(rhos) < h_ref:
-            raise UsageError(
-                f"h_max {h:g} with rho {max(rhos):g} puts the floor below the "
-                f"fine resolution {h_ref:g}; raise fine_exponent or lower rho"
-            )
+    configs = tuple(StrategyConfig(h, rho, delta) for h in h_values for rho in rhos)
+    _check_lanes(configs, problem.horizon, problem.horizon * 2.0**-fine_exponent)
+    return configs
 
 
 def _block(task):
@@ -326,10 +312,10 @@ def _block(task):
     same window. One loop drives both, as the module docstring says.
 
     Returns the CPU s of path generation (the slab draws and their prefix
-    fills); the lanes' :class:`~milsde.adaptive.AdaptiveBatch` and each
+    fills); the lanes' :class:`~milsde.adaptive.SolutionBatch` and each
     lane's CPU s (None without lanes); and per job its
-    :class:`~milsde.adaptive.FixedBatch` and CPU s, charged as the module
-    docstring says.
+    :class:`~milsde.adaptive.SolutionBatch`, a lane per path, and CPU s,
+    charged as the module docstring says. No batch keeps a job's steps.
     """
     problem, seeds, fine_exp, unit, configs, keep, jobs = task
     clock = time.process_time
@@ -508,9 +494,8 @@ def backstop_probability(
     if not rhos:
         raise UsageError("at least one rho value is required")
     _check_exponent("fine_exponent", fine_exponent)
-    _check_run(problem, (h_max,), rhos, num_paths, fine_exponent, workers)
+    configs = _check_run(problem, (h_max,), rhos, delta, num_paths, fine_exponent, workers)
     seeds = _path_seeds(base_seed, range(num_paths))
-    configs = tuple(StrategyConfig(h_max=h_max, rho=rho, delta=delta) for rho in rhos)
     tasks = [
         (problem, block, fine_exponent, 1, configs, "steps", ())
         for block in _seed_blocks(seeds, workers, problem, fine_exponent, h_max)

@@ -369,7 +369,10 @@ def _assert_rows_equal_single(problem, scheme, k, batch, paths, **kwargs):
         assert batch.divergent[p] == sol.divergent
         assert batch.num_steps[p] == sol.num_steps
         np.testing.assert_array_equal(batch.final_states[p], sol.final_state)
-        np.testing.assert_array_equal(batch.states[: sol.num_steps + 1, p], sol.states)
+        assert batch.ends[p] * batch.resolution == sol.final_time and batch.flagged[p] == 0
+        row = batch.solution(p)
+        for name in ("times", "states", "backstop_flags"):
+            np.testing.assert_array_equal(getattr(row, name), getattr(sol, name))
 
 
 def _assert_batch_equals_single(problem, scheme, step, seeds):
@@ -467,9 +470,8 @@ def _assert_unchecked_equals_checked(problem, jobs, seeds, sizes):
     unchecked, _ = _solve_in_slabs(problem, jobs, seeds, sizes)
     for a, b in zip(checked, unchecked):
         assert b.states is None
-        np.testing.assert_array_equal(a.final_states, b.final_states)
-        np.testing.assert_array_equal(a.num_steps, b.num_steps)
-        np.testing.assert_array_equal(a.divergent, b.divergent)
+        for name in ("ends", "final_states", "num_steps", "flagged", "divergent"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     return unchecked, ends
 
 
@@ -794,6 +796,23 @@ def test_lockstep_rejects_mismatched_lanes_and_single_state_coefficients():
     single = _custom_2d(lambda x, i: np.array([x[0], x[1]]))
     with pytest.raises(UsageError, match="last axis"):
         integrate_adaptive(single, StrategyConfig(2.0**-4, 4.0), generate_path(0, 8, 1))
+
+
+def test_batched_solves_refuse_rows_and_substeps_they_would_wrap_or_round():
+    # Row -1 used to solve the last path, 1.7 path 1, and 5 raised a raw
+    # IndexError; substeps 4.5 ran as 4 and "4" was accepted.
+    problem = make_builtin("scalar_mult")
+    paths = [generate_path(s, 12, 1) for s in range(2)]
+    prefixes = PathPrefixes.of(np.stack([path.increments for path in paths]), 1.0)
+    for row in (-1, 1.7, 5, 2):
+        with pytest.raises(UsageError, match=r"rows must be integers in \[0, 2\)"):
+            integrate_adaptive_batch(problem, [CFG], prefixes, [row])
+    for k in (4.5, "4", 4.0):
+        with pytest.raises(UsageError, match="substeps"):
+            FixedSolves(problem, [("euler", k)], prefixes)
+    batch = integrate_adaptive_batch(problem, [CFG], prefixes, np.array([1], dtype=np.uint8))
+    assert batch.num_steps[0] > 0
+    assert FixedSolves(problem, [("euler", np.int64(4))], prefixes)._steps == [4]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ RUNS = {
                         "--fine-exponent", "12", "--h-max", "2^-6", "--rho", "8"],
     "single_milstein": ["single-path", "--problem", "twod_noncommutative",
                         "--fine-exponent", "12", "--scheme", "milstein", "--h-max", "2^-6"],
+    # k = 192 fine steps: 4096 / 192 is not whole, so the last window is shorter.
+    "single_milstein_short_last": ["single-path", "--problem", "twod_noncommutative",
+                                   "--fine-exponent", "12", "--scheme", "milstein",
+                                   "--h-max", "0.046875"],
     "moments": ["moments-check", "--samples", "500", "--fine-exponent", "8",
                 "--order", "1,2,3,4,8"],
 }
@@ -93,6 +97,13 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "single_path.csv": "9e933d1df30b0c63e45a2e8b4c4c6d15259ffb1981088325a2271c24b4ab00d3",
         "single_path_config.txt": "0299fa71ba9d333f5b738e3d6df43096ebc3ffbef81eade4cebff34d238bc5ea",
+    },
+    "single_milstein_short_last": {
+        "exit": 0,
+        "stdout": "08ca7da3e0454c1c24f7c0120c94c8f00d419346c967bbd8f0bbc392ad194940",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "single_path.csv": "6e8e54e729c7b64a4b2472f4cde97984d6271309d2040344aef53169944447b7",
+        "single_path_config.txt": "d77352a568dd94f6e0fe571d60367eeb46f684ae0afe071838b48371bba78e5e",
     },
 }
 

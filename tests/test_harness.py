@@ -631,6 +631,19 @@ def test_backstop_curve_refuses_fewer_than_one_worker():
             )
 
 
+def test_backstop_curve_refuses_an_unseparated_grid_before_the_pool_starts(monkeypatch):
+    # h_min = 2.5 * 2^-4 / 1.2 rounds up to 3 fine steps of 2^-4 and h_max
+    # down to 2; the curve used to start its workers, which then raised.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the worker pool started")
+
+    monkeypatch.setattr(milsde.harness, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(UsageError, match="separate"):
+        backstop_probability(
+            "scalar_probe", (1.2,), h_max=2.5 * 2**-4, num_paths=4, fine_exponent=4, workers=2
+        )
+
+
 def test_backstop_validation():
     with pytest.raises(UsageError, match="rho"):
         backstop_probability("scalar_mult", (), h_max=2.0**-8, num_paths=10)
