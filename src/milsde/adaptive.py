@@ -28,10 +28,10 @@ plain scheme map, and is never flagged as a backstop.
 
 Every solve reads its window integrals in O(1) from the prefix arrays
 of its paths (:class:`~milsde.wiener.PathPrefixes`), so fixed meshes
-and adaptive lanes see the same exact Levy areas. Fixed-step solves
-advance a block of P paths together through one step map per window
-(:class:`FixedSolves`, bound to the block's prefix arrays): each call
-advances every job (scheme, step) over the windows the arrays hold so
+and adaptive lanes see the same exact Levy areas. A fixed-step job
+(scheme, step) advances a block of P paths together through one step
+map per window (:class:`FixedSolves`, bound to the block's prefix
+arrays): each call steps its rows over the windows the arrays hold so
 far, and each row carries its state to the next call. Adaptive solves
 advance a set of lanes together (:func:`integrate_adaptive_batch`), one
 lane per (path, :class:`StrategyConfig`) pair. Each lane keeps its own
@@ -42,14 +42,14 @@ held, they yield the slowest lane's node, and the caller draws a slab.
 Both return a :class:`SolutionBatch`, a fixed job's rows as its lanes
 with no step flagged. The one-path :func:`integrate_fixed` and
 :func:`integrate_adaptive` read lane 0 of a one-row job or a one-lane
-solve over one path's whole arrays.
+solve over one path's whole arrays. No solve reads a clock: the harness
+times each one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,10 +245,11 @@ class SolutionBatch:
     Per lane (L,): ``ends`` the fine node it stopped at, ``final_states``
     (L, d) its state there, ``num_steps`` its completed steps, ``flagged``
     how many were pinned, and ``divergent`` whether it went non-finite
-    (it then stops at its last finite state). Per step, when kept: lane
-    l's records are ``offsets[l]:offsets[l + 1]`` in the order taken,
-    ``positions`` (N,) the node after the step, ``backstop_flags`` (N,)
-    whether it was pinned, and ``states`` (N, d) the state there.
+    (it then stops at its last finite state). Per step, when kept, lane
+    by lane in the order taken (lane l's ``num_steps[l]`` records follow
+    those of the lanes before it): ``positions`` (N,) the node after the
+    step, ``backstop_flags`` (N,) whether it was pinned, and ``states``
+    (N, d) the state there.
     """
 
     ends: np.ndarray
@@ -258,15 +259,28 @@ class SolutionBatch:
     divergent: np.ndarray
     initial_state: np.ndarray
     resolution: float
-    offsets: np.ndarray | None = None
     positions: np.ndarray | None = None
     backstop_flags: np.ndarray | None = None
     states: np.ndarray | None = None
 
     def solution(self, lane: int) -> SolutionPath:
-        """Lane ``lane`` as the :class:`SolutionPath` of its solve, in O(its
-        steps); its ``states`` are None unless the batch kept them."""
-        mine = slice(self.offsets[lane], self.offsets[lane + 1])
+        """Lane ``lane`` as the :class:`SolutionPath` of its solve; its
+        ``states`` are None unless the batch kept them.
+
+        Raises:
+            UsageError: the batch kept no steps, or ``lane`` is not an
+                integer in [0, L).
+        """
+        if self.positions is None:
+            raise UsageError("the batch kept no steps to read a lane from")
+        try:
+            lane = operator.index(lane)
+        except TypeError:
+            lane = -1  # refused below
+        if not 0 <= lane < len(self.ends):
+            raise UsageError(f"lane must be an integer in [0, {len(self.ends)})")
+        first = int(self.num_steps[:lane].sum())
+        mine = slice(first, first + int(self.num_steps[lane]))
         states = self.states
         if states is not None:
             states = np.concatenate((self.initial_state[None], states[mine]))
@@ -426,12 +440,10 @@ def _collect(rounds, at, y, initial_state, h_ref) -> SolutionBatch:
     totals = (at, y, num_steps, flagged, divergent, initial_state, h_ref)
     if ends is None:
         return SolutionBatch(*totals)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(num_steps, out=offsets[1:])
     order = np.flatnonzero(finite)[np.argsort(lanes[finite], kind="stable")]
     if states is not None:
         states = states[order]
-    return SolutionBatch(*totals, offsets, ends[order], pinned[order], states)
+    return SolutionBatch(*totals, ends[order], pinned[order], states)
 
 
 def integrate_adaptive(
@@ -493,35 +505,52 @@ def _check_rowwise(problem: SdeProblem, count: int) -> None:
         _check_structure(problem, rows[: d + 1])
 
 
-class _FixedRun:
-    """One job's rows between calls."""
+class FixedSolves:
+    """One fixed-step job (scheme, k) over a block of P paths, bound to
+    their prefix arrays and advanced as those fill.
 
-    def __init__(self, problem, scheme, count, windows, record):
-        self.map, self.initial_state = _step_map(problem, scheme), problem.initial_state
-        self.y = np.tile(self.initial_state, (count, 1))
-        self.stop = np.full(count, windows)  # the window each row stopped at
-        self.dead = np.zeros(count, dtype=bool)  # rows stopped so far
-        self.step = 0  # windows taken
-        self.states = [self.y] if record else None
+    Each row steps its path from the initial state over windows of k
+    fine steps, the last one shorter when k does not divide the path.
+    :meth:`advance` reads ``prefixes``, the block's
+    :class:`~milsde.wiener.PathPrefixes`, whole or streamed, and steps
+    the rows over each window they hold up to their frontier that the
+    job has not taken yet, all in one read per call, with the exact
+    integrals :func:`~milsde.wiener.integrals_over` gives them;
+    ``position`` is the first node the job still needs. Rows never mix,
+    so row p, read as ``result().solution(p)``, equals
+    :func:`integrate_fixed` on path p bit for bit, divergence included,
+    whatever the arrays held at each call. The coefficients are checked
+    once, as in :func:`integrate_adaptive_batch`, and the step map is
+    built once. ``record`` keeps every step's node and state, checking
+    each step; without it, a call checks its slab of steps at its end
+    (see :meth:`advance`). ``zero_levy_area`` zeroes the Levy areas.
+    """
 
-    def _unchecked(self, h, dW, I) -> bool:
-        """Step every window without checks, and keep the end states if
-        they are finite; whether it kept them."""
-        y, step_map = self.y, self.map
+    def __init__(
+        self, problem: SdeProblem, scheme: str, substeps: int, prefixes: PathPrefixes,
+        zero_levy_area: bool = False, record: bool = False,
+    ):
+        check_scheme(scheme)
+        count, num_steps = len(prefixes.sums), prefixes.num_steps
         try:
-            for window in zip(h, dW, I):
-                y = step_map(y, *window)
-        except Exception:
-            return False
-        if not np.isfinite(y).all():
-            return False
-        self.y, self.step = y, self.step + len(h)
-        return True
+            self.k = operator.index(substeps)  # fine steps per window
+        except TypeError:
+            self.k = 0  # refused below
+        if not 1 <= self.k <= num_steps:
+            raise UsageError(f"need whole substeps, 1 <= substeps <= {num_steps}")
+        _check_compatible(problem, prefixes)
+        _check_rowwise(problem, max(count, problem.dim_state + 1))
+        self.prefixes, self.zero_area = prefixes, zero_levy_area
+        self._map, self._initial_state = _step_map(problem, scheme), problem.initial_state
+        self._y = np.tile(self._initial_state, (count, 1))
+        self._stop = np.full(count, -(-num_steps // self.k))  # the window each row stopped at
+        self._dead = np.zeros(count, dtype=bool)  # rows stopped so far
+        self._states = [self._y] if record else None
+        self.position = 0  # the node the job reached
 
-    def advance(self, h, dW, I) -> None:
-        """Step the rows over c windows of lengths ``h`` (0-d arrays),
-        with ``dW`` (c, m, P, 1) and ``I`` (c, m, m, P, 1), component
-        axes first.
+    def advance(self) -> None:
+        """Step the rows over the windows the prefix arrays hold that the
+        job has not taken yet, up to their frontier.
 
         Unless it records, a job none of whose rows has stopped steps
         every window unchecked and is done if it ends finite. Otherwise
@@ -530,140 +559,73 @@ class _FixedRun:
         that went non-finite stays so; and a pass that raised (a
         coefficient may refuse a non-finite state) is replayed the same
         way, where an error raised on finite states surfaces again.
-        """
-        step_map, states = self.map, self.states
-        y, dead, step = self.y, self.dead, self.step
-        if states is None and not dead.any() and self._unchecked(h, dW, I):
-            return
-        for s in range(0 if dead.all() else len(dW)):
-            nxt = step_map(y, h[s], dW[s], I[s])
-            new = ~np.isfinite(nxt).all(axis=-1) & ~dead
-            self.stop[new] = step
-            dead = dead | new
-            if dead.all():
-                break
-            y = np.where(dead[:, None], y, nxt)
-            step += 1
-            if states is not None:
-                states.append(y)
-        self.y, self.dead, self.step = y, dead, step
-
-    def batch(self, k: int, n: int, resolution: float) -> SolutionBatch:
-        """The rows as the lanes of a :class:`SolutionBatch`, each ending
-        on its last finite node, with windows of ``k`` of the ``n`` fine
-        steps and no step flagged."""
-        count, steps = len(self.y), self.stop
-        totals = (
-            np.minimum(steps * k, n), self.y, steps, np.zeros(count, dtype=np.int64),
-            self.dead, self.initial_state, resolution,
-        )
-        if self.states is None:
-            return SolutionBatch(*totals)
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(steps, out=offsets[1:])
-        row = np.repeat(np.arange(count), steps)
-        taken = np.arange(1, offsets[-1] + 1) - offsets[row]  # each record's step count
-        records = (np.minimum(taken * k, n), np.zeros(len(row), dtype=bool))
-        return SolutionBatch(*totals, offsets, *records, np.array(self.states)[taken, row])
-
-
-class FixedSolves:
-    """Fixed-step solves of a block of P paths, bound to their prefix
-    arrays and advanced as those fill.
-
-    Each job (scheme, k) steps every path from the initial state over
-    windows of k fine steps, the last one shorter when k does not divide
-    the path. :meth:`advance` reads ``prefixes``, the block's
-    :class:`~milsde.wiener.PathPrefixes`, whole or streamed, and steps
-    every job over each window they hold up to their frontier that it
-    has not taken yet; :attr:`position` is the first node a job still
-    needs. Each job reads its own windows, all in one read per call,
-    with the exact integrals :func:`~milsde.wiener.integrals_over` gives
-    them. Rows never mix, so row p of a job, read as ``solution(p)`` of
-    its :class:`SolutionBatch`, equals :func:`integrate_fixed` on path p
-    bit for bit, divergence included, whatever the arrays held at each
-    call. The coefficients are checked once, as in
-    :func:`integrate_adaptive_batch`, and each job's step map is built
-    once. ``record`` keeps every step's node and state, checking each
-    step; without it, a call checks each job's slab of steps at its end
-    (see :meth:`_FixedRun.advance`). ``zero_levy_area`` zeroes the Levy
-    areas. ``seconds`` holds each job's CPU seconds: its steps plus the
-    reads of its own windows.
-    """
-
-    def __init__(
-        self, problem: SdeProblem, jobs, prefixes: PathPrefixes,
-        zero_levy_area: bool = False, record: bool = False,
-    ):
-        jobs = [(check_scheme(scheme), k) for scheme, k in jobs]
-        count, num_steps = len(prefixes.sums), prefixes.num_steps
-        try:
-            self._steps = [operator.index(k) for _, k in jobs]  # fine steps per window
-        except TypeError:
-            self._steps = []  # refused below
-        if not self._steps or not all(1 <= k <= num_steps for k in self._steps):
-            raise UsageError(f"need a job and whole substeps, 1 <= substeps <= {num_steps}")
-        _check_compatible(problem, prefixes)
-        _check_rowwise(problem, max(count, problem.dim_state + 1))
-        self.prefixes, self.zero_area = prefixes, zero_levy_area
-        self.seconds = [0.0] * len(jobs)
-        self._runs = [
-            _FixedRun(problem, s, count, -(-num_steps // k), record)
-            for (s, _), k in zip(jobs, self._steps)
-        ]
-        self._at = [0] * len(jobs)  # the node each job reached
-
-    @property
-    def position(self) -> int:
-        """The node the job furthest behind has reached."""
-        return min(self._at)
-
-    def advance(self) -> None:
-        """Advance every job over the windows the prefix arrays hold that
-        it has not taken yet, up to their frontier.
 
         Raises:
-            UsageError: the arrays no longer hold the start of a job's
+            UsageError: the arrays no longer hold the start of the job's
                 next window.
         """
-        prefixes = self.prefixes
-        if self.position < prefixes.start:
-            raise UsageError(f"node {self.position} is no longer held")
-        n, frontier, clock = prefixes.num_steps, prefixes.frontier, time.process_time
-        pairs = list(zip(self._steps, self._at))
-        if not any(at < frontier and min(at + k, n) <= frontier for k, at in pairs):
-            return  # no job has a new window
-        # Per job, the ends of the windows held that it has not taken,
-        # the last one clipped to the path; all are read at once.
-        ends = [np.arange(at + k, frontier + k, k).clip(max=n) for k, at in pairs]
-        ends = [e[e <= frontier] for e in ends]
-        starts = [np.concatenate(([at], e))[:-1] for at, e in zip(self._at, ends)]
-        start, end = (np.concatenate(x)[:, None] for x in (starts, ends))
-        t0 = clock()
-        h, dW, A = prefixes.windows(np.arange(len(prefixes.sums)), start, end, self.zero_area)
+        prefixes, k, at = self.prefixes, self.k, self.position
+        if at < prefixes.start:
+            raise UsageError(f"node {at} is no longer held")
+        # The ends of the windows held that the job has not taken, the
+        # last one clipped to the path.
+        ends = np.arange(at + k, prefixes.frontier + k, k).clip(max=prefixes.num_steps)
+        ends = ends[ends <= prefixes.frontier]
+        if not len(ends):
+            return
+        starts = np.concatenate(([at], ends[:-1]))[:, None]
+        h, dW, A = prefixes.windows(np.arange(len(self._y)), starts, ends[:, None], self.zero_area)
         I = double_integrals(h[..., None], dW, A)
-        read, h, b = (clock() - t0) / max(1, len(h)), h[:, 0].tolist(), 0
         # Window lengths as 0-d arrays, which the maps multiply by faster
         # than by floats; a job's windows share one or two lengths.
-        zero_d = {x: np.array(x) for x in set(h)}
-        h = [zero_d[x] for x in h]
+        zero_d = {x: np.array(x) for x in set(h[:, 0].tolist())}
+        h = [zero_d[x] for x in h[:, 0].tolist()]
         dW, I = _components_first(dW, I)
+        self.position = int(ends[-1])
+        step_map, states, y, dead = self._map, self._states, self._y, self._dead
+        step = -(-at // k)  # windows taken
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, e in enumerate(ends):
-                a, b = b, b + len(e)
-                t0 = clock()
-                self._runs[j].advance(h[a:b], dW[a:b], I[a:b])
-                self.seconds[j] += read * len(e) + clock() - t0
-                if len(e):
-                    self._at[j] = int(e[-1])
+            if states is None and not dead.any():
+                try:
+                    nxt = y
+                    for window in zip(h, dW, I):
+                        nxt = step_map(nxt, *window)
+                except Exception:
+                    nxt = None  # replayed below, checked
+                if nxt is not None and np.isfinite(nxt).all():
+                    self._y = nxt
+                    return
+            for s in range(0 if dead.all() else len(dW)):
+                nxt = step_map(y, h[s], dW[s], I[s])
+                new = ~np.isfinite(nxt).all(axis=-1) & ~dead
+                self._stop[new] = step
+                dead = dead | new
+                if dead.all():
+                    break
+                y = np.where(dead[:, None], y, nxt)
+                step += 1
+                if states is not None:
+                    states.append(y)
+        self._y, self._dead = y, dead
 
-    def results(self) -> list[SolutionBatch]:
-        """Every job's :class:`SolutionBatch`, a lane per row, in the
-        order of the jobs."""
-        n = self.prefixes.num_steps
+    def result(self) -> SolutionBatch:
+        """The rows as the lanes of a :class:`SolutionBatch`, each ending
+        on its last finite node, with no step flagged."""
+        k, n = self.k, self.prefixes.num_steps
         if self.position < n:
             raise UsageError(f"only {self.position} of {n} fine steps were taken")
-        return [r.batch(k, n, self.prefixes.resolution) for r, k in zip(self._runs, self._steps)]
+        count, steps = len(self._y), self._stop
+        totals = (
+            np.minimum(steps * k, n), self._y, steps, np.zeros(count, dtype=np.int64),
+            self._dead, self._initial_state, self.prefixes.resolution,
+        )
+        if self._states is None:
+            return SolutionBatch(*totals)
+        # Each record's row, and its step count within the row.
+        row = np.repeat(np.arange(count), steps)
+        taken = np.arange(1, len(row) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
+        records = (np.minimum(taken * k, n), np.zeros(len(row), dtype=bool))
+        return SolutionBatch(*totals, *records, np.array(self._states)[taken, row])
 
 
 def fixed_substeps(step_size: float, resolution: float, num_steps: int) -> int:
@@ -696,6 +658,6 @@ def integrate_fixed(
     row of a :class:`FixedSolves` job bound to the path's prefix arrays.
     """
     k = fixed_substeps(step_size, path.resolution, path.num_steps)
-    solves = FixedSolves(problem, [(scheme, k)], path.prefixes(), zero_levy_area, True)
-    solves.advance()
-    return solves.results()[0].solution(0)
+    solve = FixedSolves(problem, scheme, k, path.prefixes(), zero_levy_area, True)
+    solve.advance()
+    return solve.result().solution(0)

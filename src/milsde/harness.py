@@ -25,40 +25,41 @@ open streams (:class:`~milsde.wiener.PathStreams`) into one sliding
 window of prefix arrays (:class:`~milsde.wiener.PathPrefixes`), from
 which every solve of the block reads its windows. Adaptive lanes, one
 per (path, config), run in one lockstep solve, and fixed-step jobs
-(:class:`~milsde.adaptive.FixedSolves`) beside them, both bound to the
-window, whose grid is the problem's horizon and 2^L fine steps. One loop
-drives the block: the lanes step until every live lane waits, because
-its next window ends beyond the slabs drawn so far; the jobs then take
-every window held; then the next slab is drawn and the nodes behind the
-slowest lane or job are dropped. It stops at the horizon, or as soon as
-no lane or job is left to step. A table runs two such passes over the
-same blocks: pass 1 has a lane per (path, h_max) and the tamed reference
-as its one job, with slabs ending on reference-window boundaries; pass 2
-has a job per (scheme, matched fine-step count). A backstop curve
-runs one pass with a lane per (path, rho). The window and one slab's
-increments stay within a cap of the library (not an option) of 2 MiB
-per 25 paths of the block, rounded up. Where 25 paths fit that cap with
-slabs at least half as wide as the widest lane's window, each worker
-runs one block; otherwise blocks are cut to fewer paths, small enough
-that their slabs are that wide. Only a single path whose widest window
-alone exceeds the cap holds more: that window plus one slab unit. So a
-block holds a whole path only where it fits the cap, and never a whole
-mesh. Rows and lanes never mix inside a batched solve, so results do not
-depend on the split into blocks or slabs. Errors, divergence checks and
-curve statistics are computed in the parent process from the blocks'
-endpoints and steps.
+(:class:`~milsde.adaptive.FixedSolves`, one per (scheme, step)) beside
+them, all bound to the window, whose grid is the problem's horizon and
+2^L fine steps. One loop drives the block: the lanes step until every
+live lane waits, because its next window ends beyond the slabs drawn so
+far; each job then takes every window held; then the next slab is drawn
+and the nodes behind the slowest lane or job are dropped. It stops at
+the horizon, or as soon as no lane or job is left to step. A table runs
+two such passes over the same blocks: pass 1 has a lane per (path,
+h_max) and the tamed reference as its one job, with slabs ending on
+reference-window boundaries; pass 2 has a job per (scheme, matched
+fine-step count). A backstop curve runs one pass with a lane per (path,
+rho). The window and one slab's increments stay within a cap of the
+library (not an option) of 2 MiB per 25 paths of the block, rounded up.
+Where 25 paths fit that cap with slabs at least half as wide as the
+widest lane's window, each worker runs one block; otherwise blocks are
+cut to fewer paths, small enough that their slabs are that wide. Only a
+single path whose widest window alone exceeds the cap holds more: that
+window plus one slab unit. So a block holds a whole path only where it
+fits the cap, and never a whole mesh. Rows and lanes never mix inside a
+batched solve, so results do not depend on the split into blocks or
+slabs. Errors, divergence checks and curve statistics are computed in
+the parent process from the blocks' endpoints and steps.
 
 ``cpu_seconds`` per row is the CPU time (``time.process_time``, taken
-in the process that did the work and summed over workers) of that
-row's own solves, under one rule for every block. Drawing a slab and
+in the process that did the work and summed over workers) of that row's
+own solves, under one rule for every block, which the block applies by
+timing each slab draw and each call of each solve. Drawing a slab and
 writing its prefix nodes are path generation. The lockstep solve is
-split between its lanes in proportion to the steps they tried (a
-failed step included); an adaptive row is charged its lanes. A job is
-charged its steps and the reads of its own windows, plus an equal share
-of the rest of its block; a fixed row is charged its job. The reference
-is pass 1's only job. Path generation (both passes) is reported once,
-in ``ErrorTable.generation_seconds``, and the reference in
-``ErrorTable.reference_seconds``; neither is in any row.
+split between its lanes in proportion to the steps they tried (a failed
+step included); an adaptive row is charged its lanes. A job is charged
+its calls, which are its steps and the reads of its own windows, plus
+an equal share of the rest of its block; a fixed row is charged its
+job. The reference is pass 1's only job. Path generation (both passes)
+is reported once, in ``ErrorTable.generation_seconds``, and the
+reference in ``ErrorTable.reference_seconds``; neither is in any row.
 
 Seeds: path k uses ``base_seed ^ k``, so every experiment, pass, and
 rho value sees the same driving paths and results are reproducible
@@ -308,8 +309,10 @@ def _block(task):
 
     With lane ``configs``, one lockstep adaptive solve runs a lane per
     (path, config), path-major, keeping ``keep`` of each step; with
-    ``jobs``, their :class:`~milsde.adaptive.FixedSolves`, bound to the
-    same window. One loop drives both, as the module docstring says.
+    ``jobs``, one :class:`~milsde.adaptive.FixedSolves` per (scheme, k)
+    job, bound to the same window. One loop drives them all, as the
+    module docstring says, and times each solve's share of it: every
+    clock of the block is read here.
 
     Returns the CPU s of path generation (the slab draws and their prefix
     fills); the lanes' :class:`~milsde.adaptive.SolutionBatch` and each
@@ -325,7 +328,8 @@ def _block(task):
     window = PathPrefixes.streamed(count, problem.dim_noise, n, problem.horizon, widest, unit)
     rows = np.repeat(np.arange(count), len(configs))
     lanes = _lockstep(problem, list(configs) * count, window, rows, keep=keep) if configs else None
-    solves = FixedSolves(problem, jobs, window) if jobs else None
+    solves = [FixedSolves(problem, scheme, k, window) for scheme, k in jobs]
+    job_s = [0.0] * len(jobs)  # each job's steps and window reads
     batch = lane_cpu = None
     generation_s = lockstep_s = 0.0
     while True:
@@ -337,9 +341,11 @@ def _block(task):
             except StopIteration as done:
                 batch, lanes = done.value, None
             lockstep_s += clock() - t0
-        if solves is not None:
-            solves.advance()
-            waiting.append(solves.position)
+        for j, solve in enumerate(solves):
+            t0 = clock()
+            solve.advance()
+            job_s[j] += clock() - t0
+            waiting.append(solve.position)
         if not waiting or window.frontier == n:
             break
         t0 = clock()
@@ -349,9 +355,9 @@ def _block(task):
         tried = batch.num_steps + batch.divergent  # a failed step included
         lane_cpu = lockstep_s * tried / tried.sum()
     fixed = []
-    if solves is not None:
-        rest = (clock() - began - generation_s - lockstep_s - sum(solves.seconds)) / len(jobs)
-        fixed = [(b, s + rest) for b, s in zip(solves.results(), solves.seconds)]
+    if solves:
+        rest = (clock() - began - generation_s - lockstep_s - sum(job_s)) / len(jobs)
+        fixed = [(solve.result(), s + rest) for solve, s in zip(solves, job_s)]
     return generation_s, batch, lane_cpu, fixed
 
 

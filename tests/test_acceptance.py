@@ -323,3 +323,32 @@ def test_09_pipeline_separates_half_order_from_first(mult_table):
         f"on the control ({elapsed:.0f}s); scalar_mult itself shows euler "
         f"{mult_euler:.3f} (degenerate at the attractor; reported, not asserted)",
     )
+
+
+def test_10_backstop_engaged_adaptive_is_order_one():
+    # The order-one claim covers the adaptive map and its backstop
+    # together. Here every row pins some of its steps, and none is forced
+    # by the initial state (||Y0|| = 2 < rho).
+    t0 = time.perf_counter()
+    table = convergence_table(
+        ExperimentConfig(
+            problem=make_builtin("scalar_probe", noise_scale=1.2),
+            h_max_values=tuple(2.0**-k for k in range(10, 5, -1)),
+            rho=2.5,
+            num_paths=100,
+            reference_exponent=14,
+            fine_exponent=18,
+        )
+    )
+    elapsed = time.perf_counter() - t0
+    slope = table.slopes()["adaptive"]
+    rates = [r.backstop_rate for r in table.rows]
+    divergent = sum(r.divergent_count for r in table.rows)
+    ok = _in_band(slope, SLOPE_BAND) and min(rates) >= 0.01 and divergent == 0
+    _criterion(
+        10,
+        ok,
+        f"scalar_probe (noise 1.2, rho 2.5) adaptive slope {slope:.3f} in [0.8, 1.2] "
+        f"with backstop rates {min(rates):.1%}..{max(rates):.1%} (each >= 1%), "
+        f"{divergent} divergent ({elapsed:.0f}s)",
+    )

@@ -353,14 +353,15 @@ def _solve_in_slabs(problem, jobs, seeds, sizes, level=10, **kwargs):
     streams = PathStreams(seeds, level, problem.dim_noise)
     widest = max(k for _, k in jobs) + max(sizes)
     window = PathPrefixes.streamed(len(seeds), problem.dim_noise, n, 1.0, widest)
-    solves = FixedSolves(problem, jobs, window, **kwargs)
+    solves = [FixedSolves(problem, scheme, k, window, **kwargs) for scheme, k in jobs]
     ends = []
     while window.frontier < n:
         window.slab = sizes[len(ends) % len(sizes)]
-        window.advance(solves.position, streams.draw)
-        solves.advance()
+        window.advance(min(solve.position for solve in solves), streams.draw)
+        for solve in solves:
+            solve.advance()
         ends.append(window.frontier)
-    return solves.results(), ends
+    return [solve.result() for solve in solves], ends
 
 
 def _assert_rows_equal_single(problem, scheme, k, batch, paths, **kwargs):
@@ -552,20 +553,20 @@ def test_slab_fed_solve_refuses_what_does_not_fit():
     streams = PathStreams((0, 1), 4, 1)
     window = PathPrefixes.streamed(2, 1, 16, 1.0, 4)
     window.slab = 10
-    solves = FixedSolves(problem, [("euler", 4)], window)
+    solves = FixedSolves(problem, "euler", 4, window)
     with pytest.raises(UsageError, match="noise components"):
-        FixedSolves(make_builtin("twod_noncommutative"), [("euler", 4)], window)
+        FixedSolves(make_builtin("twod_noncommutative"), "euler", 4, window)
     window.advance(0, streams.draw)
     solves.advance()
     assert solves.position == 8
     with pytest.raises(UsageError, match="taken"):
-        solves.results()
+        solves.result()
     # A window that dropped the start of a job's next window is refused.
     window.advance(window.frontier, streams.draw)
     with pytest.raises(UsageError, match="no longer held"):
         solves.advance()
     with pytest.raises(UsageError, match="substeps"):
-        FixedSolves(problem, [("euler", 17)], window)
+        FixedSolves(problem, "euler", 17, window)
 
 
 def _three_noise_problem():
@@ -634,7 +635,7 @@ def test_batched_solve_rejects_single_state_coefficients():
     ):
         problem = _custom_2d(column)
         with pytest.raises(UsageError, match=r"\(\.\.\., d\)|x\[\.\.\., k\]"):
-            FixedSolves(problem, [("milstein", 64)], PathPrefixes.streamed(2, 1, 1024, 1.0, 64))
+            FixedSolves(problem, "milstein", 64, PathPrefixes.streamed(2, 1, 1024, 1.0, 64))
         with pytest.raises(UsageError, match="last axis"):
             integrate_fixed(problem, "milstein", 2.0**-4, generate_path(0, 8, 1))
     # The same columns written on the last axis are accepted.
@@ -677,7 +678,7 @@ def test_labels_the_coefficients_allow_are_accepted():
             relabelled = dataclasses.replace(problem, structure=label)
             for count in (1, 3, 100):
                 window = PathPrefixes.streamed(count, problem.dim_noise, 16, 1.0, 1)
-                FixedSolves(relabelled, [("milstein", 1)], window)
+                FixedSolves(relabelled, "milstein", 1, window)
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +810,31 @@ def test_batched_solves_refuse_rows_and_substeps_they_would_wrap_or_round():
             integrate_adaptive_batch(problem, [CFG], prefixes, [row])
     for k in (4.5, "4", 4.0):
         with pytest.raises(UsageError, match="substeps"):
-            FixedSolves(problem, [("euler", k)], prefixes)
+            FixedSolves(problem, "euler", k, prefixes)
     batch = integrate_adaptive_batch(problem, [CFG], prefixes, np.array([1], dtype=np.uint8))
     assert batch.num_steps[0] > 0
-    assert FixedSolves(problem, [("euler", np.int64(4))], prefixes)._steps == [4]
+    assert FixedSolves(problem, "euler", np.int64(4), prefixes).k == 4
+
+
+def test_a_batch_refuses_lanes_it_cannot_read():
+    # A batch that kept no steps raised a raw TypeError, lane -1 gave an
+    # empty path at t = 0 with the last lane's divergent flag, and lane
+    # L a raw IndexError.
+    problem = make_builtin("scalar_mult")
+    paths = [generate_path(s, 12, 1) for s in range(2)]
+    prefixes = PathPrefixes.of(np.stack([path.increments for path in paths]), 1.0)
+    solve = FixedSolves(problem, "euler", 4, prefixes)
+    solve.advance()
+    totals = integrate_adaptive_batch(problem, [CFG, CFG], prefixes, [0, 1], keep="totals")
+    for batch in (solve.result(), totals):
+        with pytest.raises(UsageError, match="kept no steps"):
+            batch.solution(0)
+    kept = integrate_adaptive_batch(problem, [CFG, CFG], prefixes, [0, 1])
+    for lane in (-1, 2, 0.5, "0"):
+        with pytest.raises(UsageError, match=r"lane must be an integer in \[0, 2\)"):
+            kept.solution(lane)
+    sol = kept.solution(np.int64(1))
+    np.testing.assert_array_equal(sol.states, integrate_adaptive(problem, CFG, paths[1]).states)
 
 
 # ---------------------------------------------------------------------------

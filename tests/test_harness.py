@@ -206,12 +206,13 @@ def test_table_layout_and_matched_steps():
 def test_a_step_matched_by_two_h_max_values_runs_once(monkeypatch):
     # Here h_max 2^-4 and 2^-3 both match euler to 202 fine steps; the
     # job was queued twice and the first run's CPU was charged nowhere.
-    queued = []
+    # Each window is kept, so no two blocks' windows share an id.
+    built = []
     solves = milsde.harness.FixedSolves
 
-    def recording(problem, jobs, *args):
-        queued.append(tuple(jobs))
-        return solves(problem, jobs, *args)
+    def recording(problem, scheme, k, window, *args):
+        built.append((window, (scheme, k)))
+        return solves(problem, scheme, k, window, *args)
 
     monkeypatch.setattr(milsde.harness, "FixedSolves", recording)
     config = ExperimentConfig(
@@ -225,8 +226,9 @@ def test_a_step_matched_by_two_h_max_values_runs_once(monkeypatch):
         fine_exponent=14,
     )
     euler = convergence_table(config).rows_for("euler")
-    assert ("euler", 202) in {job for jobs in queued for job in jobs}
-    assert all(len(set(jobs)) == len(jobs) for jobs in queued), queued
+    assert ("euler", 202) in {job for _, job in built}
+    pairs = [(id(window), job) for window, job in built]
+    assert len(set(pairs)) == len(pairs), pairs
     assert euler[0] == euler[1] and euler[0].h_max == 202 * 2.0**-14
 
 
@@ -374,7 +376,7 @@ def test_comparator_windows_across_slabs_do_not_change_results(monkeypatch):
 
     def spy(self):
         advance(self)
-        slab_ends.append((tuple(self._steps), self.prefixes.frontier))
+        slab_ends.append(((self.k,), self.prefixes.frontier))
 
     monkeypatch.setattr(milsde.adaptive.FixedSolves, "advance", spy)
     monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1000)

@@ -284,7 +284,7 @@ def test_comparator_dispatch():
         lambda s: check_scheme(s),
         lambda s: check_scheme(s, adaptive=True),
         lambda s: integrate_fixed(p, s, 0.25, path),
-        lambda s: FixedSolves(p, [(s, 4)], path.prefixes()),
+        lambda s: FixedSolves(p, s, 4, path.prefixes()),
         lambda s: integrate_adaptive_batch(p, [cfg], path.prefixes(), [0], s),
     ]
     for solve in solves:

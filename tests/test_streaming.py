@@ -195,7 +195,7 @@ def _streamed(problem, seeds, level, configs, unit):
 
 
 def _assert_batches_equal(a, b):
-    for name in ("offsets", "positions", "states", "backstop_flags", "divergent"):
+    for name in ("num_steps", "positions", "states", "backstop_flags", "divergent"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
