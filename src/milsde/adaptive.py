@@ -49,7 +49,6 @@ times each one.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,7 @@ import numpy as np
 from .errors import UsageError
 from .problems import SdeProblem, _check_structure
 from .steppers import _components_first, _step_map, check_scheme
-from .wiener import PathPrefixes, WienerPath, double_integrals
+from .wiener import PathPrefixes, WienerPath, _is_int, double_integrals
 
 __all__ = [
     "StrategyConfig",
@@ -173,18 +172,6 @@ class SolutionPath:
     def step_sizes(self) -> np.ndarray:
         return np.diff(self.times)
 
-    def to_csv(self, stream) -> None:
-        """Write "t,y0,...,backstop" rows; node 0 carries flag 0."""
-        d = self.states.shape[1]
-        header = "t," + ",".join(f"y{i}" for i in range(d)) + ",backstop"
-        stream.write(header + "\n")
-        for n in range(len(self.times)):
-            flag = 0 if n == 0 else int(self.backstop_flags[n - 1])
-            vals = [f"{self.times[n]:.17g}"]
-            vals += [f"{v:.17g}" for v in self.states[n]]
-            vals.append(str(flag))
-            stream.write(",".join(vals) + "\n")
-
 
 def _floor_units(values: np.ndarray, unit: float) -> np.ndarray:
     """Largest k with k * unit <= value, elementwise, compared exactly as
@@ -273,11 +260,7 @@ class SolutionBatch:
         """
         if self.positions is None:
             raise UsageError("the batch kept no steps to read a lane from")
-        try:
-            lane = operator.index(lane)
-        except TypeError:
-            lane = -1  # refused below
-        if not 0 <= lane < len(self.ends):
+        if not (_is_int(lane) and 0 <= lane < len(self.ends)):
             raise UsageError(f"lane must be an integer in [0, {len(self.ends)})")
         first = int(self.num_steps[:lane].sum())
         mine = slice(first, first + int(self.num_steps[lane]))
@@ -532,12 +515,9 @@ class FixedSolves:
     ):
         check_scheme(scheme)
         count, num_steps = len(prefixes.sums), prefixes.num_steps
-        try:
-            self.k = operator.index(substeps)  # fine steps per window
-        except TypeError:
-            self.k = 0  # refused below
-        if not 1 <= self.k <= num_steps:
+        if not (_is_int(substeps) and 1 <= substeps <= num_steps):
             raise UsageError(f"need whole substeps, 1 <= substeps <= {num_steps}")
+        self.k = int(substeps)  # fine steps per window
         _check_compatible(problem, prefixes)
         _check_rowwise(problem, max(count, problem.dim_state + 1))
         self.prefixes, self.zero_area = prefixes, zero_levy_area

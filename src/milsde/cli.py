@@ -21,11 +21,16 @@ import argparse
 import math
 import re
 import sys
+from dataclasses import astuple
 from pathlib import Path
+
+import numpy as np
 
 from .adaptive import StrategyConfig, integrate_adaptive, integrate_fixed
 from .errors import ExperimentError, ResourceError, UsageError
 from .harness import (
+    BACKSTOP_CSV_HEADER,
+    CSV_HEADER,
     DEFAULT_BASE_SEED,
     ExperimentConfig,
     backstop_probability,
@@ -58,18 +63,18 @@ def _dyadic_exponent(token: str) -> int:
     return int(m.group(1))
 
 
+def _list(parse):
+    """A parser of comma lists whose items ``parse`` reads."""
+    return lambda token: tuple(parse(t) for t in token.split(","))
+
+
 def _parse_h_values(token: str) -> tuple[float, ...]:
-    token = token.strip()
-    if ".." in token:
-        lo, hi = token.split("..", 1)
-        a, b = _dyadic_exponent(lo), _dyadic_exponent(hi)
-        step = 1 if b >= a else -1
-        return tuple(2.0**e for e in range(a, b + step, step))
-    return tuple(_parse_dyadic(t) for t in token.split(","))
-
-
-def _parse_float_list(token: str) -> tuple[float, ...]:
-    return tuple(_parse_dyadic(t) for t in token.split(","))
+    if ".." not in token:
+        return _list(_parse_dyadic)(token)
+    lo, hi = token.split("..", 1)
+    a, b = _dyadic_exponent(lo), _dyadic_exponent(hi)
+    step = 1 if b >= a else -1
+    return tuple(2.0**e for e in range(a, b + step, step))
 
 
 def _parse_int(token: str) -> int:
@@ -77,10 +82,6 @@ def _parse_int(token: str) -> int:
         return int(token.strip())
     except ValueError:
         raise UsageError(f"cannot parse {token!r} as an integer")
-
-
-def _parse_int_list(token: str) -> tuple[int, ...]:
-    return tuple(_parse_int(t) for t in token.split(","))
 
 
 def _parse_problem(token: str) -> str:
@@ -94,10 +95,6 @@ def _parse_problem(token: str) -> str:
 
 def _parse_scheme(token: str) -> str:
     return check_scheme(token.strip(), adaptive=True)
-
-
-def _parse_scheme_list(token: str) -> tuple[str, ...]:
-    return tuple(_parse_scheme(t) for t in token.split(","))
 
 
 def _parse_delta(token: str) -> float | None:
@@ -118,7 +115,7 @@ _DELTA = (_parse_delta, "none")
 
 _TABLE_OPTIONS = {
     "problem": (_parse_problem, "scalar_mult"),
-    "schemes": (_parse_scheme_list, "adaptive"),
+    "schemes": (_list(_parse_scheme), "adaptive"),
     "h_max": (_parse_h_values, "2^-12..2^-8"),
     "rho": (_parse_dyadic, "16"),
     "paths": (_parse_int, "100"),
@@ -134,7 +131,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
     "efficiency": _TABLE_OPTIONS,
     "backstop-prob": {
         "problem": (_parse_problem, "scalar_probe"),
-        "rho": (_parse_float_list, "2,3,4,5,6"),
+        "rho": (_list(_parse_dyadic), "2,3,4,5,6"),
         "h_max": (_parse_dyadic, "2^-8"),
         "paths": (_parse_int, "100"),
         "fine_exponent": (_parse_int, "16"),
@@ -152,7 +149,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "delta": _DELTA,
     },
     "moments-check": {
-        "order": (_parse_int_list, "1,2,3,4"),
+        "order": (_list(_parse_int), "1,2,3,4"),
         "samples": (_parse_int, "10000"),
         "fine_exponent": (_parse_int, "12"),
         "seed": _SEED,
@@ -197,12 +194,22 @@ def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict[str, st
     return values, merged
 
 
+def _write(path: Path, header: str, rows) -> None:
+    """Write ``header``, then each row comma-joined, every float as %.17g
+    and every other value through ``str``; report the path."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(
+                f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v) for v in row
+            ) + "\n")
+    print(f"wrote {path}")
+
+
 def _write_resolved(command: str, merged: dict[str, str], out_dir: Path) -> Path:
     path = out_dir / f"{command.replace('-', '_')}_config.txt"
-    with open(path, "w") as f:
-        f.write(f"# resolved configuration for: {command}\n")
-        for key, value in merged.items():
-            f.write(f"{key} = {value}\n")
+    _write(path, f"# resolved configuration for: {command}",
+           ([f"{key} = {value}"] for key, value in merged.items()))
     return path
 
 
@@ -256,10 +263,7 @@ def _run_table_command(command: str, values: dict, out_dir: Path) -> int:
         workers=values["workers"],
     )
     table = convergence_table(config)
-    csv_path = out_dir / f"{command}.csv"
-    with open(csv_path, "w") as f:
-        table.to_csv(f)
-    print(f"wrote {csv_path}")
+    _write(out_dir / f"{command}.csv", CSV_HEADER, map(astuple, table.rows))
     if command == "efficiency":
         for scheme, rms, cpu in table.frontier():
             print(f"  {scheme}: rms {rms:.3e} at {cpu:.2f} s")
@@ -282,14 +286,12 @@ def _run_backstop(values: dict, out_dir: Path) -> int:
         delta=values["delta"],
         workers=values["workers"],
     )
-    csv_path = out_dir / "backstop_prob.csv"
-    with open(csv_path, "w") as f:
-        curve.to_csv(f)
-    profile_path = out_dir / "backstop_h_profile.csv"
-    with open(profile_path, "w") as f:
-        curve.profiles_to_csv(f)
-    print(f"wrote {csv_path}")
-    print(f"wrote {profile_path}")
+    _write(out_dir / "backstop_prob.csv", BACKSTOP_CSV_HEADER, map(astuple, curve.points))
+    _write(
+        out_dir / "backstop_h_profile.csv", "rho,step_index,h_mean,h_var,num_paths",
+        ((p.rho, n, *stats) for p in curve.profiles
+         for n, stats in enumerate(zip(p.h_mean, p.h_var, p.num_paths))),
+    )
     for p in curve.points:
         print(f"  rho {p.rho:g}: trigger probability {p.prob:.3f} "
               f"(se {p.prob_std_error:.3f})")
@@ -309,10 +311,12 @@ def _run_single_path(values: dict, out_dir: Path) -> int:
     else:
         # Fixed schemes step at h_max itself.
         sol = integrate_fixed(problem, values["scheme"], values["h_max"], path)
-    csv_path = out_dir / "single_path.csv"
-    with open(csv_path, "w") as f:
-        sol.to_csv(f)
-    print(f"wrote {csv_path}")
+    flags = (0, *sol.backstop_flags)  # node 0 closes no step
+    _write(
+        out_dir / "single_path.csv",
+        ",".join(["t", *(f"y{i}" for i in range(problem.dim_state)), "backstop"]),
+        ((t, *y, int(f)) for t, y, f in zip(sol.times, sol.states, flags)),
+    )
     flagged = int(sol.backstop_flags.sum())
     state = ", ".join(f"{v:.6g}" for v in sol.final_state)
     print(f"  {sol.num_steps} steps, {flagged} backstop, final state [{state}]")
@@ -329,32 +333,25 @@ def _run_moments(values: dict, out_dir: Path) -> int:
         resolution_exponent=values["fine_exponent"],
         base_seed=values["seed"],
     )
-    csv_path = out_dir / "moments_check.csv"
-    with open(csv_path, "w") as f:
-        f.write(
-            "order,signed_target,signed_estimate,signed_std_error,"
-            "absolute_estimate,absolute_bound,passed\n"
-        )
-        for r in rows:
-            f.write(
-                f"{r.order},{float(r.signed_target):.17g},"
-                f"{r.signed_estimate:.17g},{r.signed_std_error:.17g},"
-                f"{r.absolute_estimate:.17g},{float(r.absolute_bound):.17g},"
-                f"{int(r.passed)}\n"
-            )
-    print(f"wrote {csv_path}")
+    _write(
+        out_dir / "moments_check.csv",
+        "order,signed_target,signed_estimate,signed_std_error,"
+        "absolute_estimate,absolute_bound,passed",
+        ((r.order, r.signed_target, r.signed_estimate, r.signed_std_error,
+          r.absolute_estimate, r.absolute_bound, int(r.passed)) for r in rows),
+    )
     all_ok = True
     for r in rows:
         z = (
-            abs(r.signed_estimate - float(r.signed_target)) / r.signed_std_error
+            abs(r.signed_estimate - r.signed_target) / r.signed_std_error
             if r.signed_std_error > 0
             else 0.0
         )
         verdict = "PASS" if r.passed else "FAIL"
         print(
             f"  order {r.order}: estimate {r.signed_estimate:+.6f} "
-            f"target {float(r.signed_target):+.6f} |z| {z:.2f} "
-            f"E|A|^b {r.absolute_estimate:.6f} <= {float(r.absolute_bound):.6f} "
+            f"target {r.signed_target:+.6f} |z| {z:.2f} "
+            f"E|A|^b {r.absolute_estimate:.6f} <= {r.absolute_bound:.6f} "
             f"-> {verdict}"
         )
         all_ok = all_ok and r.passed
@@ -371,8 +368,7 @@ def main(argv=None) -> int:
         values, merged = _resolve(args.command, args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        resolved = _write_resolved(args.command, merged, out_dir)
-        print(f"wrote {resolved}")
+        _write_resolved(args.command, merged, out_dir)
         if args.command in ("convergence", "efficiency"):
             return _run_table_command(args.command, values, out_dir)
         if args.command == "backstop-prob":

@@ -97,12 +97,12 @@ __all__ = [
     "backstop_probability",
 ]
 
+# The CSV columns: the fields of ErrorRow and of BackstopPoint, in order.
 CSV_HEADER = (
     "scheme,h_max,rms_error,rms_std_error,h_mean,cpu_seconds,"
     "backstop_rate,divergent_count"
 )
 BACKSTOP_CSV_HEADER = "rho,prob,prob_std_error"
-PROFILE_CSV_HEADER = "rho,step_index,h_mean,h_var,num_paths"
 
 
 @dataclass(frozen=True)
@@ -221,15 +221,6 @@ class ErrorTable:
     def frontier(self) -> list[tuple[str, float, float]]:
         """(scheme, rms_error, cpu_seconds) triples, the efficiency view."""
         return [(r.scheme, r.rms_error, r.cpu_seconds) for r in self.rows]
-
-    def to_csv(self, stream) -> None:
-        stream.write(CSV_HEADER + "\n")
-        for r in self.rows:
-            stream.write(
-                f"{r.scheme},{r.h_max:.17g},{r.rms_error:.17g},"
-                f"{r.rms_std_error:.17g},{r.h_mean:.17g},{r.cpu_seconds:.17g},"
-                f"{r.backstop_rate:.17g},{r.divergent_count}\n"
-            )
 
 
 def _rms_stats(err_sq) -> tuple[float, float, int]:
@@ -464,20 +455,6 @@ class BackstopCurve:
     h_max: float
     points: tuple[BackstopPoint, ...]
     profiles: tuple[StepProfile, ...]
-
-    def to_csv(self, stream) -> None:
-        stream.write(BACKSTOP_CSV_HEADER + "\n")
-        for p in self.points:
-            stream.write(f"{p.rho:.17g},{p.prob:.17g},{p.prob_std_error:.17g}\n")
-
-    def profiles_to_csv(self, stream) -> None:
-        stream.write(PROFILE_CSV_HEADER + "\n")
-        for prof in self.profiles:
-            for n in range(len(prof.h_mean)):
-                stream.write(
-                    f"{prof.rho:.17g},{n},{prof.h_mean[n]:.17g},"
-                    f"{prof.h_var[n]:.17g},{int(prof.num_paths[n])}\n"
-                )
 
 
 def backstop_probability(

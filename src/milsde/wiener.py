@@ -551,9 +551,14 @@ class PathStreams:
         return units
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, Python or numpy; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_exponent(name: str, level: int) -> None:
-    """UsageError unless 1 <= level <= _MAX_EXPONENT."""
-    if not 1 <= level <= _MAX_EXPONENT:
+    """UsageError unless level is an integer in [1, _MAX_EXPONENT]."""
+    if not (_is_int(level) and 1 <= level <= _MAX_EXPONENT):
         raise UsageError(f"need 1 <= {name} <= {_MAX_EXPONENT}, got {level}")
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -28,6 +27,7 @@ from milsde import (
     propose_step,
     uniform_integrals,
 )
+from milsde.cli import main
 from milsde.steppers import advance_state
 
 H_MAX = 2.0**-8
@@ -801,14 +801,15 @@ def test_lockstep_rejects_mismatched_lanes_and_single_state_coefficients():
 
 def test_batched_solves_refuse_rows_and_substeps_they_would_wrap_or_round():
     # Row -1 used to solve the last path, 1.7 path 1, and 5 raised a raw
-    # IndexError; substeps 4.5 ran as 4 and "4" was accepted.
+    # IndexError; substeps 4.5 ran as 4, "4" was accepted and True ran as
+    # 1. A bool is no integer, as a row or as substeps.
     problem = make_builtin("scalar_mult")
     paths = [generate_path(s, 12, 1) for s in range(2)]
     prefixes = PathPrefixes.of(np.stack([path.increments for path in paths]), 1.0)
-    for row in (-1, 1.7, 5, 2):
+    for row in (-1, 1.7, 5, 2, True):
         with pytest.raises(UsageError, match=r"rows must be integers in \[0, 2\)"):
             integrate_adaptive_batch(problem, [CFG], prefixes, [row])
-    for k in (4.5, "4", 4.0):
+    for k in (4.5, "4", 4.0, True, np.True_):
         with pytest.raises(UsageError, match="substeps"):
             FixedSolves(problem, "euler", k, prefixes)
     batch = integrate_adaptive_batch(problem, [CFG], prefixes, np.array([1], dtype=np.uint8))
@@ -830,7 +831,7 @@ def test_a_batch_refuses_lanes_it_cannot_read():
         with pytest.raises(UsageError, match="kept no steps"):
             batch.solution(0)
     kept = integrate_adaptive_batch(problem, [CFG, CFG], prefixes, [0, 1])
-    for lane in (-1, 2, 0.5, "0"):
+    for lane in (-1, 2, 0.5, "0", True, np.True_, 1.0):
         with pytest.raises(UsageError, match=r"lane must be an integer in \[0, 2\)"):
             kept.solution(lane)
     sol = kept.solution(np.int64(1))
@@ -918,13 +919,14 @@ def test_solution_path_trivial_properties():
     assert sol.step_sizes.size == 0
 
 
-def test_solution_csv_round_trip():
+def test_solution_csv_round_trip(tmp_path):
     problem = make_builtin("twod_noncommutative")
     cfg = StrategyConfig(h_max=2.0**-5, rho=4.0)
     sol = integrate_adaptive(problem, cfg, generate_path(12, 10, 2))
-    buf = io.StringIO()
-    sol.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+    argv = ["single-path", "--out-dir", str(tmp_path), "--problem", "twod_noncommutative",
+            "--h-max", "2^-5", "--rho", "4", "--seed", "12", "--fine-exponent", "10"]
+    assert main(argv) == 0
+    lines = (tmp_path / "single_path.csv").read_text().strip().split("\n")
     assert lines[0] == "t,y0,y1,backstop"
     assert len(lines) == len(sol.times) + 1
     for n, line in enumerate(lines[1:]):

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from milsde import BACKSTOP_CSV_HEADER, CSV_HEADER
+from milsde import BACKSTOP_CSV_HEADER, CSV_HEADER, BackstopPoint, ErrorRow
 from milsde.cli import (
     _build_parser,
     _parse_dyadic,
@@ -422,3 +423,10 @@ def test_single_path_fine_exponent_past_the_bound_exits_2(tmp_path):
     out = ["--out-dir", str(tmp_path)]
     for scheme in ([], ["--scheme", "milstein"]):
         assert main(["single-path", "--fine-exponent", "31"] + scheme + out) == 2, scheme
+
+
+def test_csv_columns_are_the_row_fields_in_order():
+    # Table and curve rows are written field by field, so reordering a
+    # field must not silently reorder a CSV.
+    assert ",".join(f.name for f in dataclasses.fields(ErrorRow)) == CSV_HEADER
+    assert ",".join(f.name for f in dataclasses.fields(BackstopPoint)) == BACKSTOP_CSV_HEADER

@@ -34,6 +34,9 @@ RUNS = {
     "single_milstein_short_last": ["single-path", "--problem", "twod_noncommutative",
                                    "--fine-exponent", "12", "--scheme", "milstein",
                                    "--h-max", "0.046875"],
+    # d = 1: ||Y0|| = rho = 2 on scalar_probe, so the first step is pinned.
+    "single_scalar_probe": ["single-path", "--problem", "scalar_probe", "--fine-exponent", "12",
+                            "--h-max", "2^-6", "--rho", "2"],
     "moments": ["moments-check", "--samples", "500", "--fine-exponent", "8",
                 "--order", "1,2,3,4,8"],
 }
@@ -90,6 +93,13 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "single_path.csv": "01e20b995f89b2e6f1a2870881324936b72cc2634deaff41f9368e071321d8ba",
         "single_path_config.txt": "b21e337c7e13ba26f2e28c8434d49fa49038665a68dc556751ac3c2f53d4a379",
+    },
+    "single_scalar_probe": {
+        "exit": 0,
+        "stdout": "96ec590ba684748cbb013fc9666745729d9888f3fc227749a8ed7a48955d77e0",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "single_path.csv": "6c8fb6af4a09fd8082a85885d2042c553600634cfce92c16086586192a0e3c34",
+        "single_path_config.txt": "7cd8350ce6b30a650044691c92ef2192a0c4f5a04d82eb8edcb3164ba74be2d8",
     },
     "single_milstein": {
         "exit": 0,

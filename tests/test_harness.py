@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import io
 import math
 import time
 import warnings
@@ -25,6 +24,7 @@ from milsde import (
     convergence_table,
     make_builtin,
 )
+from milsde.cli import main
 
 SMALL = dict(num_paths=6, reference_exponent=8, fine_exponent=12)
 
@@ -232,11 +232,13 @@ def test_a_step_matched_by_two_h_max_values_runs_once(monkeypatch):
     assert euler[0] == euler[1] and euler[0].h_max == 202 * 2.0**-14
 
 
-def test_table_csv_round_trip():
+def test_table_csv_round_trip(tmp_path):
     table = convergence_table(_structure_config())
-    buf = io.StringIO()
-    table.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+    argv = ["convergence", "--out-dir", str(tmp_path), "--problem", "scalar_mult",
+            "--h-max", "2^-4,2^-5", "--rho", "8", "--schemes", "adaptive,euler,tamed",
+            "--paths", "6", "--reference-exponent", "8", "--fine-exponent", "12"]
+    assert main(argv) == 0
+    lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert (
         CSV_HEADER == "scheme,h_max,rms_error,rms_std_error,h_mean,"
@@ -423,11 +425,16 @@ def test_blocks_free_their_windows_without_the_cyclic_collector(monkeypatch):
     assert not left
 
 
-def _curve_text(curve) -> str:
-    buf = io.StringIO()
-    curve.to_csv(buf)
-    curve.profiles_to_csv(buf)
-    return buf.getvalue()
+def _assert_curves_equal(a, b) -> None:
+    # Bit for bit, at least as strict as comparing the %.17g text the CLI
+    # writes: the points by their exact reprs, the profiles by their bytes.
+    assert repr(a.points) == repr(b.points)
+    assert len(a.profiles) == len(b.profiles)
+    for p, q in zip(a.profiles, b.profiles):
+        assert p.rho == q.rho
+        for name in ("h_mean", "h_var", "num_paths"):
+            x, y = getattr(p, name), getattr(q, name)
+            assert np.array_equal(x, y) and x.tobytes() == y.tobytes()
 
 
 def test_group_size_does_not_change_results(monkeypatch):
@@ -435,10 +442,8 @@ def test_group_size_does_not_change_results(monkeypatch):
     # per group must give the same tables and curves as the default cap.
     config = _structure_config(problem="twod_noncommutative")
     whole = convergence_table(config)
-    curve = _curve_text(
-        backstop_probability(
-            "scalar_probe", (2.0, 3.0, 6.0), h_max=2.0**-8, num_paths=6, fine_exponent=12
-        )
+    curve = backstop_probability(
+        "scalar_probe", (2.0, 3.0, 6.0), h_max=2.0**-8, num_paths=6, fine_exponent=12
     )
     monkeypatch.setattr(milsde.wiener, "_GROUP_BYTES", 1)
     split = convergence_table(config)
@@ -446,13 +451,11 @@ def test_group_size_does_not_change_results(monkeypatch):
         assert dataclasses.replace(ra, cpu_seconds=0.0) == dataclasses.replace(
             rb, cpu_seconds=0.0
         )
-    assert (
-        _curve_text(
-            backstop_probability(
-                "scalar_probe", (2.0, 3.0, 6.0), h_max=2.0**-8, num_paths=6, fine_exponent=12
-            )
-        )
-        == curve
+    _assert_curves_equal(
+        backstop_probability(
+            "scalar_probe", (2.0, 3.0, 6.0), h_max=2.0**-8, num_paths=6, fine_exponent=12
+        ),
+        curve,
     )
 
 
@@ -460,7 +463,7 @@ def test_backstop_curve_worker_pool_matches_serial():
     kwargs = dict(h_max=2.0**-8, num_paths=12, fine_exponent=12)
     serial = backstop_probability("scalar_probe", (2.0, 4.0, 6.0), **kwargs)
     pooled = backstop_probability("scalar_probe", (2.0, 4.0, 6.0), workers=2, **kwargs)
-    assert _curve_text(serial) == _curve_text(pooled)
+    _assert_curves_equal(serial, pooled)
 
 
 def test_shared_costs_are_charged_once():
@@ -606,20 +609,17 @@ def test_backstop_curve():
     assert len(prof.h_mean) == len(prof.h_var) == len(prof.num_paths)
 
 
-def test_backstop_curve_csv():
-    curve = backstop_probability(
-        "scalar_mult", (2.0, 4.0), h_max=2.0**-8, num_paths=10, fine_exponent=14
-    )
-    buf = io.StringIO()
-    curve.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+def test_backstop_curve_csv(tmp_path):
+    argv = ["backstop-prob", "--out-dir", str(tmp_path), "--problem", "scalar_mult",
+            "--rho", "2,4", "--h-max", "2^-8", "--paths", "10", "--fine-exponent", "14"]
+    assert main(argv) == 0
+    lines = (tmp_path / "backstop_prob.csv").read_text().strip().split("\n")
     assert lines[0] == BACKSTOP_CSV_HEADER == "rho,prob,prob_std_error"
     assert len(lines) == 3
     rho, prob, se = lines[1].split(",")
     assert float(rho) == 2.0 and float(prob) == 1.0 and float(se) == 0.0
-    buf2 = io.StringIO()
-    curve.profiles_to_csv(buf2)
-    assert buf2.getvalue().startswith("rho,step_index,h_mean,h_var,num_paths\n")
+    profiles = (tmp_path / "backstop_h_profile.csv").read_text()
+    assert profiles.startswith("rho,step_index,h_mean,h_var,num_paths\n")
 
 
 def test_backstop_curve_refuses_fewer_than_one_worker():

@@ -117,6 +117,12 @@ def test_generate_validation():
         generate_path(1, 8, 1, horizon=0.0)
     with pytest.raises(ResourceError):
         generate_path(1, 30, 8)  # 64 GiB of increments
+    # True drew a 2-step path; 12.5 passed the range check and raised a
+    # raw TypeError further on.
+    for level in (True, np.True_, 12.5, 4.0, "4"):
+        with pytest.raises(UsageError, match="resolution_exponent"):
+            generate_path(0, level, 1)
+    assert generate_path(0, np.int64(4), 1).increments.shape == (1, 16)
 
 
 def test_generate_path_holds_one_copy_of_its_increments():
@@ -608,6 +614,8 @@ def test_moment_check_validation():
         moment_check(num_windows=50)
     with pytest.raises(UsageError):
         moment_check(orders=(9,))
+    with pytest.raises(UsageError, match="resolution_exponent"):
+        moment_check(num_windows=100, resolution_exponent=8.5)  # was a raw TypeError
 
 
 def test_iterated_integrals_validation():
